@@ -4,9 +4,9 @@ The observability layer injects exactly one branch into the QMatch pair
 loop (``if tracer.enabled``).  This module prices that branch on the
 builtin PO pair three ways:
 
-- **baseline** -- the scoring loop exactly as it ran before the trace
-  branch existed (``_pair_qom`` driven directly over the postorder
-  grid, no guard);
+- **baseline** -- the scoring loop without the trace branch
+  (``_pair_qom`` driven directly over the postorder index grid, no
+  guard);
 - **disabled** -- the shipping ``match_context`` with the default
   ``NULL_TRACER`` (the guard is present but never taken);
 - **traced** -- the same run with a live :class:`TraceRecorder`
@@ -20,9 +20,9 @@ one scheduler hiccup cannot fail the build.
 import math
 import time
 
-from repro.core.qmatch import QMatchMatcher
+from repro.core.qmatch import QMatchMatcher, grid_matrix
 from repro.datasets import registry
-from repro.matching.result import ScoreMatrix
+from repro.matching.result import ScoreMatrix, checked_score
 from repro.obs.trace import TraceRecorder
 
 from conftest import write_result
@@ -39,20 +39,26 @@ TRACED_BUDGET = 2.0
 
 
 def _pre_pr_loop(matcher, ctx) -> ScoreMatrix:
-    """The pair loop as it was before tracing: no per-pair branch."""
-    matrix = ScoreMatrix(ctx.source, ctx.target)
-    categories = {} if matcher.config.record_categories else None
-    t_nodes = ctx.target_postorder
-    for s_node in ctx.source_postorder:
-        for t_node in t_nodes:
+    """The pair loop without the trace branch: the same index-based
+    ``_pair_qom`` over the context's postorder tables, no guard."""
+    source, target = ctx.source_table, ctx.target_table
+    width = len(target)
+    grid = [0.0] * (len(source) * width)
+    categories = (
+        [None] * len(grid) if matcher.config.record_categories else None
+    )
+    for s_index in range(len(source)):
+        row = s_index * width
+        for t_index in range(width):
             qom, category = matcher._pair_qom(
-                s_node, t_node, matrix, categories, ctx
+                s_index, t_index, grid, categories, ctx
             )
-            matrix.set(s_node, t_node, qom)
+            grid[row + t_index] = checked_score(
+                qom, source.paths[s_index], target.paths[t_index]
+            )
             if categories is not None:
-                categories[(s_node.path, t_node.path)] = category.value
-    matrix.categories = categories
-    return matrix
+                categories[row + t_index] = category
+    return grid_matrix(ctx, grid, categories)
 
 
 def _best_of(fn, rounds=ROUNDS, iterations=ITERATIONS) -> float:
@@ -125,5 +131,5 @@ def test_guarded_loop_matches_pre_pr_scores():
     after = matcher.match_context(
         matcher.make_context(task.source, task.target)
     )
-    assert dict(before.items()) == dict(after.items())
+    assert list(before.items()) == list(after.items())
     assert before.categories == after.categories

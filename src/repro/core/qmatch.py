@@ -41,12 +41,12 @@ from repro.core.taxonomy import (
     classify_leaf,
     classify_subtree,
 )
-from repro.linguistic.matcher import LinguisticMatcher
+from repro.linguistic.matcher import LabelComparison, LinguisticMatcher
 from repro.matching.base import Matcher
 from repro.matching.classes import MatchStrength
-from repro.matching.result import ScoreMatrix
+from repro.matching.result import ScoreMatrix, checked_score
 from repro.properties.matcher import PropertyMatcher
-from repro.xsd.model import SchemaNode, SchemaTree
+from repro.xsd.model import SchemaTree
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,18 @@ class QMatchMatcher(Matcher):
         )
 
     def match_context(self, ctx) -> ScoreMatrix:
-        matrix = ScoreMatrix(ctx.source, ctx.target)
-        categories: Optional[dict] = (
-            {} if self.config.record_categories else None
+        """Score the full postorder x postorder pair grid.
+
+        Pairs are addressed by postorder index into the context's
+        interned :class:`~repro.engine.context.SideTable` arrays; the
+        QoMs and categories land in flat row-major grids (which is where
+        the children axis reads them back) and are copied into the
+        path-keyed :class:`ScoreMatrix` once, in the same grid order.
+        """
+        source = ctx.source_table
+        grid = [0.0] * (len(source) * len(ctx.target_table))
+        categories = (
+            [None] * len(grid) if self.config.record_categories else None
         )
         tracer = ctx.tracer
         if tracer.enabled:
@@ -154,53 +163,69 @@ class QMatchMatcher(Matcher):
                 threshold=self.config.threshold,
                 config=self.config_signature(),
             )
-        t_nodes = ctx.target_postorder
-        for s_node in ctx.source_postorder:
-            for t_node in t_nodes:
-                # Zero-cost when disabled: this is the single per-pair
-                # trace branch the observability layer is allowed.
-                if tracer.enabled:
-                    qom, category = self._traced_pair(
-                        s_node, t_node, matrix, categories, ctx, tracer
-                    )
-                else:
-                    qom, category = self._pair_qom(
-                        s_node, t_node, matrix, categories, ctx
-                    )
-                matrix.set(s_node, t_node, qom)
-                if categories is not None:
-                    categories[(s_node.path, t_node.path)] = category.value
-        matrix.categories = categories
+        for s_index in range(len(source)):
+            self._score_row(s_index, grid, categories, ctx)
+        matrix = grid_matrix(ctx, grid, categories)
         ctx.stats.count("qmatch.pairs", len(matrix))
         return matrix
 
-    def _traced_pair(self, s_node, t_node, matrix, categories, ctx, tracer):
+    def _score_row(self, s_index, grid, categories, ctx):
+        """Score source node ``s_index`` against every target node,
+        writing clamped QoMs (and categories) into its grid row."""
+        target = ctx.target_table
+        width = len(target)
+        row = s_index * width
+        s_path = ctx.source_table.paths[s_index]
+        tracer = ctx.tracer
+        for t_index in range(width):
+            # Zero-cost when disabled: this is the single per-pair
+            # trace branch the observability layer is allowed.
+            if tracer.enabled:
+                qom, category = self._traced_pair(
+                    s_index, t_index, grid, categories, ctx, tracer
+                )
+            else:
+                qom, category = self._pair_qom(
+                    s_index, t_index, grid, categories, ctx
+                )
+            grid[row + t_index] = checked_score(
+                qom, s_path, target.paths[t_index]
+            )
+            if categories is not None:
+                categories[row + t_index] = category
+
+    def _traced_pair(self, s_index, t_index, grid, categories, ctx, tracer):
         """Score one pair with full span recording (the traced path).
 
         Cache provenance is probed *before* the comparisons run (a
         memoized lookup afterwards would always report a hit).
         """
-        detail = {
-            "label_cache": (
-                "hit" if ctx.label_cached(s_node.name, t_node.name)
-                else ("miss" if ctx.cache_enabled else "off")
-            ),
-            "property_cache": (
-                "hit" if ctx.property_cached(s_node, t_node)
-                else ("miss" if ctx.cache_enabled else "off")
-            ),
-        }
-        if self.config.weights.uses_instance:
-            detail["instance_cache"] = (
-                "hit" if ctx.instance_cached(s_node, t_node)
-                else ("miss" if ctx.cache_enabled else "off")
-            )
-        qom, category = self._pair_qom(
-            s_node, t_node, matrix, categories, ctx, trace_out=detail
-        )
         weights = self.config.weights
+        uses_instance = weights.uses_instance
+        source, target = ctx.source_table, ctx.target_table
+        not_cached = "miss" if ctx.cache_enabled else "off"
+        label_cache = (
+            "hit" if ctx.node_label_cached(s_index, t_index) else not_cached
+        )
+        property_cache = (
+            "hit" if ctx.node_properties_cached(s_index, t_index)
+            else not_cached
+        )
+        if uses_instance:
+            instance_cache = (
+                "hit" if ctx.instance_cached(source.nodes[s_index],
+                                             target.nodes[t_index])
+                else not_cached
+            )
+        detail: dict = {}
+        qom, category = self._pair_qom(
+            s_index, t_index, grid, categories, ctx, trace_out=detail
+        )
         label = detail["label"]
         props = detail["properties"]
+        level_score = detail["level_score"]
+        children_score = detail["children_score"]
+        children_weight = detail["children_weight"]
         axes = {
             "label": {
                 "score": label.score,
@@ -208,51 +233,52 @@ class QMatchMatcher(Matcher):
                 "contribution": weights.label * label.score,
                 "strength": str(label.strength),
                 "mechanism": label.mechanism,
-                "cache": detail["label_cache"],
+                "cache": label_cache,
             },
             "properties": {
                 "score": props.score,
                 "weight": weights.properties,
                 "contribution": weights.properties * props.score,
                 "strength": str(props.strength),
-                "cache": detail["property_cache"],
+                "cache": property_cache,
             },
             "level": {
-                "score": detail["level_score"],
+                "score": level_score,
                 "weight": weights.level,
-                "contribution": weights.level * detail["level_score"],
+                "contribution": weights.level * level_score,
             },
             "children": {
-                "score": detail["children_score"],
-                "weight": detail["children_weight"],
-                "contribution": (
-                    detail["children_weight"] * detail["children_score"]
-                ),
+                "score": children_score,
+                "weight": children_weight,
+                "contribution": children_weight * children_score,
                 "coverage": str(detail["coverage"]),
                 "matched": detail["matched_children"],
                 "total": detail["total_children"],
             },
         }
-        if weights.uses_instance:
+        if uses_instance:
             # Only present at nonzero instance weight, so four-axis
             # traces stay byte-identical to the pre-instance format.
+            instance_score = detail["instance_score"]
             axes["instance"] = {
-                "score": detail["instance_score"],
+                "score": instance_score,
                 "weight": weights.instance,
-                "contribution": weights.instance * detail["instance_score"],
-                "cache": detail["instance_cache"],
+                "contribution": weights.instance * instance_score,
+                "cache": instance_cache,
             }
         children_spans = []
-        for source_path, target_path in detail["matched_pairs"] or ():
-            span_id = tracer.span_id(source_path, target_path)
+        for s_child, t_child in detail["matched_pairs"]:
+            span_id = tracer.span_id(source.paths[s_child],
+                                     target.paths[t_child])
             if span_id is not None:
                 children_spans.append(span_id)
+        threshold = self.config.threshold
         tracer.record_pair(
-            s_node.path, t_node.path,
+            source.paths[s_index], target.paths[t_index],
             qom=qom,
             category=str(category),
-            threshold=self.config.threshold,
-            accepted=qom >= self.config.threshold,
+            threshold=threshold,
+            accepted=qom >= threshold,
             axes=axes,
             children_spans=children_spans,
         )
@@ -265,32 +291,34 @@ class QMatchMatcher(Matcher):
     # The QoM model
     # ------------------------------------------------------------------
 
-    def _pair_qom(self, s_node: SchemaNode, t_node: SchemaNode,
-                  matrix: ScoreMatrix, categories, ctx=None,
+    def _pair_qom(self, s_index: int, t_index: int, grid, categories, ctx,
                   trace_out: Optional[dict] = None):
-        """QoM and taxonomy category of one pair.
+        """QoM and taxonomy category of one pair, by postorder index.
 
-        Child pairs are guaranteed to be in ``matrix`` already because
-        both trees are iterated in postorder.  ``ctx`` carries the
-        engine's memoized label/property comparisons; legacy callers may
-        omit it and a throwaway context is built.  ``trace_out`` (only
-        passed on the traced path) receives the per-axis evidence the
-        span recorder serializes; the numeric result is identical with
-        or without it.
+        The one scoring implementation: the untraced and traced loops,
+        :meth:`explain` and incremental re-matching all call it.
+        ``grid`` (row-major, ``len(ctx.target_table)`` wide) must hold
+        the clamped QoM of every child pair already, which postorder
+        iteration guarantees; ``categories`` is the parallel grid of
+        :class:`MatchCategory` values, or ``None`` when categories are
+        not recorded.  ``trace_out`` (only passed on the traced path)
+        receives the per-axis evidence the span recorder serializes;
+        the numeric result is identical with or without it.
         """
-        if ctx is None:
-            ctx = self.make_context(matrix.source, matrix.target)
+        source, target = ctx.source_table, ctx.target_table
         weights = self.config.weights
-        label = self._label_evidence(s_node, t_node, ctx)
-        props = ctx.property_comparison(s_node, t_node)
+        label = self._label_evidence(s_index, t_index, ctx)
+        props = ctx.node_properties(s_index, t_index)
         level_strength = (
-            MatchStrength.EXACT if s_node.level == t_node.level
+            MatchStrength.EXACT
+            if source.levels[s_index] == target.levels[t_index]
             else MatchStrength.NONE
         )
         level_score = 1.0 if level_strength is MatchStrength.EXACT else 0.0
         matched_pairs = [] if trace_out is not None else None
+        s_leaf = source.leaves[s_index]
 
-        if s_node.is_leaf and t_node.is_leaf:
+        if s_leaf and target.leaves[t_index]:
             if self.config.leaf_level_mode == "constant":
                 # Eq. 2: children and level exact by default for leaves.
                 effective_level = 1.0
@@ -299,13 +327,13 @@ class QMatchMatcher(Matcher):
             children_score, children_weight = 1.0, weights.children
             coverage, matched, total = CoverageLevel.TOTAL, 0, 0
             category = classify_leaf(label.strength, props.strength)
-        elif s_node.is_leaf != t_node.is_leaf:
+        elif s_leaf != target.leaves[t_index]:
             # Leaf vs interior: no children-axis credit (footnote 1 of
             # the paper -- comparable by altering the level axis).
             effective_level = level_score
             children_score, children_weight = 0.0, 0.0
             coverage, matched = CoverageLevel.NONE, 0
-            total = len(s_node.children)
+            total = len(source.children[s_index])
             category = classify_subtree(
                 label.strength, props.strength, level_strength,
                 CoverageLevel.NONE, MatchStrength.NONE,
@@ -314,12 +342,12 @@ class QMatchMatcher(Matcher):
             effective_level = level_score
             children_score, coverage, matched, children_strength = (
                 self._children_axis(
-                    s_node, t_node, matrix, categories, ctx,
+                    s_index, t_index, grid, categories, ctx,
                     matched_pairs=matched_pairs,
                 )
             )
             children_weight = weights.children
-            total = len(s_node.children)
+            total = len(source.children[s_index])
             category = classify_subtree(
                 label.strength, props.strength, level_strength,
                 coverage, children_strength,
@@ -338,7 +366,8 @@ class QMatchMatcher(Matcher):
             # The fifth axis only ever runs at nonzero weight: the
             # zero-weight model touches no profile, fills no memo and
             # adds not a single float to the sum.
-            instance_score = ctx.instance_score(s_node, t_node)
+            instance_score = ctx.instance_score(source.nodes[s_index],
+                                                target.nodes[t_index])
             qom += weights.instance * instance_score
         if trace_out is not None:
             trace_out.update(
@@ -355,7 +384,7 @@ class QMatchMatcher(Matcher):
             )
         return qom, category
 
-    def _label_evidence(self, s_node, t_node, ctx):
+    def _label_evidence(self, s_index, t_index, ctx):
         """Label-axis evidence: names, optionally backed by documentation.
 
         With ``use_documentation`` on and both nodes carrying
@@ -364,31 +393,35 @@ class QMatchMatcher(Matcher):
         would fail -- it never lowers the name-based score, and
         doc-mediated evidence is at best relaxed.
         """
-        label = ctx.label_comparison(s_node.name, t_node.name)
+        label = ctx.node_label(s_index, t_index)
         if not self.config.use_documentation:
             return label
-        s_doc = s_node.properties.get("documentation")
-        t_doc = t_node.properties.get("documentation")
+        s_doc = ctx.source_table.nodes[s_index].properties.get(
+            "documentation"
+        )
+        t_doc = ctx.target_table.nodes[t_index].properties.get(
+            "documentation"
+        )
         if not s_doc or not t_doc:
             return label
         doc = ctx.label_comparison(s_doc, t_doc)
         doc_score = doc.score * self.config.documentation_discount
         if doc_score <= label.score:
             return label
-        from repro.linguistic.matcher import LabelComparison
-
         strength = label.strength
         if strength is MatchStrength.NONE and doc.strength.is_match:
             strength = MatchStrength.RELAXED
         return LabelComparison(doc_score, strength, "documentation")
 
-    def _children_axis(self, s_node, t_node, matrix, categories, ctx,
+    def _children_axis(self, s_index, t_index, grid, categories, ctx,
                        matched_pairs=None):
         """Eqs. 3-5: (QoM_C, coverage, matched count, children strength).
 
-        ``matched_pairs`` (traced path only) collects the
-        ``(source_path, target_path)`` child pairs that counted toward
-        the axis, so spans can link to their contributing child spans.
+        Child QoMs and categories are read from the ``grid`` /
+        ``categories`` index grids.  ``matched_pairs`` (traced path
+        only) collects the ``(source index, target index)`` child pairs
+        that counted toward the axis, so spans can link to their
+        contributing child spans.
 
         A child pair only counts when it is a genuine match: its label
         axis matched at least relaxed, *or* its properties axis agrees
@@ -405,8 +438,11 @@ class QMatchMatcher(Matcher):
         difference.
         """
         threshold = self.config.threshold
-        s_children = s_node.children
-        t_children = t_node.children
+        gate = self.config.structural_child_gate
+        source = ctx.source_table
+        width = len(ctx.target_table)
+        s_children = source.children[s_index]
+        t_children = ctx.target_table.children[t_index]
         total = len(s_children)
 
         matched = 0
@@ -414,39 +450,38 @@ class QMatchMatcher(Matcher):
         children_all_exact = True
 
         def is_child_match(s_child, t_child):
-            label = ctx.label_comparison(s_child.name, t_child.name)
-            if label.strength is not MatchStrength.NONE:
+            if ctx.node_label(s_child, t_child).strength is not (
+                MatchStrength.NONE
+            ):
                 return True
-            props = ctx.property_comparison(s_child, t_child)
-            return props.score >= self.config.structural_child_gate
+            return ctx.node_properties(s_child, t_child).score >= gate
 
         if self.config.children_aggregation == "best_match":
-            candidates = list(t_children) + [t_node]
+            candidates = t_children + (t_index,)
             for s_child in s_children:
+                row = s_child * width
+                # Absorption (the target node itself as a candidate)
+                # only makes sense for subtrees.
+                absorb = not source.leaves[s_child]
                 best_qom = 0.0
                 best_target = None
                 for t_child in candidates:
-                    if t_child is t_node and s_child.is_leaf:
-                        # Absorption only makes sense for subtrees.
+                    if t_child == t_index and not absorb:
                         continue
-                    child_qom = matrix.get(s_child, t_child)
-                    if child_qom > best_qom and is_child_match(s_child, t_child):
+                    child_qom = grid[row + t_child]
+                    if child_qom > best_qom and is_child_match(s_child,
+                                                               t_child):
                         best_qom = child_qom
                         best_target = t_child
                 if best_qom >= threshold:
                     matched += 1
                     qom_sum += best_qom
                     if matched_pairs is not None and best_target is not None:
-                        matched_pairs.append(
-                            (s_child.path, best_target.path)
-                        )
+                        matched_pairs.append((s_child, best_target))
                     if categories is not None and best_target is not None:
-                        child_category = categories.get(
-                            (s_child.path, best_target.path)
-                        )
-                        if child_category is None or not MatchCategory(
-                            child_category
-                        ).is_exact:
+                        if categories[row + best_target] not in (
+                            EXACT_CATEGORIES
+                        ):
                             children_all_exact = False
                     elif best_qom < 1.0:
                         children_all_exact = False
@@ -455,17 +490,16 @@ class QMatchMatcher(Matcher):
         else:  # all_pairs -- the literal Figure 3 pseudo-code.
             matched_sources = set()
             for s_child in s_children:
+                row = s_child * width
                 for t_child in t_children:
-                    child_qom = matrix.get(s_child, t_child)
+                    child_qom = grid[row + t_child]
                     if child_qom >= threshold and is_child_match(
                         s_child, t_child
                     ):
                         qom_sum += child_qom
                         if matched_pairs is not None:
-                            matched_pairs.append(
-                                (s_child.path, t_child.path)
-                            )
-                        matched_sources.add(id(s_child))
+                            matched_pairs.append((s_child, t_child))
+                        matched_sources.add(s_child)
                         if child_qom < 1.0:
                             children_all_exact = False
             matched = len(matched_sources)
@@ -506,6 +540,9 @@ class QMatchMatcher(Matcher):
         run as well reuses its memoized per-pair comparisons instead of
         rebuilding them -- the service layer does this when attaching
         axis evidence to every correspondence of a result.
+
+        The breakdown comes from the same :meth:`_pair_qom` the pair
+        loop runs, reading child QoMs and categories from ``matrix``.
         """
         s_node = source.find(source_path)
         t_node = target.find(target_path)
@@ -516,50 +553,89 @@ class QMatchMatcher(Matcher):
         ctx = context if context is not None else self.make_context(source, target)
         if matrix is None:
             matrix = self.match_context(ctx)
-        categories = getattr(matrix, "categories", None)
-
-        label = self._label_evidence(s_node, t_node, ctx)
-        props = ctx.property_comparison(s_node, t_node)
-        level_score = 1.0 if s_node.level == t_node.level else 0.0
-        if s_node.is_leaf and t_node.is_leaf:
-            children_score, coverage = 1.0, CoverageLevel.TOTAL
-            matched, total = 0, 0
-            if self.config.leaf_level_mode == "constant":
-                level_score = 1.0
-        elif s_node.is_leaf != t_node.is_leaf:
-            children_score, coverage = 0.0, CoverageLevel.NONE
-            matched, total = 0, len(s_node.children)
-        else:
-            children_score, coverage, matched, _ = self._children_axis(
-                s_node, t_node, matrix, categories, ctx
+        source_table, target_table = ctx.source_table, ctx.target_table
+        s_index = source_table.index[id(s_node)]
+        t_index = target_table.index[id(t_node)]
+        matrix_categories = getattr(matrix, "categories", None)
+        grid = _PathGrid(matrix.get_by_path, source_table, target_table)
+        categories = None
+        if matrix_categories is not None:
+            categories = _PathGrid(
+                lambda s_path, t_path: _category(
+                    matrix_categories.get((s_path, t_path))
+                ),
+                source_table, target_table,
             )
-            total = len(s_node.children)
-        qom = matrix.get(s_node, t_node)
+        detail: dict = {}
+        _, computed_category = self._pair_qom(
+            s_index, t_index, grid, categories, ctx, trace_out=detail
+        )
         category_value = (
-            categories.get((s_node.path, t_node.path)) if categories else None
+            matrix_categories.get((s_node.path, t_node.path))
+            if matrix_categories else None
         )
-        if category_value is not None:
-            category = MatchCategory(category_value)
-        else:
-            _, category = self._pair_qom(s_node, t_node, matrix, None, ctx)
-        instance_score = (
-            ctx.instance_score(s_node, t_node)
-            if self.config.weights.uses_instance else None
-        )
+        label = detail["label"]
+        props = detail["properties"]
         return AxisBreakdown(
             source_path=s_node.path,
             target_path=t_node.path,
-            qom=qom,
-            category=category,
+            qom=matrix.get(s_node, t_node),
+            category=(
+                MatchCategory(category_value) if category_value is not None
+                else computed_category
+            ),
             label_score=label.score,
             label_strength=label.strength,
             label_mechanism=label.mechanism,
             properties_score=props.score,
             properties_strength=props.strength,
-            level_score=level_score,
-            children_score=children_score,
-            coverage=coverage,
-            matched_children=matched,
-            total_children=total,
-            instance_score=instance_score,
+            level_score=detail["level_score"],
+            children_score=detail["children_score"],
+            coverage=detail["coverage"],
+            matched_children=detail["matched_children"],
+            total_children=detail["total_children"],
+            instance_score=detail["instance_score"],
         )
+
+
+#: Categories that count as an exact child match (see
+#: :attr:`MatchCategory.is_exact`).
+EXACT_CATEGORIES = frozenset(
+    category for category in MatchCategory if category.is_exact
+)
+
+
+def _category(value) -> Optional[MatchCategory]:
+    return None if value is None else MatchCategory(value)
+
+
+def grid_matrix(ctx, grid, categories=None) -> ScoreMatrix:
+    """A :class:`ScoreMatrix` (plus ``categories``) from the pair loop's
+    row-major QoM and category grids over ``ctx``'s postorder tables."""
+    matrix = ScoreMatrix(ctx.source, ctx.target)
+    keys = matrix.set_grid(ctx.source_table.paths, ctx.target_table.paths,
+                           grid)
+    matrix.categories = (
+        None if categories is None
+        else {key: category.value for key, category in zip(keys, categories)}
+    )
+    return matrix
+
+
+class _PathGrid:
+    """A read-only, row-major index view of a path-keyed lookup: lets
+    :meth:`QMatchMatcher._pair_qom` read a finished matrix's QoMs and
+    categories the way the pair loop reads its grids."""
+
+    __slots__ = ("lookup", "source_paths", "target_paths", "width")
+
+    def __init__(self, lookup, source_table, target_table):
+        self.lookup = lookup
+        self.source_paths = source_table.paths
+        self.target_paths = target_table.paths
+        self.width = len(target_table)
+
+    def __getitem__(self, index):
+        s_index, t_index = divmod(index, self.width)
+        return self.lookup(self.source_paths[s_index],
+                           self.target_paths[t_index])

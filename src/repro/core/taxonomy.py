@@ -39,7 +39,7 @@ class CoverageLevel(enum.Enum):
     NONE = "none"
 
     def __str__(self):
-        return self.value
+        return self._value_  # the plain attribute behind ``value``
 
 
 class MatchCategory(enum.Enum):
@@ -54,7 +54,7 @@ class MatchCategory(enum.Enum):
     NO_MATCH = "no-match"
 
     def __str__(self):
-        return self.value
+        return self._value_  # the plain attribute behind ``value``
 
     @property
     def is_match(self):

@@ -11,8 +11,14 @@ and handed to every matcher that scores the pair.  It owns:
 - the **per-node precomputation**: postorder/preorder node lists, leaf
   sets, depths, tokenized labels and property signatures -- everything
   the paper's O(n*m) bound assumes is not redone inside the hot loop;
-- the **pairwise memo**: label comparisons and property comparisons
-  keyed by their actual inputs (label text / property signature), with
+- the **interned pair tables** (:class:`SideTable`, one per side): each
+  side's postorder nodes as parallel arrays -- path, level, leaf flag,
+  child indices -- plus an interned label id and property-signature id
+  per node, so a pair loop addresses nodes by postorder index and never
+  rebuilds a path string or a signature tuple;
+- the **pairwise memo**: label comparisons keyed by interned label-id
+  pairs and property comparisons keyed by interned signature-id pairs
+  (equal ids exactly when the label texts / signatures are equal), with
   hit/miss accounting in :class:`EngineStats`;
 - the **instrumentation**: an :class:`EngineStats` collecting per-stage
   wall time, pair counts and cache counters for the whole run.
@@ -43,6 +49,48 @@ from repro.xsd.model import SchemaNode, SchemaTree
 LABEL_CACHE = "context.labels"
 PROPERTY_CACHE = "context.properties"
 INSTANCE_CACHE = "context.instances"
+
+#: Deterministic table-size counters: distinct node labels and distinct
+#: property signatures over both sides, counted once per context.
+LABEL_IDS_COUNTER = "context.label_ids"
+SIGNATURE_IDS_COUNTER = "context.signature_ids"
+
+
+class SideTable:
+    """One schema side's postorder nodes as parallel arrays.
+
+    Index ``i`` everywhere is the node's position in postorder, so a
+    node's children always have smaller indices than the node itself.
+    ``children[i]`` holds child indices in document order; ``index``
+    maps ``id(node)`` back to its position.
+    """
+
+    __slots__ = ("nodes", "index", "paths", "levels", "leaves", "children",
+                 "label_ids", "signature_ids")
+
+    def __init__(self, nodes: list[SchemaNode], label_id, signature_id):
+        self.nodes = nodes
+        self.index = {id(node): i for i, node in enumerate(nodes)}
+        paths: dict[int, str] = {}
+        # Reversed postorder visits every parent before its children.
+        for node in reversed(nodes):
+            parent = node.parent
+            paths[id(node)] = (
+                node.name if parent is None
+                else f"{paths[id(parent)]}/{node.name}"
+            )
+        self.paths = [paths[id(node)] for node in nodes]
+        self.levels = [node.level for node in nodes]
+        self.leaves = [not node.children for node in nodes]
+        self.children = [
+            tuple(self.index[id(child)] for child in node.children)
+            for node in nodes
+        ]
+        self.label_ids = [label_id(node.name) for node in nodes]
+        self.signature_ids = [signature_id(node) for node in nodes]
+
+    def __len__(self):
+        return len(self.nodes)
 
 
 class MatchContext:
@@ -76,10 +124,19 @@ class MatchContext:
         self._source_preorder: Optional[list[SchemaNode]] = None
         self._target_preorder: Optional[list[SchemaNode]] = None
         self._leaf_lists: dict[int, list[SchemaNode]] = {}
+        self._source_table: Optional[SideTable] = None
+        self._target_table: Optional[SideTable] = None
+
+        # Interning: every label text (node names, documentation) and
+        # every property signature compared under this context gets one
+        # small integer id; the memos are keyed by id pairs.
+        self._label_ids: dict[str, int] = {}
+        self._label_texts: list[str] = []
+        self._signature_ids: dict[tuple, int] = {}
 
         # Pairwise memos.
-        self._label_memo: dict[tuple[str, str], LabelComparison] = {}
-        self._property_memo: dict[tuple, PropertyComparison] = {}
+        self._label_memo: dict[tuple[int, int], LabelComparison] = {}
+        self._property_memo: dict[tuple[int, int], PropertyComparison] = {}
         self._instance_memo: dict[tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
@@ -117,6 +174,53 @@ class MatchContext:
         """Size of the full pair grid (``n * m``)."""
         return len(self.source_postorder) * len(self.target_postorder)
 
+    @property
+    def source_table(self) -> SideTable:
+        """The source side's interned postorder arrays (built once)."""
+        if self._source_table is None:
+            self._build_tables()
+        return self._source_table
+
+    @property
+    def target_table(self) -> SideTable:
+        """The target side's interned postorder arrays (built once)."""
+        if self._target_table is None:
+            self._build_tables()
+        return self._target_table
+
+    def _build_tables(self):
+        source = SideTable(self.source_postorder, self.label_id,
+                           self.signature_id)
+        target = SideTable(self.target_postorder, self.label_id,
+                           self.signature_id)
+        self._source_table, self._target_table = source, target
+        self.stats.count(
+            LABEL_IDS_COUNTER,
+            len(set(source.label_ids) | set(target.label_ids)),
+        )
+        self.stats.count(
+            SIGNATURE_IDS_COUNTER,
+            len(set(source.signature_ids) | set(target.signature_ids)),
+        )
+
+    def label_id(self, text: str) -> int:
+        """The interned id of a label text (assigned on first sight)."""
+        label_id = self._label_ids.get(text)
+        if label_id is None:
+            label_id = self._label_ids[text] = len(self._label_texts)
+            self._label_texts.append(text)
+        return label_id
+
+    def signature_id(self, node: SchemaNode) -> int:
+        """The interned id of ``node``'s property signature."""
+        signature = self.property_matcher.signature(node)
+        signature_id = self._signature_ids.get(signature)
+        if signature_id is None:
+            signature_id = self._signature_ids[signature] = len(
+                self._signature_ids
+            )
+        return signature_id
+
     def leaves(self, node: SchemaNode) -> list[SchemaNode]:
         """The leaf set of ``node``'s subtree, computed once per node."""
         cached = self._leaf_lists.get(id(node))
@@ -152,6 +256,8 @@ class MatchContext:
                 self.prepared_tokens(node.name)
             self.leaves(self.source.root)
             self.leaves(self.target.root)
+            if self._source_table is None:
+                self._build_tables()
         return self
 
     # ------------------------------------------------------------------
@@ -167,37 +273,54 @@ class MatchContext:
         through here, so any label pair is analysed once per context no
         matter how many matchers ask.
         """
+        return self.label_pair(self.label_id(left), self.label_id(right))
+
+    def label_pair(self, left: int, right: int) -> LabelComparison:
+        """:meth:`label_comparison` of two interned label ids."""
         if not self.cache_enabled:
-            return self.linguistic.compare_labels(left, right)
+            texts = self._label_texts
+            return self.linguistic.compare_labels(texts[left], texts[right])
         key = (left, right)
         cached = self._label_memo.get(key)
         if cached is None:
             self.stats.record_miss(LABEL_CACHE)
-            cached = self.linguistic.compare_labels(left, right)
+            texts = self._label_texts
+            cached = self.linguistic.compare_labels(texts[left], texts[right])
             self._label_memo[key] = cached
             self._label_memo[(right, left)] = cached  # symmetric
         else:
             self.stats.record_hit(LABEL_CACHE)
         return cached
 
+    def node_label(self, source_index: int,
+                   target_index: int) -> LabelComparison:
+        """Label comparison of two nodes' names, by postorder index."""
+        return self.label_pair(
+            self._source_table.label_ids[source_index],
+            self._target_table.label_ids[target_index],
+        )
+
     def label_score(self, left: str, right: str) -> float:
         return self.label_comparison(left, right).score
 
-    def label_cached(self, left: str, right: str) -> bool:
-        """Whether the label memo already holds this pair (trace
-        provenance: checked *before* the comparison runs)."""
-        return self.cache_enabled and (left, right) in self._label_memo
+    def node_label_cached(self, source_index: int,
+                          target_index: int) -> bool:
+        """Whether the label memo already holds two nodes' names, by
+        postorder index (trace provenance: checked *before* the
+        comparison runs)."""
+        return self.cache_enabled and (
+            self._source_table.label_ids[source_index],
+            self._target_table.label_ids[target_index],
+        ) in self._label_memo
 
-    def property_cached(self, source: SchemaNode,
-                        target: SchemaNode) -> bool:
-        """Whether the property memo already holds this signature pair."""
-        if not self.cache_enabled:
-            return False
-        key = (
-            self.property_matcher.signature(source),
-            self.property_matcher.signature(target),
-        )
-        return key in self._property_memo
+    def node_properties_cached(self, source_index: int,
+                               target_index: int) -> bool:
+        """Whether the property memo already holds two nodes' signature
+        pair, by postorder index."""
+        return self.cache_enabled and (
+            self._source_table.signature_ids[source_index],
+            self._target_table.signature_ids[target_index],
+        ) in self._property_memo
 
     def property_comparison(
         self, source: SchemaNode, target: SchemaNode
@@ -211,10 +334,30 @@ class MatchContext:
         """
         if not self.cache_enabled:
             return self.property_matcher.compare(source, target)
-        key = (
-            self.property_matcher.signature(source),
-            self.property_matcher.signature(target),
+        return self._property_pair(
+            self.signature_id(source), self.signature_id(target),
+            source, target,
         )
+
+    def node_properties(self, source_index: int,
+                        target_index: int) -> PropertyComparison:
+        """:meth:`property_comparison` of two nodes, by postorder index."""
+        source_table, target_table = self._source_table, self._target_table
+        if not self.cache_enabled:
+            return self.property_matcher.compare(
+                source_table.nodes[source_index],
+                target_table.nodes[target_index],
+            )
+        return self._property_pair(
+            source_table.signature_ids[source_index],
+            target_table.signature_ids[target_index],
+            source_table.nodes[source_index],
+            target_table.nodes[target_index],
+        )
+
+    def _property_pair(self, left: int, right: int, source: SchemaNode,
+                       target: SchemaNode) -> PropertyComparison:
+        key = (left, right)
         cached = self._property_memo.get(key)
         if cached is None:
             self.stats.record_miss(PROPERTY_CACHE)

@@ -100,10 +100,10 @@ class EngineStats:
         return stats
 
     def record_hit(self, cache_name: str):
-        self.cache(cache_name).hits += 1
+        (self.caches.get(cache_name) or self.cache(cache_name)).hits += 1
 
     def record_miss(self, cache_name: str):
-        self.cache(cache_name).misses += 1
+        (self.caches.get(cache_name) or self.cache(cache_name)).misses += 1
 
     # ------------------------------------------------------------------
     # Reading

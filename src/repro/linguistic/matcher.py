@@ -34,13 +34,7 @@ from dataclasses import dataclass
 
 from repro.linguistic import string_metrics
 from repro.linguistic.thesaurus import Thesaurus
-from repro.linguistic.tokenizer import (
-    initials,
-    is_acronym_shaped,
-    normalize,
-    stem,
-    tokenize,
-)
+from repro.linguistic.tokenizer import normalize, stem, tokenize
 from repro.matching.base import Matcher
 from repro.matching.classes import MatchStrength
 from repro.matching.result import ScoreMatrix
@@ -105,9 +99,17 @@ class LinguisticMatcher(Matcher):
         self._cache: dict[tuple[str, str], LabelComparison] = {}
         # Token-level caches: schema vocabularies are small, so both the
         # per-label token preparation and the pairwise token similarity
-        # are heavily reused across the n*m label comparisons.
-        self._token_cache: dict[tuple[str, str], tuple[float, str]] = {}
+        # are heavily reused across the n*m label comparisons.  Tokens
+        # are interned to small ids; the similarity table is keyed by id
+        # pairs.
+        self._token_ids: dict[str, int] = {}
+        self._token_texts: list[str] = []
+        self._token_cache: dict[tuple[int, int], tuple[float, str]] = {}
         self._prepared_cache: dict[str, list] = {}
+        # Per distinct label, everything a comparison needs from one
+        # side: (normalized form, synonym class of the normalized form,
+        # acronym-expanded token ids, whether an acronym expanded).
+        self._label_info: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # Matcher protocol
@@ -150,25 +152,25 @@ class LinguisticMatcher(Matcher):
 
     def _compare_uncached(self, left, right) -> LabelComparison:
         config = self.config
-        left_norm, right_norm = normalize(left), normalize(right)
+        left_norm, left_class, left_tokens, left_acronym = (
+            self._label_info.get(left) or self._prepare_label(left)
+        )
+        right_norm, right_class, right_tokens, right_acronym = (
+            self._label_info.get(right) or self._prepare_label(right)
+        )
         if not left_norm or not right_norm:
             return LabelComparison(0.0, MatchStrength.NONE, "empty")
         if left_norm == right_norm:
             return LabelComparison(1.0, MatchStrength.EXACT, "string")
-        if self.thesaurus.are_synonyms(left_norm, right_norm,
-                                       expand_abbreviations=False):
+        # Distinct normalized words are synonyms exactly when they share
+        # a thesaurus synonym class.
+        if left_class is not None and left_class == right_class:
             return LabelComparison(1.0, MatchStrength.EXACT, "synonym")
 
-        left_tokens = self._prepare_tokens(left)
-        right_tokens = self._prepare_tokens(right)
-        left_expanded, left_acronym = self._expand_acronyms(left_tokens)
-        right_expanded, right_acronym = self._expand_acronyms(right_tokens)
-        used_acronym = left_acronym or right_acronym
-
         score, all_exact, full_coverage = self._align_tokens(
-            left_expanded, right_expanded
+            left_tokens, right_tokens
         )
-        if used_acronym:
+        if left_acronym or right_acronym:
             # An acronym-mediated match is at best relaxed (paper 2.1).
             score = min(score, config.acronym_score)
             if score >= config.relaxed_threshold:
@@ -179,6 +181,23 @@ class LinguisticMatcher(Matcher):
         if score >= config.relaxed_threshold:
             return LabelComparison(score, MatchStrength.RELAXED, "tokens")
         return LabelComparison(score, MatchStrength.NONE, "tokens")
+
+    def _prepare_label(self, label):
+        """Compute and cache the per-label part of a comparison, so a
+        label is normalized, tokenized and acronym-expanded once per
+        matcher instead of once per label it is compared with."""
+        norm = normalize(label)
+        expanded, used_acronym = self._expand_acronyms(
+            self._prepare_tokens(label)
+        )
+        info = (
+            norm,
+            self.thesaurus.synonym_class(norm) if norm else None,
+            tuple(self._token_id(token) for token in expanded),
+            used_acronym,
+        )
+        self._label_info[label] = info
+        return info
 
     # ------------------------------------------------------------------
     # Token machinery
@@ -215,31 +234,59 @@ class LinguisticMatcher(Matcher):
                 expanded.append(token)
         return expanded, used
 
+    def _token_id(self, token):
+        token_id = self._token_ids.get(token)
+        if token_id is None:
+            token_id = self._token_ids[token] = len(self._token_texts)
+            self._token_texts.append(token)
+        return token_id
+
     def _align_tokens(self, left_tokens, right_tokens):
         """Greedy one-to-one alignment; returns (score, all_exact, full_coverage).
 
-        Score is Cupid-flavoured coverage: matched pairs contribute their
+        ``left_tokens`` / ``right_tokens`` are interned token ids.  Score
+        is Cupid-flavoured coverage: matched pairs contribute their
         similarity from *both* sides, normalized by the total token count
         of both labels, so unmatched tokens on either side dilute it.
         """
         if not left_tokens or not right_tokens:
             return 0.0, False, False
+        table = self._token_cache
+        if len(left_tokens) == 1 and len(right_tokens) == 1:
+            # One candidate pair: the greedy pass below reduces to it,
+            # with the same float operations.
+            key = (left_tokens[0], right_tokens[0])
+            pair_score, mechanism = (
+                table.get(key) or self._token_similarity(*key)
+            )
+            if pair_score > 0:
+                all_exact = not (
+                    mechanism not in ("exact", "synonym") or pair_score < 1.0
+                )
+                return 2.0 * pair_score / 2, all_exact, True
+            return 0.0, False, False
         candidates = []
         for i, left_token in enumerate(left_tokens):
             for j, right_token in enumerate(right_tokens):
-                pair_score, mechanism = self._token_similarity(left_token, right_token)
+                pair_score, mechanism = (
+                    table.get((left_token, right_token))
+                    or self._token_similarity(left_token, right_token)
+                )
                 if pair_score > 0:
-                    candidates.append((pair_score, i, j, mechanism))
-        candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
+                    candidates.append((-pair_score, i, j, mechanism))
+        # (i, j) is unique per candidate, so this orders by descending
+        # score, then i, then j -- never by mechanism.
+        candidates.sort()
         taken_left, taken_right = set(), set()
         matched_sum = 0.0
         matched_pairs = 0
         all_exact = True
-        for pair_score, i, j, mechanism in candidates:
+        for negated_score, i, j, mechanism in candidates:
             if i in taken_left or j in taken_right:
                 continue
             taken_left.add(i)
             taken_right.add(j)
+            pair_score = -negated_score
             matched_sum += pair_score
             matched_pairs += 1
             if mechanism not in ("exact", "synonym") or pair_score < 1.0:
@@ -252,11 +299,13 @@ class LinguisticMatcher(Matcher):
         return score, all_exact and matched_pairs > 0, full_coverage
 
     def _token_similarity(self, left, right):
-        """Score one token pair; returns ``(score, mechanism)``.  Cached."""
+        """Score one token-id pair; returns ``(score, mechanism)``.  Cached."""
         key = (left, right)
         cached = self._token_cache.get(key)
         if cached is None:
-            cached = self._token_similarity_uncached(left, right)
+            cached = self._token_similarity_uncached(
+                self._token_texts[left], self._token_texts[right]
+            )
             self._token_cache[key] = cached
             self._token_cache[(right, left)] = cached
         return cached

@@ -65,6 +65,11 @@ class _UnionFind:
         self._parent[right_root] = left_root
         self._size[left_root] += self._size[right_root]
 
+    def root(self, item) -> Optional[str]:
+        """The class representative of a known item; ``None`` (and no
+        insertion, unlike :meth:`find`) for an unknown one."""
+        return self.find(item) if item in self._parent else None
+
     def same(self, left, right) -> bool:
         if left not in self._parent or right not in self._parent:
             return False
@@ -139,6 +144,15 @@ class Thesaurus:
             if left_full == right_full or self._synonyms.same(left_full, right_full):
                 return True
         return False
+
+    def synonym_class(self, word: str) -> Optional[str]:
+        """A representative of ``word``'s synonym class, or ``None``.
+
+        Two different words are synonyms (``are_synonyms(left, right,
+        expand_abbreviations=False)``) exactly when both have a class
+        and the classes are equal.
+        """
+        return self._synonyms.root(word.lower())
 
     def hypernym_distance(self, left: str, right: str,
                           max_distance: int = 2) -> Optional[int]:

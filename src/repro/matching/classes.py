@@ -27,7 +27,9 @@ class MatchStrength(enum.Enum):
         return self.value < other.value
 
     def __str__(self):
-        return self.name.lower()
+        # ``_name_`` is the plain attribute behind the ``name`` property;
+        # trace recording stringifies strengths once per scored pair.
+        return self._name_.lower()
 
     @property
     def is_match(self) -> bool:
@@ -47,5 +49,6 @@ def consensus(strengths) -> MatchStrength:
     for strength in strengths:
         if strength is MatchStrength.NONE:
             return MatchStrength.NONE
-        result = min(result, strength)
+        if strength is MatchStrength.RELAXED:
+            result = strength
     return result

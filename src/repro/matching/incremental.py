@@ -23,8 +23,9 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from repro.core.qmatch import QMatchMatcher
-from repro.matching.result import ScoreMatrix
+from repro.core.qmatch import QMatchMatcher, grid_matrix
+from repro.core.taxonomy import MatchCategory
+from repro.matching.result import ScoreMatrix, checked_score
 from repro.xsd.model import SchemaNode, SchemaTree
 
 
@@ -84,40 +85,35 @@ def incremental_qmatch(matcher: QMatchMatcher, old_matrix: ScoreMatrix,
     old_source = old_matrix.source
     changed = changed_source_paths(old_source, new_source)
 
-    matrix = ScoreMatrix(new_source, target)
     old_categories = getattr(old_matrix, "categories", None)
-    categories: Optional[dict] = (
-        {} if matcher.config.record_categories else None
-    )
-    if categories is not None and old_categories is None:
+    record = matcher.config.record_categories
+    if record and old_categories is None:
         raise ValueError(
             "old matrix has no recorded categories but the matcher's "
             "config wants them; rerun the full match once with "
             "record_categories=True"
         )
     ctx = matcher.make_context(new_source, target)
-    t_nodes = list(target.root.iter_postorder())
+    source_table, target_table = ctx.source_table, ctx.target_table
+    width = len(target_table)
+    grid = [0.0] * (len(source_table) * width)
+    categories = [None] * len(grid) if record else None
     reused = recomputed = 0
-    for s_node in new_source.root.iter_postorder():
-        if s_node.path not in changed:
-            for t_node in t_nodes:
-                matrix.set(
-                    s_node, t_node, old_matrix.get(s_node, t_node)
+    for s_index, s_path in enumerate(source_table.paths):
+        row = s_index * width
+        if s_path not in changed:
+            for t_index, t_path in enumerate(target_table.paths):
+                grid[row + t_index] = checked_score(
+                    old_matrix.get_by_path(s_path, t_path), s_path, t_path
                 )
-                if categories is not None and old_categories is not None:
-                    categories[(s_node.path, t_node.path)] = old_categories[
-                        (s_node.path, t_node.path)
-                    ]
+                if categories is not None:
+                    categories[row + t_index] = MatchCategory(
+                        old_categories[(s_path, t_path)]
+                    )
             reused += 1
             continue
-        for t_node in t_nodes:
-            qom, category = matcher._pair_qom(
-                s_node, t_node, matrix, categories, ctx
-            )
-            matrix.set(s_node, t_node, qom)
-            if categories is not None:
-                categories[(s_node.path, t_node.path)] = category.value
+        matcher._score_row(s_index, grid, categories, ctx)
         recomputed += 1
-    matrix.categories = categories
+    matrix = grid_matrix(ctx, grid, categories)
     matrix.incremental_stats = {"reused": reused, "recomputed": recomputed}
     return matrix

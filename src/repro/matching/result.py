@@ -29,6 +29,17 @@ class Correspondence:
         return f"{self.source_path} <-> {self.target_path} ({self.score:.3f}){category}"
 
 
+def checked_score(score: float, source_path: str, target_path: str) -> float:
+    """``score`` clamped into ``[0, 1]``; a score outside the range by
+    more than float noise raises, so a malformed QoM model fails loudly."""
+    if not -1e-9 <= score <= 1 + 1e-9:
+        raise ValueError(
+            f"score {score!r} for ({source_path}, {target_path}) "
+            "is outside [0, 1]"
+        )
+    return min(1.0, max(0.0, score))
+
+
 class ScoreMatrix:
     """Dense pairwise similarity store keyed by node paths.
 
@@ -47,12 +58,18 @@ class ScoreMatrix:
         self.categories: dict[tuple[str, str], str] | None = None
 
     def set(self, source_node: SchemaNode, target_node: SchemaNode, score: float):
-        if not -1e-9 <= score <= 1 + 1e-9:
-            raise ValueError(
-                f"score {score!r} for ({source_node.path}, {target_node.path}) "
-                "is outside [0, 1]"
-            )
-        self._scores[(source_node.path, target_node.path)] = min(1.0, max(0.0, score))
+        source_path, target_path = source_node.path, target_node.path
+        self._scores[(source_path, target_path)] = checked_score(
+            score, source_path, target_path
+        )
+
+    def set_grid(self, source_paths, target_paths, scores):
+        """Fill the matrix from a row-major grid of already-validated,
+        clamped scores (``scores[i * len(target_paths) + j]`` belongs to
+        ``(source_paths[i], target_paths[j])``), in that order."""
+        keys = [(s, t) for s in source_paths for t in target_paths]
+        self._scores.update(zip(keys, scores))
+        return keys
 
     def get(self, source_node, target_node, default=0.0) -> float:
         return self._scores.get((source_node.path, target_node.path), default)

@@ -82,12 +82,27 @@ class PropertyMatcher:
     def __init__(self, config=None):
         self.config = config or PropertyConfig()
         self._cache: dict = {}
+        # (type strength, type similarity) per type-name pair.
+        self._type_cache: dict = {}
+        # The compared properties in scoring order, their weights and
+        # the weight total -- fixed by the config, so summed once here
+        # (in the same order the per-comparison sum used).
+        self._compared = (
+            ("type", "order", "min_occurs", "max_occurs", "kind")
+            if self.config.compare_order
+            else ("type", "min_occurs", "max_occurs", "kind")
+        )
+        weights = self.config.weights
+        self._weights = tuple(weights.get(name, 0.0) for name in self._compared)
+        self._total_weight = sum(self._weights)
 
     @staticmethod
     def signature(node: SchemaNode):
         """The node's property tuple; equal signatures compare equal."""
+        properties = node.properties
         return (
-            node.type_name, node.order, node.min_occurs, node.max_occurs,
+            properties.get("type"), properties.get("order"),
+            properties.get("min_occurs", 1), properties.get("max_occurs", 1),
             node.kind,
         )
 
@@ -104,44 +119,36 @@ class PropertyMatcher:
         return cached
 
     def _compare_uncached(self, source, target) -> PropertyComparison:
-        outcomes = {}
-        scores = {}
-
-        outcomes["type"] = type_strength(source.type_name, target.type_name)
-        scores["type"] = type_similarity(source.type_name, target.type_name)
-
-        if self.config.compare_order:
-            outcomes["order"] = self._order_strength(source, target)
-            scores["order"] = _strength_score(
-                outcomes["order"], self.config.relaxed_credit
+        relaxed_credit = self.config.relaxed_credit
+        type_key = (source.type_name, target.type_name)
+        type_outcome = self._type_cache.get(type_key)
+        if type_outcome is None:
+            type_outcome = self._type_cache[type_key] = (
+                type_strength(*type_key), type_similarity(*type_key)
             )
 
+        outcomes = {"type": type_outcome[0]}
+        scores = [type_outcome[1]]
+        if self.config.compare_order:
+            outcomes["order"] = self._order_strength(source, target)
         outcomes["min_occurs"] = self._occurs_strength(
             source.min_occurs, target.min_occurs
-        )
-        scores["min_occurs"] = _strength_score(
-            outcomes["min_occurs"], self.config.relaxed_credit
         )
         outcomes["max_occurs"] = self._occurs_strength(
             source.max_occurs, target.max_occurs
         )
-        scores["max_occurs"] = _strength_score(
-            outcomes["max_occurs"], self.config.relaxed_credit
-        )
-
         outcomes["kind"] = (
             MatchStrength.EXACT if source.kind is target.kind
             else MatchStrength.RELAXED
         )
-        scores["kind"] = _strength_score(outcomes["kind"], self.config.relaxed_credit)
+        for name in self._compared[1:]:
+            scores.append(_strength_score(outcomes[name], relaxed_credit))
 
-        weights = self.config.weights
-        total_weight = sum(weights.get(name, 0.0) for name in scores)
-        if total_weight <= 0:
+        if self._total_weight <= 0:
             raise ValueError("property weights sum to zero for compared properties")
         score = sum(
-            weights.get(name, 0.0) * value for name, value in scores.items()
-        ) / total_weight
+            weight * value for weight, value in zip(self._weights, scores)
+        ) / self._total_weight
         return PropertyComparison(
             score=score,
             strength=consensus(outcomes.values()),

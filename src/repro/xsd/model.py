@@ -386,7 +386,9 @@ class SchemaTree:
         - parent/child links are mutually consistent;
         - sibling ``order`` properties are 1..n in document order;
         - occurrence ranges satisfy ``min <= max`` (unless unbounded);
-        - attribute nodes are leaves.
+        - attribute nodes are leaves;
+        - sibling names are unique, so every node has a distinct label
+          path (matchers key their results by path).
         """
         seen = set()
         for node in self.root.iter_preorder():
@@ -395,7 +397,14 @@ class SchemaTree:
                     f"node {node.name!r} appears twice in the tree"
                 )
             seen.add(id(node))
+            names = set()
             for index, child in enumerate(node.children, start=1):
+                if child.name in names:
+                    raise SchemaValidationError(
+                        f"duplicate sibling name: two children of "
+                        f"{node.path!r} have the path {child.path!r}"
+                    )
+                names.add(child.name)
                 if child.parent is not node:
                     raise SchemaValidationError(
                         f"child {child.name!r} of {node.name!r} has a stale parent link"

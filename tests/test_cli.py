@@ -295,6 +295,24 @@ class TestErrorHandling:
         assert "qmatch: error:" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_duplicate_sibling_names_exit_2(self, tmp_path, po_files,
+                                            capsys):
+        dup = tmp_path / "dup.xsd"
+        dup.write_text(
+            '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">'
+            '<xs:element name="R"><xs:complexType><xs:choice>'
+            '<xs:element name="A" type="xs:string"/>'
+            '<xs:element name="A" type="xs:int"/>'
+            "</xs:choice></xs:complexType></xs:element></xs:schema>",
+            encoding="utf-8",
+        )
+        assert main(["match", str(dup), po_files[0]]) == 2
+        captured = capsys.readouterr()
+        assert "duplicate sibling name" in captured.err
+        assert "'R/A'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_unknown_evaluate_task_exits_nonzero(self, capsys):
         assert main(["evaluate", "--task", "NoSuchTask"]) == 2
         assert "qmatch: error:" in capsys.readouterr().err

@@ -53,6 +53,16 @@ def request(url, method="GET", body=None):
         return error.code, json.loads(error.read())
 
 
+#: Two same-named choice branches: both would have the path ``R/A``.
+DUPLICATE_SIBLINGS_XSD = (
+    '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">'
+    '<xs:element name="R"><xs:complexType><xs:choice>'
+    '<xs:element name="A" type="xs:string"/>'
+    '<xs:element name="A" type="xs:int"/>'
+    "</xs:choice></xs:complexType></xs:element></xs:schema>"
+)
+
+
 def po_pair_body(**extra):
     body = {"source_xsd": to_xsd(po1()), "target_xsd": to_xsd(po2())}
     body.update(extra)
@@ -162,6 +172,9 @@ class TestErrorPaths:
         ({}, "non-empty source_xsd"),
         ({"source_xsd": "<broken", "target_xsd": "<broken"},
          "unparseable schema"),
+        ({"source_xsd": DUPLICATE_SIBLINGS_XSD,
+          "target_xsd": DUPLICATE_SIBLINGS_XSD},
+         "duplicate sibling name"),
     ])
     def test_bad_submissions_400(self, server_url, body, message):
         status, payload = request(f"{server_url}/jobs", "POST", body)

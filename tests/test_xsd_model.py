@@ -211,6 +211,15 @@ class TestSchemaTree:
         with pytest.raises(SchemaValidationError, match="min_occurs"):
             SchemaTree(root).validate()
 
+    def test_validate_rejects_duplicate_sibling_names(self):
+        root = SchemaNode("Order")
+        lines = root.add_child(SchemaNode("Lines"))
+        lines.add_child(SchemaNode("Item"))
+        lines.add_child(SchemaNode("Item"))
+        with pytest.raises(SchemaValidationError,
+                           match="'Order/Lines'.*'Order/Lines/Item'"):
+            SchemaTree(root).validate()
+
     def test_validate_accepts_unbounded(self):
         root = SchemaNode("R")
         root.add_child(SchemaNode("a", min_occurs=5, max_occurs=UNBOUNDED))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xsd.errors import SchemaParseError
+from repro.xsd.errors import SchemaParseError, SchemaValidationError
 from repro.xsd.model import NodeKind, UNBOUNDED
 from repro.xsd.parser import parse_xsd
 
@@ -408,6 +408,31 @@ class TestErrors:
         doc = wrap("<xs:element/>")
         with pytest.raises(SchemaParseError, match="missing a name"):
             parse_xsd(doc)
+
+    def test_duplicate_sibling_names_rejected(self):
+        # Two same-named choice branches would give two nodes one path;
+        # matchers key scores by path, so the tree is refused.
+        doc = wrap(
+            '<xs:element name="R"><xs:complexType><xs:choice>'
+            '<xs:element name="A" type="xs:string"/>'
+            '<xs:element name="A" type="xs:int"/>'
+            "</xs:choice></xs:complexType></xs:element>"
+        )
+        with pytest.raises(SchemaValidationError,
+                           match="duplicate sibling name.*'R/A'"):
+            parse_xsd(doc)
+
+    def test_same_name_under_different_parents_allowed(self):
+        doc = wrap(
+            '<xs:element name="R"><xs:complexType><xs:sequence>'
+            '<xs:element name="B"><xs:complexType><xs:sequence>'
+            '<xs:element name="A" type="xs:string"/>'
+            "</xs:sequence></xs:complexType></xs:element>"
+            '<xs:element name="A" type="xs:int"/>'
+            "</xs:sequence></xs:complexType></xs:element>"
+        )
+        assert {node.path for node in parse_xsd(doc)} == {"R", "R/B", "R/B/A",
+                                                          "R/A"}
 
 
 class TestPaperSchemas:
