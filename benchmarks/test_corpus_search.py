@@ -6,7 +6,7 @@ mutated variants) is searched with a held-out mutated query two ways:
 
 - **brute force**: full QMatch against every corpus schema, rank by
   tree QoM -- the exact but O(N) baseline;
-- **two-stage**: inverted-token + MinHash retrieval shortlists a
+- **two-stage**: segmented-index token + MinHash retrieval shortlists a
   candidate budget, QMatch reranks only those.
 
 The report records wall-clock for both, the fraction of pairs the
@@ -24,7 +24,7 @@ import time
 import pytest
 
 import repro
-from repro.corpus import CorpusIndex, CorpusSearcher, SchemaCorpus
+from repro.corpus import CorpusSearcher, SchemaCorpus, SegmentedCorpusIndex
 from repro.datasets import registry
 from repro.xsd.generator import GeneratorConfig, SchemaGenerator
 from repro.xsd.mutations import MutationConfig, SchemaMutator
@@ -80,7 +80,7 @@ def brute_force_ranking(query, corpus):
 def test_synthetic_corpus_search_prunes_and_wins(tmp_path):
     corpus, queries = synthetic_corpus(tmp_path / "synthetic")
     assert len(corpus) >= 50
-    index = CorpusIndex.build(corpus)
+    index = SegmentedCorpusIndex.build(corpus)
     searcher = CorpusSearcher(corpus, index)
     query = queries[QUERY_FAMILY]
 
@@ -134,7 +134,7 @@ def test_builtin_recall_at_10_is_total(tmp_path, query_name):
     corpus = SchemaCorpus(tmp_path / "builtin")
     for name in registry.schema_names():
         corpus.add(registry.load_schema(name))
-    searcher = CorpusSearcher(corpus, CorpusIndex.build(corpus))
+    searcher = CorpusSearcher(corpus, SegmentedCorpusIndex.build(corpus))
     query = registry.load_schema(query_name)
 
     brute = brute_force_ranking(query, corpus)

@@ -16,10 +16,11 @@ scaling contract on a corpus derived byte-for-byte from one master seed
   (``max_candidates``: LSH band candidates + rarest-token postings)
   scores a roughly constant set, so the scanned *fraction* shrinks as
   the corpus grows (asserted across the size ladder);
-- **budget mode keeps the answer**: on a 1k subsample, full-scan
-  top-10 ids AND scores are byte-identical between the segmented and
-  monolithic indexes for both scorers, and budgeted recall@10 against
-  that exact answer is reported (and asserted >= 0.8 for cosine).
+- **budget mode keeps the answer**: on a 1k subsample, the full-scan
+  top-10 ids AND scores of a 4-segment index are byte-identical to a
+  single-segment build for both scorers, and budgeted recall@10
+  against that exact answer is reported (and asserted >= 0.8 for
+  cosine).
 
 Defaults to a 2k corpus so the CI smoke stays under a minute; the
 committed ``results/segmented_scale*.txt`` come from
@@ -36,7 +37,7 @@ import tracemalloc
 
 import pytest
 
-from repro.corpus import CorpusIndex, IndexConfig, SegmentedCorpusIndex
+from repro.corpus import IndexConfig, SegmentedCorpusIndex
 from repro.xsd.generator import (
     CORPUS_MASTER_SEED,
     SchemaGenerator,
@@ -215,9 +216,10 @@ def ranked(scores: dict) -> list:
 def test_subsample_parity_and_budget_recall(tmp_path):
     trees = corpus_trees(0, N_SUBSAMPLE)
 
-    monolithic = CorpusIndex(CONFIG)
-    for doc_id, tree in trees:
-        monolithic.add_tree(doc_id, tree)
+    single = SegmentedCorpusIndex(
+        tmp_path / "single", config=CONFIG, auto_compact=False
+    )
+    single.add_batch(trees)
     segmented = SegmentedCorpusIndex(
         tmp_path / "segments", config=CONFIG, auto_compact=False
     )
@@ -225,7 +227,7 @@ def test_subsample_parity_and_budget_recall(tmp_path):
     for start in range(0, len(trees), quarter):
         segmented.add_batch(trees[start:start + quarter])
     assert segmented.segment_count > 1
-    assert segmented.document_count == monolithic.document_count
+    assert segmented.document_count == single.document_count
 
     query_indices = [
         round(position * (N_SUBSAMPLE - 1) / (N_PARITY_QUERIES - 1))
@@ -237,16 +239,16 @@ def test_subsample_parity_and_budget_recall(tmp_path):
         query_tokens = segmented.query_tokens(tree)
         signature = segmented.query_signature(tree)
         for scorer in ("cosine", "bm25"):
-            mono_scores = monolithic.inverted.scores(
-                query_tokens, scorer=scorer
+            single_scores, single_candidates = single.retrieve_scores(
+                query_tokens, signature, scorer=scorer
             )
             seg_scores, seg_candidates = segmented.retrieve_scores(
                 query_tokens, signature, scorer=scorer
             )
-            mono_top = ranked(mono_scores)
-            # Ids AND scores byte-identical to the monolithic build.
-            assert ranked(seg_scores) == mono_top
-            assert seg_candidates == monolithic.minhash.candidates(signature)
+            full_top = ranked(seg_scores)
+            # Ids AND scores byte-identical to the single-segment build.
+            assert full_top == ranked(single_scores)
+            assert seg_candidates == single_candidates
 
             segmented.max_candidates = BUDGET
             try:
@@ -255,7 +257,7 @@ def test_subsample_parity_and_budget_recall(tmp_path):
                 )
             finally:
                 segmented.max_candidates = None
-            expected = {doc_id for doc_id, _ in mono_top}
+            expected = {doc_id for doc_id, _ in full_top}
             got = {doc_id for doc_id, _ in ranked(budget_scores)}
             recalls[scorer].append(len(got & expected) / len(expected))
 
@@ -265,14 +267,15 @@ def test_subsample_parity_and_budget_recall(tmp_path):
     }
     write_result(
         "segmented_scale_parity",
-        f"Segmented vs monolithic parity ({N_SUBSAMPLE}-schema subsample)",
+        f"Multi-segment vs single-segment parity ({N_SUBSAMPLE}-schema "
+        "subsample)",
         "\n".join([
             f"subsample          : first {N_SUBSAMPLE} of the "
             f"{TOTAL}-schema corpus, {segmented.segment_count} segments",
             f"queries            : {N_PARITY_QUERIES} self-retrievals, "
             f"both scorers",
-            "full-scan top-10   : ids AND scores identical to monolithic "
-            "(asserted)",
+            "full-scan top-10   : ids AND scores identical to a "
+            "single-segment build (asserted)",
             f"budget recall@10   : cosine {mean['cosine']:.3f}, "
             f"bm25 {mean['bm25']:.3f} (budget {BUDGET})",
         ]),

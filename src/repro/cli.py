@@ -25,13 +25,13 @@ Subcommands::
                  [--mode pool|fork|inline] [--timeout S] [--retries N]
                  [--corpus DIR] [--scorer cosine|bm25] [--max-pending N]
                  [--max-body-bytes N] [--max-jobs N] [--drain-timeout S]
-    qmatch index build DIR [schemas...] [--builtins] [--segmented]
-    qmatch index add DIR schemas... [--data FILE] [--segmented]
+    qmatch index build DIR [schemas...] [--builtins]
+    qmatch index add DIR schemas... [--data FILE]
     qmatch index info DIR
     qmatch index compact DIR [--auto]
     qmatch search DIR query.xsd [--k N] [--candidates N] [--no-rerank]
                                 [--scorer cosine|bm25] [--weights W]
-                                [--segmented] [--shards N] [--data FILE]
+                                [--shards N] [--data FILE]
                                 [--require constraints.json]
     qmatch ingest schema.{xsd,sql,json} [--kind xsd|sql|json]
                   [--emit text|xsd|json-schema|sql] [--data FILE ...]
@@ -435,14 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="lexical retrieval scorer for POST /search (default: cosine)",
     )
     serve_parser.add_argument(
-        "--segmented", action="store_true",
-        help="serve --corpus through the segmented index (lazy segment "
-             "loading; build it with `qmatch index build --segmented`)",
-    )
-    serve_parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="fan the segmented stage-1 scan over N segment shards "
-             "(requires --segmented; default: unsharded)",
+        help="fan the stage-1 index scan over N segment shards "
+             "(default: unsharded)",
     )
     serve_parser.add_argument(
         "--max-pending", type=int, default=None, metavar="N",
@@ -553,12 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="index surface tokens only (no abbreviation/acronym expansion)",
     )
     index_build.add_argument(
-        "--segmented", action="store_true",
-        help="build the segmented on-disk index (immutable segments, "
-             "packed postings, lazy loading) instead of the monolithic "
-             "index.json",
-    )
-    index_build.add_argument(
         "--quiet", action="store_true",
         help="suppress the progress line and summary",
     )
@@ -577,11 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
              "with the schema (single schema only; repeatable)",
     )
     index_add.add_argument(
-        "--segmented", action="store_true",
-        help="refresh the segmented index: new schemas seal into one "
-             "new segment, existing segments stay untouched",
-    )
-    index_add.add_argument(
         "--quiet", action="store_true",
         help="suppress the progress line and summary",
     )
@@ -591,8 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     index_info.add_argument("corpus", help="corpus directory")
     index_compact = index_sub.add_parser(
         "compact",
-        help="fold the segmented index's segments together and drop "
-             "tombstoned documents",
+        help="fold the index's segments together and drop tombstoned "
+             "documents",
     )
     index_compact.add_argument("corpus", help="corpus directory")
     index_compact.add_argument(
@@ -645,14 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="lexical retrieval scorer (default: cosine)",
     )
     search_parser.add_argument(
-        "--segmented", action="store_true",
-        help="search the segmented index (build it with "
-             "`qmatch index build --segmented`)",
-    )
-    search_parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="fan the segmented stage-1 scan over N segment shards "
-             "(requires --segmented; default: unsharded)",
+        help="fan the stage-1 index scan over N segment shards "
+             "(default: unsharded)",
     )
     search_parser.add_argument(
         "--workers", type=int, default=1,
@@ -1178,8 +1157,6 @@ def _command_serve(args) -> int:
         raise ValidationError(
             f"invalid --drain-timeout {args.drain_timeout}: must be >= 0"
         )
-    if args.shards is not None and not args.segmented:
-        raise ValidationError("--shards requires --segmented")
     if args.shards is not None and args.shards < 1:
         raise ValidationError(
             f"invalid --shards {args.shards}: must be >= 1"
@@ -1203,7 +1180,6 @@ def _command_serve(args) -> int:
         retries=args.retries,
         corpus_dir=args.corpus,
         scorer=args.scorer,
-        segmented=args.segmented,
         shards=args.shards,
         max_pending=args.max_pending,
         max_jobs=args.max_jobs,
@@ -1348,7 +1324,7 @@ def _corpus_add_refs(corpus, refs, add_builtins=False, profile=None,
 
 def _command_index(args) -> int:
     from repro.corpus.corpus import SchemaCorpus
-    from repro.corpus.indexes import INDEX_NAME, CorpusIndex, IndexConfig
+    from repro.corpus.indexes import IndexConfig
     from repro.corpus.segments import (
         SEGMENT_MANIFEST_NAME,
         SEGMENTS_DIR,
@@ -1357,7 +1333,6 @@ def _command_index(args) -> int:
     from repro.service.validation import ValidationError
 
     corpus = SchemaCorpus(args.corpus)
-    index_path = corpus.root / INDEX_NAME
     segments_root = corpus.root / SEGMENTS_DIR
     has_segments = (segments_root / SEGMENT_MANIFEST_NAME).exists()
     quiet = getattr(args, "quiet", False)
@@ -1369,9 +1344,6 @@ def _command_index(args) -> int:
                   end=end, file=sys.stderr, flush=True)
 
     if args.index_command == "info":
-        index = (
-            CorpusIndex.load(index_path) if index_path.exists() else None
-        )
         print(f"corpus: {corpus.root}")
         print(f"schemas: {len(corpus)}")
         for entry in corpus.entries():
@@ -1383,38 +1355,31 @@ def _command_index(args) -> int:
             print(f"  {entry.hash[:12]}  {entry.name}  "
                   f"({entry.nodes} nodes, depth {entry.max_depth}{notes})")
         print(f"fingerprint: {corpus.fingerprint()[:16]}")
-        if index is None:
+        if not has_segments:
             print("index: none (run qmatch index build)")
-        else:
-            state = "STALE" if index.stale_for(corpus) else "fresh"
-            print(f"index: {len(index.inverted.document_ids())} documents, "
-                  f"config {index.config.fingerprint()}, {state}")
-        if has_segments:
-            seg = SegmentedCorpusIndex.open(segments_root)
-            info = seg.info()
-            state = "STALE" if seg.stale_for(corpus) else "fresh"
-            print(f"segmented index: {info['docs']} documents in "
-                  f"{info['segments']} segment"
-                  f"{'s' if info['segments'] != 1 else ''}, "
-                  f"{info['tombstones']} tombstone"
-                  f"{'s' if info['tombstones'] != 1 else ''}, "
-                  f"{info['payload_bytes']} payload bytes "
-                  f"({info['postings_bytes_loaded']} loaded), "
-                  f"config {info['config_fingerprint']}, {state}")
-        elif index is not None:
-            print("segmented index: none "
-                  "(run qmatch index build --segmented)")
+            return 0
+        index = SegmentedCorpusIndex.open(segments_root)
+        info = index.info()
+        state = "STALE" if index.stale_for(corpus) else "fresh"
+        print(f"index: {info['docs']} documents in "
+              f"{info['segments']} segment"
+              f"{'s' if info['segments'] != 1 else ''}, "
+              f"{info['tombstones']} tombstone"
+              f"{'s' if info['tombstones'] != 1 else ''}, "
+              f"{info['payload_bytes']} payload bytes "
+              f"({info['postings_bytes_loaded']} loaded), "
+              f"config {info['config_fingerprint']}, {state}")
         return 0
 
     if args.index_command == "compact":
         if not has_segments:
             raise ValidationError(
-                f"corpus {str(corpus.root)!r} has no segmented index to "
-                "compact; build one with qmatch index build --segmented"
+                f"corpus {str(corpus.root)!r} has no index to compact; "
+                "build one with qmatch index build"
             )
-        seg = SegmentedCorpusIndex.open(segments_root)
-        before = seg.segment_count
-        outcome = seg.compact(full=not args.auto)
+        index = SegmentedCorpusIndex.open(segments_root)
+        before = index.segment_count
+        outcome = index.compact(full=not args.auto)
         print(f"compacted {before} segment{'s' if before != 1 else ''} "
               f"-> {outcome['segments']}; dropped {outcome['dropped']} "
               f"tombstoned document"
@@ -1436,33 +1401,20 @@ def _command_index(args) -> int:
             corpus, args.schemas, add_builtins=args.builtins,
             progress=progress,
         )
-        if args.segmented:
-            index = SegmentedCorpusIndex.build(corpus, config=config)
-        else:
-            index = CorpusIndex.build(corpus, config=config)
-            index.save(index_path)
+        index = SegmentedCorpusIndex.build(corpus, config=config)
     else:  # add
         profile = _profile_data_files(args.data) or None
         added = _corpus_add_refs(
             corpus, args.schemas, profile=profile, progress=progress,
         )
-        if args.segmented:
-            if has_segments:
-                index = SegmentedCorpusIndex.open(segments_root)
-                index.refresh(corpus)
-            else:
-                index = SegmentedCorpusIndex.build(corpus)
-        elif index_path.exists():
-            index = CorpusIndex.load(index_path)
+        if has_segments:
+            index = SegmentedCorpusIndex.open(segments_root)
             index.refresh(corpus)
-            index.save(index_path)
         else:
-            index = CorpusIndex.build(corpus)
-            index.save(index_path)
+            index = SegmentedCorpusIndex.build(corpus)
     if not quiet:
-        kind = "segmented index" if args.segmented else "index"
         print(f"{len(added)} schema{'s' if len(added) != 1 else ''} added; "
-              f"{len(corpus)} in corpus; {kind} covers "
+              f"{len(corpus)} in corpus; index covers "
               f"{index.document_count} documents")
     return 0
 
@@ -1485,8 +1437,6 @@ def _command_search(args) -> int:
     )
     if args.workers < 1:
         raise ValidationError(f"invalid --workers {args.workers}: must be >= 1")
-    if args.shards is not None and not args.segmented:
-        raise ValidationError("--shards requires --segmented")
     if args.shards is not None and args.shards < 1:
         raise ValidationError(
             f"invalid --shards {args.shards}: must be >= 1"
@@ -1494,8 +1444,12 @@ def _command_search(args) -> int:
     threshold = validate_threshold(args.threshold, field="--threshold")
     searcher = build_searcher(
         args.corpus, cache_dir=args.cache_dir, workers=args.workers,
-        scorer=args.scorer, segmented=args.segmented, shards=args.shards,
+        scorer=args.scorer, shards=args.shards,
     )
+    if not args.quiet and searcher.index.stale_for(searcher.corpus):
+        print("warning: corpus index is stale (corpus content changed "
+              "since the last build); run qmatch index build to refresh",
+              file=sys.stderr)
     searcher.threshold = threshold
     if args.weights:
         searcher.weights = validate_weights(

@@ -8,16 +8,14 @@ prunes candidate pairs before the expensive hybrid match runs:
 - :class:`~repro.corpus.corpus.SchemaCorpus` -- a versioned on-disk
   collection of canonical XSD documents keyed by content hash, with an
   atomically-updated manifest;
-- :class:`~repro.corpus.indexes.CorpusIndex` -- an inverted index over
-  normalized label tokens (IDF-weighted) plus a MinHash/LSH index over
-  node-label shingles for structural blocking;
+- :class:`~repro.corpus.segments.SegmentedCorpusIndex` -- the on-disk
+  index: immutable segments with packed postings over normalized label
+  tokens (IDF-weighted cosine or BM25) and MinHash/LSH signatures over
+  node-label shingles for structural blocking, with tombstoned removals
+  and size-tiered compaction;
 - :class:`~repro.corpus.search.CorpusSearcher` -- two-stage top-k
   search: cheap index retrieval to a candidate shortlist, then a full
   QMatch rerank of the shortlist through the batch runner;
-- :class:`~repro.corpus.segments.SegmentedCorpusIndex` -- the
-  scale-out storage backend: immutable on-disk segments with packed
-  postings, tombstoned removals and size-tiered compaction, presenting
-  the same retrieve surface with byte-identical scores;
 - :class:`~repro.corpus.shard.ShardedCorpusSearcher` -- stage-1 scan
   fan-out over deterministic segment shards, composing with the
   process-parallel rerank.
@@ -29,9 +27,7 @@ The CLI front ends are ``qmatch index build/add/info/compact`` and
 
 from repro.corpus.corpus import CorpusEntry, CorpusError, SchemaCorpus
 from repro.corpus.indexes import (
-    CorpusIndex,
     IndexConfig,
-    InvertedIndex,
     MinHashIndex,
     schema_shingles,
     schema_tokens,
@@ -47,10 +43,8 @@ from repro.corpus.shard import ShardedCorpusSearcher
 __all__ = [
     "CorpusEntry",
     "CorpusError",
-    "CorpusIndex",
     "CorpusSearcher",
     "IndexConfig",
-    "InvertedIndex",
     "MinHashIndex",
     "SchemaCorpus",
     "SearchHit",

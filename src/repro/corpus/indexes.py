@@ -1,54 +1,42 @@
-"""Blocking indexes over a schema corpus.
+"""Blocking features of corpus schemas.
 
 Two complementary cheap signals stand in for the expensive pairwise
 match during candidate retrieval:
 
-- :class:`InvertedIndex` -- a classic IDF-weighted inverted index over
-  *normalized label tokens*.  Tokens come from the same tokenizer the
-  linguistic matcher uses (camelCase/snake/delimiter splitting, light
-  stemming) and are expanded through the thesaurus (abbreviations and
-  acronyms), so ``qty``-labelled schemas still block against
-  ``Quantity``-labelled ones.  Scoring is cosine similarity over
-  log-tf * idf vectors.
-- :class:`MinHashIndex` -- MinHash signatures over *node-label
-  shingles* (normalized labels plus parent>child label bigrams) with
-  LSH banding.  Two schemas land in a shared band bucket when their
-  shingle sets are likely similar, which catches structural
-  near-duplicates whose token frequencies alone are unremarkable.
+- *normalized label tokens* (:func:`schema_tokens`).  Tokens come from
+  the same tokenizer the linguistic matcher uses (camelCase/snake/
+  delimiter splitting, light stemming) and are expanded through the
+  thesaurus (abbreviations and acronyms), so ``qty``-labelled schemas
+  still block against ``Quantity``-labelled ones.  The segmented index
+  scores them with IDF-weighted cosine or BM25 (:data:`LEXICAL_SCORERS`).
+- *node-label shingles* (:func:`schema_shingles`: normalized labels
+  plus parent>child label bigrams), hashed into MinHash signatures by
+  :class:`MinHashIndex` and banded for LSH.  Two schemas land in a
+  shared band bucket when their shingle sets are likely similar, which
+  catches structural near-duplicates whose token frequencies alone are
+  unremarkable.
 
 Everything here is deterministic: MinHash permutations come from a
 seeded RNG over fixed 64-bit blake2b shingle hashes (never Python's
-salted ``hash``), and the persisted payload is canonical JSON, so
-rebuilding an index over the same corpus with the same
-:class:`IndexConfig` is byte-identical -- the property the CLI's
-staleness check and the result-store keys both lean on.
-
-:class:`CorpusIndex` bundles both indexes with their config and the
-corpus fingerprint they were built from, and handles (de)serialization.
+salted ``hash``), so rebuilding an index over the same corpus with the
+same :class:`IndexConfig` is byte-identical -- the property the CLI's
+staleness check and the result-store keys both lean on.  The on-disk
+index itself is :class:`~repro.corpus.segments.SegmentedCorpusIndex`.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
-from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Optional
 
 from repro.linguistic.thesaurus import Thesaurus
 from repro.linguistic.tokenizer import normalize, stem, tokenize
-from repro.service.store import atomic_write_text, canonical_json
 
 #: Modulus for the universal-hash permutations (Mersenne prime 2^61-1).
 _MERSENNE = (1 << 61) - 1
-
-#: Index format version (bumped on incompatible payload changes).
-INDEX_VERSION = 1
-
-INDEX_NAME = "index.json"
 
 
 class IndexError_(ValueError):
@@ -176,10 +164,10 @@ def _shingle_hash(shingle: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# Inverted token index
+# Lexical scoring parameters
 # ----------------------------------------------------------------------
 
-#: Lexical scoring functions :meth:`InvertedIndex.scores` dispatches on.
+#: Lexical scoring functions the segmented index dispatches on.
 LEXICAL_SCORERS = ("cosine", "bm25")
 
 #: Standard BM25 shape parameters: ``k1`` caps term-frequency
@@ -188,201 +176,16 @@ BM25_K1 = 1.5
 BM25_B = 0.75
 
 
-class InvertedIndex:
-    """IDF-weighted inverted index over label tokens.
-
-    Documents are schema content hashes.  Two scorers share the same
-    postings: ``cosine`` (similarity of ``(1 + log tf) * idf`` vectors,
-    the default) and ``bm25`` (Okapi BM25 with document-length
-    normalization, max-normalized into [0, 1] so it blends with the
-    structural Jaccard estimate exactly like cosine does).  Documents
-    with no tokens (all labels empty after filtering) are tracked for
-    the document count but can never score.
-    """
-
-    def __init__(self):
-        #: doc id -> token multiset (the source of truth).
-        self._documents: dict[str, Counter] = {}
-        #: token -> {doc id: tf} (derived; kept in sync incrementally).
-        self._postings: dict[str, dict[str, int]] = {}
-        #: doc id -> total token count (BM25 length normalization).
-        self._lengths: dict[str, int] = {}
-        self._total_length = 0
-
-    def add(self, doc_id: str, tokens: Mapping[str, int]):
-        if doc_id in self._documents:
-            self.remove(doc_id)
-        counts = Counter(
-            {token: int(tf) for token, tf in tokens.items() if tf > 0}
-        )
-        self._documents[doc_id] = counts
-        for token, tf in counts.items():
-            self._postings.setdefault(token, {})[doc_id] = tf
-        length = sum(counts.values())
-        self._lengths[doc_id] = length
-        self._total_length += length
-
-    def remove(self, doc_id: str):
-        counts = self._documents.pop(doc_id, None)
-        if counts is None:
-            return
-        for token in counts:
-            docs = self._postings.get(token)
-            if docs is not None:
-                docs.pop(doc_id, None)
-                if not docs:
-                    del self._postings[token]
-        self._total_length -= self._lengths.pop(doc_id, 0)
-
-    @property
-    def document_count(self) -> int:
-        return len(self._documents)
-
-    @property
-    def token_count(self) -> int:
-        return len(self._postings)
-
-    def document_ids(self) -> set:
-        return set(self._documents)
-
-    def document_frequency(self, token: str) -> int:
-        return len(self._postings.get(token, ()))
-
-    def idf(self, token: str) -> float:
-        """Smoothed inverse document frequency (always > 0)."""
-        df = self.document_frequency(token)
-        return math.log((1 + self.document_count) / (1 + df)) + 1.0
-
-    def _weight(self, tf: int, idf: float) -> float:
-        return (1.0 + math.log(tf)) * idf
-
-    def _document_norm(self, doc_id: str) -> float:
-        counts = self._documents.get(doc_id)
-        if not counts:
-            return 0.0
-        return math.sqrt(sum(
-            self._weight(tf, self.idf(token)) ** 2
-            for token, tf in counts.items()
-        ))
-
-    @property
-    def average_length(self) -> float:
-        if not self._lengths:
-            return 0.0
-        return self._total_length / len(self._lengths)
-
-    def scores(self, query_tokens: Mapping[str, int],
-               scorer: str = "cosine") -> dict[str, float]:
-        """Lexical scores of the query against every candidate doc.
-
-        Dispatches on ``scorer`` (one of :data:`LEXICAL_SCORERS`).
-        Only documents sharing at least one token appear in the result
-        -- the inverted structure never touches the rest of the corpus
-        under either scorer.
-        """
-        if scorer == "cosine":
-            return self.cosine_scores(query_tokens)
-        if scorer == "bm25":
-            return self.bm25_scores(query_tokens)
-        raise IndexError_(
-            f"unknown scorer {scorer!r}: expected one of "
-            f"{', '.join(LEXICAL_SCORERS)}"
-        )
-
-    def cosine_scores(
-        self, query_tokens: Mapping[str, int]
-    ) -> dict[str, float]:
-        """Cosine similarity of ``(1 + log tf) * idf`` vectors."""
-        accumulator: dict[str, float] = {}
-        query_norm_sq = 0.0
-        for token, qtf in query_tokens.items():
-            if qtf <= 0:
-                continue
-            idf = self.idf(token)
-            q_weight = self._weight(qtf, idf)
-            query_norm_sq += q_weight ** 2
-            for doc_id, tf in self._postings.get(token, {}).items():
-                accumulator[doc_id] = (
-                    accumulator.get(doc_id, 0.0)
-                    + q_weight * self._weight(tf, idf)
-                )
-        if not accumulator or query_norm_sq <= 0.0:
-            return {}
-        query_norm = math.sqrt(query_norm_sq)
-        scores = {}
-        for doc_id, dot in accumulator.items():
-            doc_norm = self._document_norm(doc_id)
-            if doc_norm > 0.0:
-                scores[doc_id] = dot / (query_norm * doc_norm)
-        return scores
-
-    def bm25_scores(self, query_tokens: Mapping[str, int],
-                    k1: float = BM25_K1, b: float = BM25_B,
-                    ) -> dict[str, float]:
-        """Okapi BM25, max-normalized into [0, 1].
-
-        Raw BM25 is unbounded, which would let the lexical term swamp
-        the [0, 1] structural Jaccard estimate in the retrieval blend;
-        dividing by the best document's score preserves the BM25
-        *ranking* exactly while keeping the blend's two signals on the
-        same scale.  The Robertson/Sparck-Jones idf is floored at a
-        small positive epsilon so tokens present in every document
-        still contribute (matters on tiny corpora, where df == N is
-        common).
-        """
-        n = self.document_count
-        avgdl = self.average_length
-        accumulator: dict[str, float] = {}
-        for token, qtf in query_tokens.items():
-            if qtf <= 0:
-                continue
-            postings = self._postings.get(token)
-            if not postings:
-                continue
-            df = len(postings)
-            idf = max(
-                math.log(1.0 + (n - df + 0.5) / (df + 0.5)), 1e-6
-            )
-            for doc_id, tf in postings.items():
-                dl = self._lengths.get(doc_id, 0)
-                norm = (
-                    1.0 - b + b * (dl / avgdl) if avgdl > 0.0 else 1.0
-                )
-                accumulator[doc_id] = (
-                    accumulator.get(doc_id, 0.0)
-                    + qtf * idf * (tf * (k1 + 1.0)) / (tf + k1 * norm)
-                )
-        if not accumulator:
-            return {}
-        best = max(accumulator.values())
-        if best <= 0.0:
-            return {}
-        return {
-            doc_id: score / best for doc_id, score in accumulator.items()
-        }
-
-    def to_payload(self) -> dict:
-        return {
-            "documents": {
-                doc_id: dict(sorted(counts.items()))
-                for doc_id, counts in self._documents.items()
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "InvertedIndex":
-        index = cls()
-        for doc_id, counts in (payload.get("documents") or {}).items():
-            index.add(doc_id, counts)
-        return index
-
-
 # ----------------------------------------------------------------------
-# MinHash / LSH structural index
+# MinHash / LSH hashing
 # ----------------------------------------------------------------------
 
 class MinHashIndex:
-    """MinHash signatures with LSH banding over shingle sets."""
+    """MinHash signatures and their LSH band keys.
+
+    Stateless apart from the seeded permutations: the segmented index
+    stores the signatures and builds the band buckets per segment.
+    """
 
     def __init__(self, num_perm: int = 64, bands: int = 16,
                  seed: int = 2005):
@@ -399,9 +202,6 @@ class MinHashIndex:
             (rng.randrange(1, _MERSENNE), rng.randrange(0, _MERSENNE))
             for _ in range(num_perm)
         ]
-        self._signatures: dict[str, tuple] = {}
-        #: (band index, band values) -> set of doc ids.
-        self._buckets: dict[tuple, set] = {}
 
     def signature(self, shingles) -> tuple:
         """The MinHash signature of a shingle set (deterministic)."""
@@ -416,250 +216,7 @@ class MinHashIndex:
         )
 
     def band_keys(self, signature: tuple):
-        """The LSH bucket keys of a signature, one per band.
-
-        Public so the segmented index can build per-segment bucket
-        tables from stored signatures with the exact banding this
-        configuration uses.
-        """
+        """The LSH bucket keys of a signature, one per band."""
         for band in range(self.bands):
             start = band * self.rows
             yield (band, signature[start:start + self.rows])
-
-    # Internal alias kept for the historical private name.
-    _band_keys = band_keys
-
-    def add(self, doc_id: str, signature: tuple):
-        if doc_id in self._signatures:
-            self.remove(doc_id)
-        signature = tuple(signature)
-        if len(signature) != self.num_perm:
-            raise IndexError_(
-                f"signature length {len(signature)} != num_perm "
-                f"{self.num_perm}"
-            )
-        self._signatures[doc_id] = signature
-        for key in self._band_keys(signature):
-            self._buckets.setdefault(key, set()).add(doc_id)
-
-    def remove(self, doc_id: str):
-        signature = self._signatures.pop(doc_id, None)
-        if signature is None:
-            return
-        for key in self._band_keys(signature):
-            bucket = self._buckets.get(key)
-            if bucket is not None:
-                bucket.discard(doc_id)
-                if not bucket:
-                    del self._buckets[key]
-
-    @property
-    def document_count(self) -> int:
-        return len(self._signatures)
-
-    def candidates(self, signature: tuple) -> set:
-        """Doc ids sharing at least one LSH band with ``signature``."""
-        found: set = set()
-        for key in self._band_keys(tuple(signature)):
-            found.update(self._buckets.get(key, ()))
-        return found
-
-    def estimate(self, signature: tuple, doc_id: str) -> float:
-        """Estimated Jaccard similarity against a stored document."""
-        stored = self._signatures.get(doc_id)
-        if stored is None:
-            return 0.0
-        signature = tuple(signature)
-        agree = sum(1 for a, b in zip(signature, stored) if a == b)
-        return agree / self.num_perm
-
-    def to_payload(self) -> dict:
-        return {
-            "signatures": {
-                doc_id: list(signature)
-                for doc_id, signature in self._signatures.items()
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict, num_perm: int, bands: int,
-                     seed: int) -> "MinHashIndex":
-        index = cls(num_perm=num_perm, bands=bands, seed=seed)
-        for doc_id, signature in (payload.get("signatures") or {}).items():
-            index.add(doc_id, tuple(signature))
-        return index
-
-
-# ----------------------------------------------------------------------
-# The bundled corpus index
-# ----------------------------------------------------------------------
-
-class CorpusIndex:
-    """Inverted + MinHash indexes over one corpus, persistable as JSON.
-
-    The saved payload stamps both the config fingerprint (what blocking
-    behaviour produced it) and the corpus fingerprint (what content it
-    covers); :meth:`stale_for` compares the latter against a live
-    corpus so callers know when a rebuild is due.
-    """
-
-    def __init__(self, config: Optional[IndexConfig] = None,
-                 thesaurus: Optional[Thesaurus] = None):
-        self.config = config if config is not None else IndexConfig()
-        if thesaurus is not None:
-            self.thesaurus = thesaurus
-        elif self.config.use_thesaurus:
-            self.thesaurus = Thesaurus.default()
-        else:
-            self.thesaurus = Thesaurus.empty()
-        self.inverted = InvertedIndex()
-        self.minhash = MinHashIndex(
-            num_perm=self.config.num_perm,
-            bands=self.config.bands,
-            seed=self.config.seed,
-        )
-        #: Fingerprint of the corpus content this index reflects.
-        self.corpus_fingerprint = ""
-
-    # ------------------------------------------------------------------
-    # Building
-    # ------------------------------------------------------------------
-
-    def add_tree(self, doc_id: str, tree):
-        """Index one schema under ``doc_id`` (its content hash)."""
-        self.inverted.add(doc_id, schema_tokens(tree, self.config,
-                                                self.thesaurus))
-        self.minhash.add(
-            doc_id, self.minhash.signature(schema_shingles(tree, self.config))
-        )
-
-    def remove(self, doc_id: str):
-        self.inverted.remove(doc_id)
-        self.minhash.remove(doc_id)
-
-    @property
-    def document_count(self) -> int:
-        return self.inverted.document_count
-
-    @classmethod
-    def build(cls, corpus, config: Optional[IndexConfig] = None,
-              thesaurus: Optional[Thesaurus] = None) -> "CorpusIndex":
-        """Index every entry of ``corpus`` from scratch."""
-        index = cls(config=config, thesaurus=thesaurus)
-        for entry in corpus.entries():
-            index.add_tree(entry.hash, corpus.load(entry.hash))
-        index.corpus_fingerprint = corpus.fingerprint()
-        return index
-
-    def refresh(self, corpus) -> tuple[int, int]:
-        """Bring the index up to date with ``corpus`` incrementally.
-
-        Indexes entries the corpus has that the index lacks and drops
-        indexed documents the corpus no longer contains; returns
-        ``(added, removed)``.  Because document features are independent
-        and the payload is canonical, an incrementally refreshed index
-        serializes byte-identically to a full rebuild.
-        """
-        corpus_hashes = {entry.hash for entry in corpus.entries()}
-        indexed = self.inverted.document_ids()
-        added = removed = 0
-        for doc_id in indexed - corpus_hashes:
-            self.remove(doc_id)
-            removed += 1
-        for entry in corpus.entries():
-            if entry.hash not in indexed:
-                self.add_tree(entry.hash, corpus.load(entry.hash))
-                added += 1
-        self.corpus_fingerprint = corpus.fingerprint()
-        return added, removed
-
-    def stale_for(self, corpus) -> bool:
-        """True when the corpus content changed since this index was built."""
-        return self.corpus_fingerprint != corpus.fingerprint()
-
-    def info(self) -> dict:
-        """Index shape summary, shared with the segmented index.
-
-        A monolithic index is one fully-resident structure: no
-        segments, no tombstones, and nothing lazily loaded -- the
-        zeros here make the corpus gauges meaningful across both
-        index kinds.
-        """
-        return {
-            "kind": "monolithic",
-            "segments": 0,
-            "docs": self.document_count,
-            "tombstones": 0,
-            "postings_bytes_loaded": 0,
-            "config_fingerprint": self.config.fingerprint(),
-        }
-
-    # ------------------------------------------------------------------
-    # Query-side feature extraction
-    # ------------------------------------------------------------------
-
-    def query_tokens(self, tree) -> Counter:
-        return schema_tokens(tree, self.config, self.thesaurus)
-
-    def query_signature(self, tree) -> tuple:
-        return self.minhash.signature(schema_shingles(tree, self.config))
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        return {
-            "version": INDEX_VERSION,
-            "config": self.config.signature(),
-            "config_fingerprint": self.config.fingerprint(),
-            "corpus_fingerprint": self.corpus_fingerprint,
-            "inverted": self.inverted.to_payload(),
-            "minhash": self.minhash.to_payload(),
-        }
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the canonical index payload atomically."""
-        return atomic_write_text(path, canonical_json(self.to_payload()))
-
-    @classmethod
-    def from_payload(cls, payload: dict,
-                     thesaurus: Optional[Thesaurus] = None) -> "CorpusIndex":
-        version = payload.get("version")
-        if version != INDEX_VERSION:
-            raise IndexError_(
-                f"index payload has version {version!r}; this build reads "
-                f"version {INDEX_VERSION}"
-            )
-        config = IndexConfig.from_signature(payload.get("config") or {})
-        index = cls(config=config, thesaurus=thesaurus)
-        index.inverted = InvertedIndex.from_payload(
-            payload.get("inverted") or {}
-        )
-        index.minhash = MinHashIndex.from_payload(
-            payload.get("minhash") or {},
-            num_perm=config.num_perm, bands=config.bands, seed=config.seed,
-        )
-        index.corpus_fingerprint = str(payload.get("corpus_fingerprint", ""))
-        return index
-
-    @classmethod
-    def load(cls, path: Union[str, Path],
-             thesaurus: Optional[Thesaurus] = None) -> "CorpusIndex":
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise IndexError_(f"no index at {str(path)!r}") from None
-        except json.JSONDecodeError as exc:
-            raise IndexError_(
-                f"index {str(path)!r} is not valid JSON: {exc}"
-            ) from None
-        return cls.from_payload(payload, thesaurus=thesaurus)
-
-    def __repr__(self):
-        return (
-            f"<CorpusIndex docs={self.document_count} "
-            f"tokens={self.inverted.token_count} "
-            f"config={self.config.fingerprint()}>"
-        )

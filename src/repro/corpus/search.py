@@ -1,10 +1,11 @@
 """Two-stage top-k schema search: index retrieval + QMatch rerank.
 
-Stage 1 (**retrieve**) asks the :class:`~repro.corpus.indexes.CorpusIndex`
-for everything that shares evidence with the query -- token cosine
-scores from the inverted index, Jaccard estimates from the MinHash LSH
-buckets -- blends them, and keeps a candidate shortlist.  Cost is
-proportional to the matching posting lists, not the corpus.
+Stage 1 (**retrieve**) asks the
+:class:`~repro.corpus.segments.SegmentedCorpusIndex` for everything that
+shares evidence with the query -- lexical token scores from the
+postings, Jaccard estimates from the MinHash LSH buckets -- blends
+them, and keeps a candidate shortlist.  Cost is proportional to the
+matching posting lists, not the corpus.
 
 Stage 2 (**rerank**) runs the full hybrid QMatch engine on query ×
 shortlist only, through the same :class:`~repro.service.runner.BatchRunner`
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.corpus.corpus import SchemaCorpus
-from repro.corpus.indexes import CorpusIndex
+from repro.corpus.segments import SegmentedCorpusIndex
 from repro.engine.stats import EngineStats
 from repro.obs.log import NULL_LOGGER
 from repro.obs.spans import current_tracer
@@ -163,7 +164,7 @@ class SearchResult:
 class CorpusSearcher:
     """Retrieve-then-rerank top-k search over a :class:`SchemaCorpus`."""
 
-    def __init__(self, corpus: SchemaCorpus, index: CorpusIndex,
+    def __init__(self, corpus: SchemaCorpus, index: SegmentedCorpusIndex,
                  algorithm: str = "qmatch",
                  threshold: float = 0.5,
                  weights=None,
@@ -213,17 +214,10 @@ class CorpusSearcher:
         """Raw stage-1 signals: ``(lexical_scores, structural_candidates)``.
 
         The extension seam the sharded searcher overrides to fan the
-        scan.  Indexes exposing a combined ``retrieve_scores`` (the
-        segmented index, which shares admission state between the two
-        signals) are preferred over the two facade calls.
+        scan.
         """
-        combined = getattr(self.index, "retrieve_scores", None)
-        if combined is not None:
-            return combined(tokens, signature, scorer=self.scorer)
-        return (
-            self.index.inverted.scores(tokens, scorer=self.scorer),
-            self.index.minhash.candidates(signature),
-        )
+        return self.index.retrieve_scores(tokens, signature,
+                                          scorer=self.scorer)
 
     def retrieve(self, query_tree, stats: Optional[EngineStats] = None,
                  ) -> list[SearchHit]:
@@ -242,7 +236,7 @@ class CorpusSearcher:
             hits = []
             for doc_id in candidates:
                 lex = lexical.get(doc_id, 0.0)
-                struct = self.index.minhash.estimate(signature, doc_id)
+                struct = self.index.estimate(signature, doc_id)
                 try:
                     name = self.corpus.entry(doc_id).name
                 except Exception:
@@ -360,10 +354,10 @@ class CorpusSearcher:
         }) if tracer.enabled else None
         ranked = self.retrieve(query_tree, stats=stats)
         if retrieve_span is not None:
-            # ``last_scan`` is the segmented index's per-call scan
-            # telemetry (approximate under sharded fan-out, where each
-            # shard span below carries the authoritative numbers).
-            scan = getattr(self.index, "last_scan", None) or {}
+            # ``last_scan`` is the index's per-call scan telemetry
+            # (approximate under sharded fan-out, where each shard span
+            # carries the authoritative numbers).
+            scan = self.index.last_scan
             tracer.finish(retrieve_span, attributes={
                 "candidates": len(ranked),
                 **{

@@ -1,11 +1,11 @@
-"""Segmented corpus index: immutable segments, fan-out search, compaction.
+"""The corpus index: immutable segments, fan-out search, compaction.
 
-The monolithic :class:`~repro.corpus.indexes.CorpusIndex` keeps every
-posting of every schema in one mutable in-memory structure that is
-serialized (and re-loaded) as a unit.  That is the right shape for a
-hundred schemas and the wrong one for a hundred thousand: every ``add``
-rewrites the whole payload, and opening the index deserializes all of
-it before the first query.  This module is the Lucene-shaped answer::
+Every posting of every schema in one mutable structure, serialized and
+re-loaded as a unit, is the right shape for a hundred schemas and the
+wrong one for a hundred thousand: every ``add`` rewrites the whole
+payload, and opening the index deserializes all of it before the first
+query.  This module is the Lucene-shaped answer, and the only on-disk
+index format::
 
     <corpus>/segments/
       manifest.json          -- live segments, tombstones, fingerprints
@@ -14,10 +14,11 @@ it before the first query.  This module is the Lucene-shaped answer::
         postings.bin         -- packed per-doc (token, tf) vectors
         minhash.bin          -- packed uint64 MinHash signatures
 
-- **Segments are immutable.**  Each ``add`` batch seals one new segment
-  directory and never touches the previous ones; incremental indexing
-  therefore costs memory and I/O proportional to the *batch*, not the
-  corpus.
+- **Segments are immutable.**  ``qmatch index build`` seals the whole
+  corpus into one segment; each later ``add`` batch seals one new
+  segment directory and never touches the previous ones, so
+  incremental indexing costs memory and I/O proportional to the
+  *batch*, not the corpus.
 - **Postings are packed and lazy.**  Segment payloads serialize with
   ``struct``/``array`` (little-endian, fixed-width) instead of JSON and
   load on the first search, not at open -- ``qmatch index info`` over a
@@ -28,21 +29,18 @@ it before the first query.  This module is the Lucene-shaped answer::
   segments; once :data:`COMPACT_TRIGGER` segments accumulate in one
   size tier they are folded into one (``qmatch index compact`` folds
   everything).
-- **Scores are byte-comparable to the monolithic index.**  IDF and
-  document norms are computed from document frequencies *merged across
-  segments* (minus tombstones) with the exact float expressions of
-  :class:`~repro.corpus.indexes.InvertedIndex`, and each document's
-  token vector is stored in its original extraction order -- so the
-  per-document cosine/BM25 floats come out bit-identical to a
-  monolithic build over the same live documents (asserted in
-  ``tests/test_corpus_segments.py``).
+- **Scores do not depend on the segment layout.**  IDF and document
+  norms are computed from document frequencies *merged across
+  segments* (minus tombstones), and each document's token vector is
+  stored in its original extraction order -- so the per-document
+  cosine/BM25 floats of any layout are bit-identical to a fresh
+  single-segment build over the same live documents (pinned by the
+  goldens in ``tests/fixtures/corpus_golden/``).
 
-:class:`SegmentedCorpusIndex` exposes the ``CorpusIndex`` retrieve
-surface (``query_tokens`` / ``query_signature`` / ``.inverted`` /
-``.minhash`` / ``stale_for``), so
-:class:`~repro.corpus.search.CorpusSearcher` works on either index
-unchanged; ``retrieve_scores`` additionally fans the lexical scan
-across segments in parallel and supports a candidate-admission budget
+:class:`~repro.corpus.search.CorpusSearcher` reads the index through
+``query_tokens``, ``query_signature``, ``retrieve_scores`` and
+``estimate``.  ``retrieve_scores`` fans the lexical scan across
+segments in parallel and supports a candidate-admission budget
 (``max_candidates``) that turns the full postings scan into work
 proportional to the rarest query tokens plus the budget.
 """
@@ -126,9 +124,9 @@ def pack_postings(doc_items: list) -> bytes:
     a token table (``u16`` length + UTF-8 bytes per token, ids by table
     order), then per document ``u32 n_items`` followed by ``n_items``
     ``(u32 token_id, u32 tf)`` pairs.  The per-document *order* of the
-    pairs is preserved exactly -- it is the token-extraction order the
-    monolithic index accumulates document norms in, which is what keeps
-    segmented scores byte-identical.
+    pairs is preserved exactly -- it is the token-extraction order
+    document norms accumulate in, which is what keeps scores
+    byte-identical across segment layouts.
     """
     token_ids: dict[str, int] = {}
     for items in doc_items:
@@ -309,38 +307,42 @@ class Segment:
         return self._doc_items is not None
 
     def load(self, hasher: MinHashIndex) -> "Segment":
-        """Materialize the packed payloads (idempotent)."""
+        """Materialize the packed payloads (idempotent).
+
+        Everything is decoded into locals first and published with
+        :attr:`loaded` turning true last, so a search on another thread
+        (sharded scans load lazily in parallel) never sees half a load.
+        """
         if self.loaded:
             return self
         postings_blob = (self.root / SEGMENT_POSTINGS_NAME).read_bytes()
         minhash_blob = (self.root / SEGMENT_MINHASH_NAME).read_bytes()
-        self._doc_items = unpack_postings(postings_blob)
-        if len(self._doc_items) != len(self.doc_ids):
+        doc_items = unpack_postings(postings_blob)
+        if len(doc_items) != len(self.doc_ids):
             raise SegmentError(
                 f"segment {self.seg_id}: postings cover "
-                f"{len(self._doc_items)} docs, meta lists {len(self.doc_ids)}"
+                f"{len(doc_items)} docs, meta lists {len(self.doc_ids)}"
             )
         signatures, num_perm = unpack_signatures(minhash_blob)
         if num_perm != self.num_perm or len(signatures) != len(self.doc_ids):
             raise SegmentError(
                 f"segment {self.seg_id}: minhash payload does not match meta"
             )
-        self._signatures = signatures
-        self._doc_maps = [dict(items) for items in self._doc_items]
-        self._lengths = [
-            sum(tf for _, tf in items) for items in self._doc_items
-        ]
         postings: dict[str, list] = {}
-        for ordinal, items in enumerate(self._doc_items):
+        for ordinal, items in enumerate(doc_items):
             for token, tf in items:
                 postings.setdefault(token, []).append((ordinal, tf))
-        self._postings = postings
         buckets: dict[tuple, list] = {}
         for ordinal, signature in enumerate(signatures):
             for key in hasher.band_keys(signature):
                 buckets.setdefault(key, []).append(ordinal)
+        self._signatures = signatures
+        self._doc_maps = [dict(items) for items in doc_items]
+        self._lengths = [sum(tf for _, tf in items) for items in doc_items]
+        self._postings = postings
         self._buckets = buckets
         self.bytes_loaded = len(postings_blob) + len(minhash_blob)
+        self._doc_items = doc_items
         return self
 
     def items_of(self, ordinal: int) -> list:
@@ -370,49 +372,11 @@ class Segment:
 
 
 # ----------------------------------------------------------------------
-# Facade views (CorpusIndex API compatibility)
-# ----------------------------------------------------------------------
-
-class _SegmentedInvertedView:
-    """``CorpusIndex.inverted``-shaped read facade over all segments."""
-
-    def __init__(self, owner: "SegmentedCorpusIndex"):
-        self._owner = owner
-
-    @property
-    def document_count(self) -> int:
-        return self._owner.document_count
-
-    def document_ids(self) -> set:
-        return self._owner.live_doc_ids()
-
-    def scores(self, query_tokens, scorer: str = "cosine") -> dict:
-        return self._owner._lexical_scores(query_tokens, scorer=scorer)
-
-
-class _SegmentedMinHashView:
-    """``CorpusIndex.minhash``-shaped read facade over all segments."""
-
-    def __init__(self, owner: "SegmentedCorpusIndex"):
-        self._owner = owner
-
-    @property
-    def document_count(self) -> int:
-        return self._owner.document_count
-
-    def candidates(self, signature: tuple) -> set:
-        return self._owner._structural_candidates(tuple(signature))
-
-    def estimate(self, signature: tuple, doc_id: str) -> float:
-        return self._owner._estimate(tuple(signature), doc_id)
-
-
-# ----------------------------------------------------------------------
 # The segmented index
 # ----------------------------------------------------------------------
 
 class SegmentedCorpusIndex:
-    """Immutable-segment index with the monolithic retrieve surface.
+    """The on-disk corpus index: immutable segments plus a manifest.
 
     Mutations (:meth:`add_batch`, :meth:`remove`, :meth:`refresh`,
     :meth:`compact`) persist the manifest atomically before returning;
@@ -459,8 +423,6 @@ class SegmentedCorpusIndex:
         #: seg id -> set of tombstoned doc ids.
         self._tombstones: dict[str, set] = {}
         self._next_id = 1
-        self.inverted = _SegmentedInvertedView(self)
-        self.minhash = _SegmentedMinHashView(self)
         #: Scan telemetry of the last retrieve (docs scored, postings
         #: entries walked) -- what the scale benchmark asserts on.
         self.last_scan: dict = {}
@@ -512,7 +474,7 @@ class SegmentedCorpusIndex:
             raise SegmentError(
                 f"no segmented index at {str(root)!r} (missing "
                 f"{SEGMENT_MANIFEST_NAME}); build one with "
-                "qmatch index build --segmented"
+                "qmatch index build"
             ) from None
         except json.JSONDecodeError as exc:
             raise SegmentError(
@@ -615,7 +577,7 @@ class SegmentedCorpusIndex:
         return self.corpus_fingerprint != corpus.fingerprint()
 
     # ------------------------------------------------------------------
-    # Query-side feature extraction (CorpusIndex-compatible)
+    # Query-side feature extraction
     # ------------------------------------------------------------------
 
     def query_tokens(self, tree):
@@ -630,8 +592,8 @@ class SegmentedCorpusIndex:
 
     def _doc_features(self, tree) -> tuple:
         tokens = schema_tokens(tree, self.config, self.thesaurus)
-        # Keep the extraction order: it is the accumulation order the
-        # monolithic index computes document norms in.
+        # Keep the extraction order: document norms accumulate in it,
+        # so every segment layout sums them the same way.
         items = [(token, int(tf)) for token, tf in tokens.items() if tf > 0]
         signature = self._hasher.signature(
             schema_shingles(tree, self.config)
@@ -882,9 +844,9 @@ class SegmentedCorpusIndex:
         """Load every segment (first search) and merge document
         frequencies, lengths and counts across them.
 
-        ``df``/``n`` merged this way are exactly what a monolithic
-        index over the same live documents would hold, so
-        :meth:`_idf` reproduces its IDF floats bit-for-bit.
+        ``df``/``n`` merged this way are exactly what a single segment
+        over the same live documents would hold, so :meth:`_idf` gives
+        the same IDF floats for every segment layout.
         """
         if self._stats is not None:
             return self._stats
@@ -918,7 +880,7 @@ class SegmentedCorpusIndex:
         return self._stats
 
     def _idf(self, token: str, stats: dict) -> float:
-        # Bit-identical to InvertedIndex.idf over the merged df.
+        # Smoothed inverse document frequency over the merged df.
         df = stats["df"].get(token, 0)
         return math.log((1 + stats["n"]) / (1 + df)) + 1.0
 
@@ -936,8 +898,7 @@ class SegmentedCorpusIndex:
         return self._doc_loc.get(doc_id)
 
     def _norm(self, doc_id: str, stats: dict) -> float:
-        """Document norm with merged IDF, in stored token order --
-        bit-identical to InvertedIndex._document_norm."""
+        """Document norm with merged IDF, in stored token order."""
         norm = self._norms.get(doc_id)
         if norm is not None:
             return norm
@@ -978,8 +939,7 @@ class SegmentedCorpusIndex:
         ]
 
     def _query_weights(self, query_tokens, stats: dict) -> tuple:
-        """Cosine query weights in query order plus the norm² --
-        mirroring InvertedIndex.cosine_scores' query side exactly."""
+        """Cosine query weights in query order plus the norm²."""
         weights = []
         query_norm_sq = 0.0
         for token, qtf in query_tokens.items():
@@ -994,7 +954,7 @@ class SegmentedCorpusIndex:
     def _cosine_partial(self, seg_id: str, segment: Segment,
                         weights: list, stats: dict) -> tuple:
         """One segment's cosine dot products (per-doc token order =
-        query order, as in the monolithic accumulator).  Returns
+        query order).  Returns
         ``(accumulator, postings_walked)`` -- partials never touch
         shared telemetry, so they are safe under threaded fan-out."""
         dead = stats["dead"][seg_id]
@@ -1262,9 +1222,9 @@ class SegmentedCorpusIndex:
                         found.add(doc_ids[ordinal])
         return found
 
-    def _estimate(self, signature: tuple, doc_id: str) -> float:
-        """Estimated Jaccard against one stored document (as
-        MinHashIndex.estimate)."""
+    def estimate(self, signature: tuple, doc_id: str) -> float:
+        """Estimated Jaccard similarity against one stored document: the
+        fraction of MinHash positions the two signatures agree on."""
         located = self._locate(doc_id)
         if located is None:
             return 0.0
@@ -1280,9 +1240,8 @@ class SegmentedCorpusIndex:
         """One-call stage-1 retrieval: ``(lexical_scores, structural_
         candidates)``.
 
-        :class:`~repro.corpus.search.CorpusSearcher` prefers this over
-        the two facade calls when present, which lets budget mode admit
-        the LSH candidates into the exactly-scored set.
+        One call for both signals lets budget mode admit the LSH
+        candidates into the exactly-scored set.
         """
         structural = self._structural_candidates(signature,
                                                  segments=segments)

@@ -1,4 +1,4 @@
-"""Hash-sharded search over a segmented corpus index.
+"""Hash-sharded search over the segmented corpus index.
 
 :class:`ShardedCorpusSearcher` splits the stage-1 scan of a
 :class:`~repro.corpus.segments.SegmentedCorpusIndex` into ``shards``
@@ -48,11 +48,6 @@ class ShardedCorpusSearcher(CorpusSearcher):
 
     def __init__(self, corpus, index: SegmentedCorpusIndex,
                  shards: int = DEFAULT_SHARDS, **kwargs):
-        if not isinstance(index, SegmentedCorpusIndex):
-            raise SegmentError(
-                "ShardedCorpusSearcher requires a SegmentedCorpusIndex; "
-                "monolithic indexes have nothing to shard"
-            )
         if shards < 1:
             raise SegmentError(f"shards must be >= 1, got {shards}")
         super().__init__(corpus, index, **kwargs)

@@ -401,16 +401,15 @@ def pool_depth_metrics(registry: MetricsRegistry, size: int, idle: int,
 def corpus_index_metrics(registry: MetricsRegistry, info: dict):
     """Set the corpus-index shape gauges from an ``index.info()`` dict.
 
-    Works for both index kinds: a monolithic index reports zero
-    segments/tombstones and zero lazily-loaded bytes, a segmented one
-    reports its real shape -- the ``kind`` label tells dashboards which
-    backend is serving.  Rendered names are ``qmatch_corpus_segments``,
-    ``qmatch_corpus_docs``, ``qmatch_corpus_tombstones`` and
+    The segmented index reports its live shape under the
+    ``kind="segmented"`` label.  Rendered names are
+    ``qmatch_corpus_segments``, ``qmatch_corpus_docs``,
+    ``qmatch_corpus_tombstones`` and
     ``qmatch_corpus_postings_loaded_bytes``.
     """
     kind = {"kind": str(info.get("kind", "unknown"))}
     registry.gauge(
-        "corpus_segments", "Live index segments (0 for monolithic).", kind,
+        "corpus_segments", "Live index segments.", kind,
     ).set(info.get("segments", 0))
     registry.gauge(
         "corpus_docs", "Live (non-tombstoned) indexed documents.", kind,

@@ -86,12 +86,11 @@ class PoolWarmup:
 
     def __init__(self, corpus_dir=None, cache_dir=None,
                  scorer: str = "cosine", tree_cache: int = DEFAULT_TREE_CACHE,
-                 segmented: bool = False, shards=None):
+                 shards=None):
         self.corpus_dir = str(corpus_dir) if corpus_dir is not None else None
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.scorer = scorer
         self.tree_cache = tree_cache
-        self.segmented = segmented
         self.shards = shards
 
     def __call__(self) -> dict:
@@ -108,8 +107,7 @@ class PoolWarmup:
 
             state["searcher"] = build_searcher(
                 self.corpus_dir, cache_dir=self.cache_dir,
-                scorer=self.scorer, segmented=self.segmented,
-                shards=self.shards,
+                scorer=self.scorer, shards=self.shards,
             )
         return state
 
@@ -331,7 +329,6 @@ class WorkerPool(JobExecutionCore):
                  corpus_dir=None,
                  cache_dir=None,
                  scorer: str = "cosine",
-                 segmented: bool = False,
                  shards=None,
                  mp_context=None,
                  log=NULL_LOGGER,
@@ -357,7 +354,7 @@ class WorkerPool(JobExecutionCore):
         self.worker = worker
         self.warm = warm if warm is not None else PoolWarmup(
             corpus_dir=corpus_dir, cache_dir=cache_dir, scorer=scorer,
-            segmented=segmented, shards=shards,
+            shards=shards,
         )
         self.spawn_timeout = spawn_timeout
         if mp_context is None:

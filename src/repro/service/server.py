@@ -100,7 +100,6 @@ class MatchService:
                  corpus_dir=None,
                  cache_dir=None,
                  scorer: str = "cosine",
-                 segmented: bool = False,
                  shards: Optional[int] = None,
                  max_pending: Optional[int] = None,
                  max_body_bytes: int = DEFAULT_MAX_BODY,
@@ -165,7 +164,7 @@ class MatchService:
                     else _StatelessBody(worker)
                 ),
                 corpus_dir=corpus_dir, cache_dir=cache_dir, scorer=scorer,
-                segmented=segmented, shards=shards, log=log,
+                shards=shards, log=log,
                 metrics=self.metrics,
             )
         else:
@@ -616,22 +615,27 @@ def create_server(service: MatchService, host: str = "127.0.0.1",
 
 def build_searcher(corpus_dir, cache_dir=None, workers: int = 1,
                    scorer: str = "cosine", log=NULL_LOGGER,
-                   segmented: bool = False, shards: Optional[int] = None):
-    """Open a corpus directory (with its saved index) as a searcher.
+                   shards: Optional[int] = None):
+    """Open a corpus directory (with its segmented index) as a searcher.
 
     Shared by ``qmatch serve --corpus``, ``qmatch search`` and the
-    worker pool's resident warm-up.  ``segmented`` opens the on-disk
-    segment manifest instead of the monolithic ``index.json`` (lazy
-    payload loading -- open cost is independent of corpus size), and
-    ``shards`` > 1 additionally fans the stage-1 scan over that many
-    segment shards.  Raises a clean error when the corpus or its index
-    is missing; a *stale* index (corpus content changed since the last
-    build) is reported by the caller, not rejected -- search still
-    works, it just cannot see the un-indexed schemas.
+    worker pool's resident warm-up.  Opening reads only the segment
+    manifest and metas (payloads load lazily on the first search, so
+    open cost is independent of corpus size); ``shards`` > 1 fans the
+    stage-1 scan over that many segment shards.  Raises a clean error
+    when the corpus or its index is missing; a *stale* index (corpus
+    content changed since the last build) is reported by the caller,
+    not rejected -- search still works, it just cannot see the
+    un-indexed schemas.
     """
     from repro.corpus.corpus import CorpusError, SchemaCorpus
-    from repro.corpus.indexes import INDEX_NAME, CorpusIndex
     from repro.corpus.search import CorpusSearcher
+    from repro.corpus.segments import (
+        SEGMENT_MANIFEST_NAME,
+        SEGMENTS_DIR,
+        SegmentedCorpusIndex,
+    )
+    from repro.corpus.shard import ShardedCorpusSearcher
 
     corpus = SchemaCorpus(corpus_dir)
     if not len(corpus):
@@ -639,38 +643,19 @@ def build_searcher(corpus_dir, cache_dir=None, workers: int = 1,
             f"corpus {str(corpus_dir)!r} is empty; build it with "
             "qmatch index build"
         )
-    store = ResultStore(cache_dir) if cache_dir is not None else None
-    if segmented:
-        from repro.corpus.segments import (
-            SEGMENT_MANIFEST_NAME,
-            SEGMENTS_DIR,
-            SegmentedCorpusIndex,
-        )
-        from repro.corpus.shard import ShardedCorpusSearcher
-
-        segments_root = corpus.root / SEGMENTS_DIR
-        if not (segments_root / SEGMENT_MANIFEST_NAME).exists():
-            raise CorpusError(
-                f"corpus {str(corpus_dir)!r} has no segmented index; "
-                "build it with qmatch index build --segmented"
-            )
-        index = SegmentedCorpusIndex.open(segments_root, log=log)
-        if shards is not None and shards > 1:
-            return ShardedCorpusSearcher(
-                corpus, index, shards=shards, scorer=scorer,
-                workers=workers, store=store, log=log,
-            )
-        return CorpusSearcher(
-            corpus, index, scorer=scorer, workers=workers, store=store,
-            log=log,
-        )
-    index_path = corpus.root / INDEX_NAME
-    if not index_path.exists():
+    segments_root = corpus.root / SEGMENTS_DIR
+    if not (segments_root / SEGMENT_MANIFEST_NAME).exists():
         raise CorpusError(
-            f"corpus {str(corpus_dir)!r} has no index; build it with "
-            "qmatch index build"
+            f"corpus {str(corpus_dir)!r} has no index (no segment "
+            "manifest); build it with qmatch index build"
         )
-    index = CorpusIndex.load(index_path)
+    store = ResultStore(cache_dir) if cache_dir is not None else None
+    index = SegmentedCorpusIndex.open(segments_root, log=log)
+    if shards is not None and shards > 1:
+        return ShardedCorpusSearcher(
+            corpus, index, shards=shards, scorer=scorer,
+            workers=workers, store=store, log=log,
+        )
     return CorpusSearcher(
         corpus, index, scorer=scorer, workers=workers, store=store, log=log,
     )
@@ -680,7 +665,7 @@ def serve(host: str = "127.0.0.1", port: int = 8765, workers: int = 2,
           cache_dir=None, verbose: bool = True, isolate: bool = True,
           mode: Optional[str] = None, timeout=None, retries: int = 1,
           corpus_dir=None, scorer: str = "cosine",
-          segmented: bool = False, shards: Optional[int] = None,
+          shards: Optional[int] = None,
           max_pending: Optional[int] = None,
           max_body_bytes: int = DEFAULT_MAX_BODY,
           max_jobs: Optional[int] = None,
@@ -708,7 +693,7 @@ def serve(host: str = "127.0.0.1", port: int = 8765, workers: int = 2,
     if corpus_dir is not None:
         searcher = build_searcher(
             corpus_dir, cache_dir=cache_dir, scorer=scorer, log=log,
-            segmented=segmented, shards=shards,
+            shards=shards,
         )
         if searcher.index.stale_for(searcher.corpus):
             log.event(
@@ -724,8 +709,7 @@ def serve(host: str = "127.0.0.1", port: int = 8765, workers: int = 2,
     service = MatchService(
         workers=workers, store=store, timeout=timeout, retries=retries,
         mode=mode, searcher=searcher, corpus_dir=corpus_dir,
-        cache_dir=cache_dir, scorer=scorer, segmented=segmented,
-        shards=shards,
+        cache_dir=cache_dir, scorer=scorer, shards=shards,
         max_pending=max_pending,
         max_body_bytes=max_body_bytes, max_jobs=max_jobs,
         trace_sample=trace_sample, trace_seed=trace_seed,

@@ -779,45 +779,100 @@ class TestHeterogeneousIndex:
 
 
 class TestSegmentedIndexCommands:
+    """Segments are the one on-disk index format of every command."""
+
     @pytest.fixture()
     def corpus_dir(self, tmp_path):
         return str(tmp_path / "corpus")
 
+    @staticmethod
+    def search_json(corpus_dir, capsys, *extra):
+        """One ``search --format json`` run: ``(payload without its
+        timing stats, stderr)``."""
+        assert main(["search", corpus_dir, *extra, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        payload.pop("stats")
+        return payload, captured.err
+
     def test_build_segmented_and_info(self, corpus_dir, capsys):
         assert main(["index", "build", corpus_dir, "builtin:PO1",
-                     "builtin:PO2", "--segmented"]) == 0
+                     "builtin:PO2"]) == 0
         output = capsys.readouterr().out
-        assert "segmented index covers 2 documents" in output
+        assert "index covers 2 documents" in output
         assert main(["index", "info", corpus_dir]) == 0
         info = capsys.readouterr().out
-        assert "segmented index: 2 documents in 1 segment" in info
+        assert "index: 2 documents in 1 segment," in info
         assert "fresh" in info
         assert Path(corpus_dir, "segments", "manifest.json").exists()
+        assert sorted(path.name for path in Path(corpus_dir).iterdir()) \
+            == ["manifest.json", "schemas", "segments"]
 
     def test_info_reports_stale_segments(self, corpus_dir, capsys):
-        main(["index", "build", corpus_dir, "builtin:PO1", "--segmented"])
+        from repro.corpus import SchemaCorpus
+        from repro.datasets import book
+
+        main(["index", "build", corpus_dir, "builtin:PO1"])
         capsys.readouterr()
-        # Mutate the corpus behind the segmented index's back: the
-        # monolithic index refreshes, the segmented one goes STALE.
-        main(["index", "add", corpus_dir, "builtin:Book"])
+        # Mutate the corpus behind the index's back: it goes STALE.
+        SchemaCorpus(corpus_dir).add(book())
         assert main(["index", "info", corpus_dir]) == 0
         info = capsys.readouterr().out
-        assert "segmented index:" in info
+        assert "index: 1 documents in 1 segment," in info
         assert "STALE" in info
 
     def test_add_segmented_refreshes(self, corpus_dir, capsys):
-        main(["index", "build", corpus_dir, "builtin:PO1", "--segmented"])
+        main(["index", "build", corpus_dir, "builtin:PO1"])
         capsys.readouterr()
-        assert main(["index", "add", corpus_dir, "builtin:Book",
-                     "--segmented"]) == 0
-        assert "segmented index covers 2 documents" in \
-            capsys.readouterr().out
+        assert main(["index", "add", corpus_dir, "builtin:Book"]) == 0
+        assert "index covers 2 documents" in capsys.readouterr().out
         assert main(["index", "info", corpus_dir]) == 0
         assert "2 documents in 2 segments" in capsys.readouterr().out
 
+    def test_add_after_build_finds_the_added_schema(self, corpus_dir,
+                                                    capsys):
+        # ``index add`` refreshes the index ``index build`` wrote, so the
+        # added schema is searchable at once and finds itself exactly.
+        main(["index", "build", corpus_dir, "builtin:PO1", "builtin:PO2"])
+        assert main(["index", "add", corpus_dir, "builtin:Book"]) == 0
+        capsys.readouterr()
+        payload, _ = self.search_json(corpus_dir, capsys, "builtin:Book",
+                                      "--k", "1", "--no-rerank")
+        assert payload["candidates"] > 0
+        assert payload["hits"][0]["name"] == "Book"
+        assert payload["hits"][0]["retrieval_score"] == 1.0
+        assert main(["index", "info", corpus_dir]) == 0
+        info = capsys.readouterr().out
+        assert "fresh" in info and "STALE" not in info
+
+    def test_search_warns_on_stale_index(self, corpus_dir, capsys,
+                                         monkeypatch):
+        from repro.corpus import SchemaCorpus, SegmentedCorpusIndex
+        from repro.datasets import book
+
+        main(["index", "build", corpus_dir, "builtin:PO1", "builtin:PO2"])
+        capsys.readouterr()
+        _, err = self.search_json(corpus_dir, capsys, "builtin:PO1",
+                                  "--no-rerank")
+        assert "stale" not in err
+        SchemaCorpus(corpus_dir).add(book())
+        stale, err = self.search_json(corpus_dir, capsys, "builtin:PO1",
+                                      "--no-rerank")
+        assert err.count("\n") == 1
+        assert err.startswith("warning: corpus index is stale")
+        assert "qmatch index build" in err
+        # The warning goes to stderr only: stdout is what the same
+        # search prints when no staleness is reported.
+        monkeypatch.setattr(SegmentedCorpusIndex, "stale_for",
+                            lambda self, corpus: False)
+        unwarned, err = self.search_json(corpus_dir, capsys, "builtin:PO1",
+                                         "--no-rerank")
+        assert err == ""
+        assert stale == unwarned
+
     def test_compact_folds_segments(self, corpus_dir, capsys):
-        main(["index", "build", corpus_dir, "builtin:PO1", "--segmented"])
-        main(["index", "add", corpus_dir, "builtin:Book", "--segmented"])
+        main(["index", "build", corpus_dir, "builtin:PO1"])
+        main(["index", "add", corpus_dir, "builtin:Book"])
         capsys.readouterr()
         assert main(["index", "compact", corpus_dir]) == 0
         assert "compacted 2 segments -> 1; dropped 0" in \
@@ -826,49 +881,73 @@ class TestSegmentedIndexCommands:
         assert "2 documents in 1 segment" in capsys.readouterr().out
 
     def test_compact_without_segments_rejected(self, corpus_dir, capsys):
-        main(["index", "build", corpus_dir, "builtin:PO1"])
-        capsys.readouterr()
+        from repro.corpus import SchemaCorpus
+
+        SchemaCorpus(corpus_dir).add(po1())
         assert main(["index", "compact", corpus_dir]) == 2
-        assert "no segmented index" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "has no index to compact" in err
+        assert "qmatch index build" in err
 
     def test_quiet_build_prints_nothing(self, corpus_dir, capsys):
         assert main(["index", "build", corpus_dir, "builtin:PO1",
-                     "--segmented", "--quiet"]) == 0
+                     "--quiet"]) == 0
         assert capsys.readouterr().out == ""
 
     def test_segmented_search_matches_monolithic(self, corpus_dir, capsys):
-        main(["index", "build", corpus_dir, "builtin:PO1", "builtin:PO2",
-              "builtin:Book"])
-        main(["index", "build", corpus_dir, "--segmented"])
-        capsys.readouterr()
-        assert main(["search", corpus_dir, "builtin:PO1", "--k", "2",
-                     "--no-rerank"]) == 0
-        monolithic = capsys.readouterr().out
-        assert main(["search", corpus_dir, "builtin:PO1", "--k", "2",
-                     "--no-rerank", "--segmented"]) == 0
-        assert capsys.readouterr().out == monolithic
-        assert main(["search", corpus_dir, "builtin:PO1", "--k", "2",
-                     "--no-rerank", "--segmented", "--shards", "2"]) == 0
-        assert capsys.readouterr().out == monolithic
+        # Every builtin, sealed into two segments: the index ranking is
+        # the golden one recorded from the former monolithic index, and
+        # sharding the scan does not change a byte of it.
+        from repro.datasets.registry import schema_names
+        from tests.corpus_golden import load_fixture
 
-    def test_shards_require_segmented(self, corpus_dir, capsys):
+        names = schema_names()
+        main(["index", "build", corpus_dir,
+              *(f"builtin:{name}" for name in names[:-1])])
+        main(["index", "add", corpus_dir, f"builtin:{names[-1]}"])
+        capsys.readouterr()
+        golden = load_fixture("builtins")["queries"]
+        for scorer in ("cosine", "bm25"):
+            for query in ("PO1", "Book"):
+                args = (f"builtin:{query}", "--no-rerank",
+                        "--scorer", scorer)
+                payload, _ = self.search_json(corpus_dir, capsys, *args)
+                assert [
+                    [hit["hash"], hit["name"], repr(hit["retrieval_score"]),
+                     repr(hit["lexical_score"]),
+                     repr(hit["structural_score"])]
+                    for hit in payload["hits"]
+                ] == golden[query][scorer]["search"]
+                sharded, _ = self.search_json(corpus_dir, capsys, *args,
+                                              "--shards", "2")
+                assert sharded == payload
+
+    def test_serve_rejects_bad_shards(self, corpus_dir, capsys):
+        assert main(["serve", "--corpus", corpus_dir,
+                     "--shards", "0"]) == 2
+        assert "invalid --shards 0" in capsys.readouterr().err
+
+    def test_search_rejects_bad_shards(self, corpus_dir, capsys):
         main(["index", "build", corpus_dir, "builtin:PO1"])
         capsys.readouterr()
         assert main(["search", corpus_dir, "builtin:PO1",
-                     "--shards", "2"]) == 2
-        assert "--shards requires --segmented" in capsys.readouterr().err
-
-    def test_serve_shards_require_segmented(self, corpus_dir, capsys):
-        assert main(["serve", "--corpus", corpus_dir, "--shards", "2"]) == 2
-        assert "--shards requires --segmented" in capsys.readouterr().err
-        assert main(["serve", "--corpus", corpus_dir, "--segmented",
                      "--shards", "0"]) == 2
         assert "invalid --shards 0" in capsys.readouterr().err
 
     def test_segmented_search_without_segments_rejected(self, corpus_dir,
                                                         capsys):
-        main(["index", "build", corpus_dir, "builtin:PO1"])
-        capsys.readouterr()
-        assert main(["search", corpus_dir, "builtin:PO1",
-                     "--segmented"]) == 2
-        assert "qmatch index build --segmented" in capsys.readouterr().err
+        from repro.corpus import SchemaCorpus
+
+        # A corpus indexed in the former single-file format: its schemas
+        # are there, its segment manifest is not.
+        SchemaCorpus(corpus_dir).add(po1())
+        Path(corpus_dir, "index.json").write_text("{}", encoding="utf-8")
+        assert main(["search", corpus_dir, "builtin:PO1"]) == 2
+        err = capsys.readouterr().err
+        assert "has no index" in err
+        assert err.rstrip().endswith("build it with qmatch index build")
+        # Rebuilding from the corpus manifest makes it searchable.
+        assert main(["index", "build", corpus_dir, "--quiet"]) == 0
+        payload, _ = self.search_json(corpus_dir, capsys, "builtin:PO1",
+                                      "--no-rerank")
+        assert payload["hits"][0]["name"] == "PO1"

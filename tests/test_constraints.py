@@ -25,7 +25,11 @@ from repro.constraints import (
     load_constraint_file,
     parse_constraint,
 )
-from repro.corpus import CorpusIndex, CorpusSearcher, SchemaCorpus
+from repro.corpus import (
+    CorpusSearcher,
+    SchemaCorpus,
+    SegmentedCorpusIndex,
+)
 from repro.datasets import book, po1, po2, registry
 from repro.service.runner import BatchRunner
 from repro.service.manifest import load_manifest
@@ -434,7 +438,7 @@ def builtin_searcher(tmp_path_factory):
     corpus = SchemaCorpus(tmp_path_factory.mktemp("corpus") / "builtin")
     for name in registry.schema_names():
         corpus.add(registry.load_schema(name))
-    return CorpusSearcher(corpus, CorpusIndex.build(corpus))
+    return CorpusSearcher(corpus, SegmentedCorpusIndex.build(corpus))
 
 
 class TestSearchFiltering:

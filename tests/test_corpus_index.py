@@ -1,4 +1,11 @@
-"""Tests for the blocking indexes (repro.corpus.indexes)."""
+"""Tests for the blocking features (repro.corpus.indexes) and the
+retrieval properties of the corpus index built from them.
+
+The lexical and structural scoring properties are exercised on
+:class:`~repro.corpus.segments.SegmentedCorpusIndex`, the one on-disk
+index, over small schemas whose label tokens are exactly the multisets
+under test.
+"""
 
 from __future__ import annotations
 
@@ -6,19 +13,53 @@ from collections import Counter
 
 import pytest
 
-from repro.corpus import SchemaCorpus
+from repro.corpus import (
+    CorpusError,
+    SchemaCorpus,
+    Segment,
+    SegmentedCorpusIndex,
+    SegmentError,
+)
 from repro.corpus.indexes import (
-    INDEX_NAME,
-    CorpusIndex,
     IndexConfig,
     IndexError_,
-    InvertedIndex,
     MinHashIndex,
     label_tokens,
     schema_shingles,
     schema_tokens,
 )
+from repro.corpus.segments import SEGMENT_MANIFEST_NAME, SEGMENTS_DIR
 from repro.linguistic.thesaurus import Thesaurus
+from repro.xsd.builder import element, tree
+
+#: Surface tokens only, so a schema's labels are its token multiset.
+PLAIN = IndexConfig(use_stemming=False, use_thesaurus=False)
+
+
+def token_tree(counts):
+    """A schema whose label tokens are exactly ``counts`` (one node per
+    token occurrence, chained so no two siblings share a name)."""
+    names = [token for token, tf in counts.items() for _ in range(tf)]
+    node = element(names[-1], type_name="string")
+    for name in reversed(names[:-1]):
+        node = element(name, node)
+    return tree(node)
+
+
+def flat_tree(root, labels):
+    """A root with one leaf child per label (shingle-set control)."""
+    return tree(element(
+        root, *(element(label, type_name="string") for label in labels)
+    ))
+
+
+def token_index(root, docs, config=PLAIN):
+    """A single-segment index over ``{doc_id: token counts}``."""
+    index = SegmentedCorpusIndex(root, config=config, auto_compact=False)
+    index.add_batch(
+        (doc_id, token_tree(counts)) for doc_id, counts in docs.items()
+    )
+    return index
 
 
 @pytest.fixture()
@@ -79,51 +120,56 @@ class TestFeatureExtraction:
 
 
 class TestInvertedIndex:
-    def test_scores_only_sharing_documents(self):
-        index = InvertedIndex()
-        index.add("a", {"order": 2, "item": 1})
-        index.add("b", {"protein": 3})
-        scores = index.scores(Counter({"order": 1}))
+    """Lexical retrieval properties of the index (cosine scorer)."""
+
+    def test_scores_only_sharing_documents(self, tmp_path):
+        index = token_index(tmp_path, {
+            "a": {"order": 2, "item": 1}, "b": {"protein": 3},
+        })
+        scores = index._lexical_scores(Counter({"order": 1}))
         assert "a" in scores and "b" not in scores
         assert 0.0 < scores["a"] <= 1.0
 
-    def test_identical_document_scores_highest(self):
-        index = InvertedIndex()
-        index.add("same", {"order": 2, "item": 1})
-        index.add("other", {"order": 1, "shipping": 4})
-        scores = index.scores(Counter({"order": 2, "item": 1}))
+    def test_identical_document_scores_highest(self, tmp_path):
+        index = token_index(tmp_path, {
+            "same": {"order": 2, "item": 1},
+            "other": {"order": 1, "shipping": 4},
+        })
+        scores = index._lexical_scores(Counter({"order": 2, "item": 1}))
         assert scores["same"] > scores["other"]
         assert scores["same"] == pytest.approx(1.0)
 
-    def test_readd_replaces(self):
-        index = InvertedIndex()
-        index.add("a", {"order": 1})
-        index.add("a", {"item": 1})
+    def test_readd_replaces(self, tmp_path):
+        index = token_index(tmp_path, {"a": {"order": 1}})
+        assert index.remove("a")
+        assert index.add_batch([("a", token_tree({"item": 1}))]) == 1
         assert index.document_count == 1
-        assert not index.scores(Counter({"order": 1}))
-        assert index.scores(Counter({"item": 1}))
+        assert not index._lexical_scores(Counter({"order": 1}))
+        assert index._lexical_scores(Counter({"item": 1}))
 
-    def test_remove_cleans_postings(self):
-        index = InvertedIndex()
-        index.add("a", {"order": 1})
+    def test_remove_cleans_postings(self, tmp_path):
+        index = token_index(tmp_path, {"a": {"order": 1}})
         index.remove("a")
         assert index.document_count == 0
-        assert index.token_count == 0
+        # The fully tombstoned segment is dropped, postings and all.
+        assert index.segment_count == 0
+        assert index._lexical_scores(Counter({"order": 1})) == {}
 
-    def test_idf_favours_rare_tokens(self):
-        index = InvertedIndex()
-        for i in range(5):
-            index.add(f"doc{i}", {"common": 1})
-        index.add("doc5", {"common": 1, "rare": 1})
-        assert index.idf("rare") > index.idf("common") > 0.0
+    def test_idf_favours_rare_tokens(self, tmp_path):
+        docs = {f"doc{i}": {"common": 1} for i in range(5)}
+        docs["doc5"] = {"common": 1, "rare": 1}
+        index = token_index(tmp_path, docs)
+        stats = index._ensure_stats()
+        assert index._idf("rare", stats) > index._idf("common", stats) > 0.0
 
-    def test_empty_query(self):
-        index = InvertedIndex()
-        index.add("a", {"order": 1})
-        assert index.scores(Counter()) == {}
+    def test_empty_query(self, tmp_path):
+        index = token_index(tmp_path, {"a": {"order": 1}})
+        assert index._lexical_scores(Counter()) == {}
 
 
 class TestMinHashIndex:
+    """The MinHash hasher and the index's LSH blocking on top of it."""
+
     def test_signature_deterministic(self):
         a = MinHashIndex(seed=7)
         b = MinHashIndex(seed=7)
@@ -131,79 +177,109 @@ class TestMinHashIndex:
         assert a.signature(shingles) == b.signature(shingles)
         assert a.signature(shingles) != MinHashIndex(seed=8).signature(shingles)
 
-    def test_estimate_tracks_jaccard(self):
-        index = MinHashIndex(num_perm=128, bands=32)
-        base = frozenset(f"token{i}" for i in range(40))
-        near = frozenset(sorted(base)[:36]) | {"x1", "x2", "x3", "x4"}
-        far = frozenset(f"other{i}" for i in range(40))
-        index.add("near", index.signature(near))
-        index.add("far", index.signature(far))
-        query = index.signature(base)
+    def test_estimate_tracks_jaccard(self, tmp_path):
+        config = IndexConfig(num_perm=128, bands=32)
+        base = [f"token{i}" for i in range(40)]
+        near = base[:36] + ["x1", "x2", "x3", "x4"]
+        far = [f"other{i}" for i in range(40)]
+        index = SegmentedCorpusIndex(tmp_path, config=config)
+        index.add_batch([
+            ("near", flat_tree("Root", near)),
+            ("far", flat_tree("Root", far)),
+        ])
+        query = index.query_signature(flat_tree("Root", base))
         assert index.estimate(query, "near") > 0.5
         assert index.estimate(query, "far") < 0.2
 
-    def test_candidates_via_banding(self):
-        index = MinHashIndex()
-        base = frozenset(f"token{i}" for i in range(30))
-        index.add("identical", index.signature(base))
-        index.add("unrelated",
-                  index.signature(frozenset(f"x{i}" for i in range(30))))
-        candidates = index.candidates(index.signature(base))
+    def test_candidates_via_banding(self, tmp_path):
+        index = SegmentedCorpusIndex(tmp_path)
+        base = flat_tree("Root", [f"token{i}" for i in range(30)])
+        index.add_batch([
+            ("identical", base),
+            ("unrelated", flat_tree("Other", [f"x{i}" for i in range(30)])),
+        ])
+        _, candidates = index.retrieve_scores(
+            index.query_tokens(base), index.query_signature(base)
+        )
         assert "identical" in candidates
         assert "unrelated" not in candidates
 
-    def test_remove(self):
-        index = MinHashIndex()
-        shingles = frozenset({"a", "b"})
-        index.add("doc", index.signature(shingles))
+    def test_remove(self, tmp_path):
+        index = SegmentedCorpusIndex(tmp_path)
+        doc = flat_tree("a", ["b"])
+        index.add_batch([("doc", doc)])
         index.remove("doc")
         assert index.document_count == 0
-        assert index.candidates(index.signature(shingles)) == set()
+        _, candidates = index.retrieve_scores(
+            index.query_tokens(doc), index.query_signature(doc)
+        )
+        assert candidates == set()
 
-    def test_signature_length_checked(self):
-        index = MinHashIndex(num_perm=16, bands=4)
-        with pytest.raises(IndexError_, match="length"):
-            index.add("doc", (1, 2, 3))
+    def test_signature_length_checked(self, tmp_path):
+        hasher = MinHashIndex(num_perm=16, bands=4)
+        assert len(hasher.signature(frozenset({"a", "b"}))) == 16
+        assert len(list(hasher.band_keys(hasher.signature(frozenset())))) \
+            == 4
+        with pytest.raises(SegmentError, match="length"):
+            Segment.write(tmp_path / "seg", "seg-000001",
+                          [("doc", [], (1, 2, 3))], num_perm=16)
 
     def test_empty_shingles_collide_only_with_empty(self):
-        index = MinHashIndex()
-        empty_sig = index.signature(frozenset())
-        index.add("empty", empty_sig)
-        assert index.estimate(empty_sig, "empty") == 1.0
+        hasher = MinHashIndex()
+        empty = hasher.signature(frozenset())
+        assert hasher.signature(frozenset()) == empty
+        other = hasher.signature(frozenset({"order", "order>item"}))
+        # No position agrees, so the two share no LSH band either.
+        assert not any(a == b for a, b in zip(empty, other))
+        assert not set(hasher.band_keys(empty)) \
+            & set(hasher.band_keys(other))
 
 
 @pytest.fixture()
 def builtin_corpus(tmp_path, po1_tree, po2_tree, book_tree, article_tree):
     corpus = SchemaCorpus(tmp_path / "corpus")
-    for tree in (po1_tree, po2_tree, book_tree, article_tree):
-        corpus.add(tree)
+    for tree_ in (po1_tree, po2_tree, book_tree, article_tree):
+        corpus.add(tree_)
     return corpus
 
 
+def fresh_scores(corpus, tmp_path, query_tree, scorer="cosine"):
+    """Lexical scores of a fresh single-segment build (the reference)."""
+    fresh = SegmentedCorpusIndex.build(corpus, root=tmp_path / "fresh")
+    return fresh._lexical_scores(fresh.query_tokens(query_tree),
+                                 scorer=scorer)
+
+
 class TestCorpusIndex:
+    """Build, persistence and refresh of the corpus index."""
+
     def test_build_covers_corpus(self, builtin_corpus):
-        index = CorpusIndex.build(builtin_corpus)
+        index = SegmentedCorpusIndex.build(builtin_corpus)
         assert index.document_count == len(builtin_corpus)
+        assert index.segment_count == 1
         assert not index.stale_for(builtin_corpus)
 
-    def test_save_load_round_trip(self, builtin_corpus, tmp_path):
-        index = CorpusIndex.build(builtin_corpus)
-        path = tmp_path / INDEX_NAME
-        index.save(path)
-        loaded = CorpusIndex.load(path)
-        assert loaded.to_payload() == index.to_payload()
-        assert loaded.save(tmp_path / "again.json").read_bytes() == \
-            path.read_bytes()
+    def test_save_load_round_trip(self, builtin_corpus):
+        index = SegmentedCorpusIndex.build(builtin_corpus)
+        opened = SegmentedCorpusIndex.open(index.root)
+        assert opened.manifest_payload() == index.manifest_payload()
+        assert opened.live_doc_ids() == index.live_doc_ids()
+        tokens = index.query_tokens(builtin_corpus.load("Book"))
+        assert opened._lexical_scores(tokens) == index._lexical_scores(tokens)
 
     def test_rebuild_is_byte_identical(self, builtin_corpus, tmp_path):
-        CorpusIndex.build(builtin_corpus).save(tmp_path / "a.json")
-        CorpusIndex.build(builtin_corpus).save(tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == \
-            (tmp_path / "b.json").read_bytes()
+        first = SegmentedCorpusIndex.build(builtin_corpus, root=tmp_path / "a")
+        second = SegmentedCorpusIndex.build(builtin_corpus,
+                                            root=tmp_path / "b")
+        for path in first.root.rglob("*"):
+            if path.is_file():
+                relative = path.relative_to(first.root)
+                assert path.read_bytes() \
+                    == (second.root / relative).read_bytes()
 
     def test_refresh_equals_rebuild(self, builtin_corpus, tmp_path,
                                     human_tree, library_tree):
-        index = CorpusIndex.build(builtin_corpus)
+        index = SegmentedCorpusIndex.build(builtin_corpus)
         builtin_corpus.add(human_tree)
         builtin_corpus.add(library_tree)
         builtin_corpus.remove("PO2")
@@ -211,30 +287,32 @@ class TestCorpusIndex:
         added, removed = index.refresh(builtin_corpus)
         assert (added, removed) == (2, 1)
         assert not index.stale_for(builtin_corpus)
-        index.save(tmp_path / "refreshed.json")
-        CorpusIndex.build(builtin_corpus).save(tmp_path / "rebuilt.json")
-        assert (tmp_path / "refreshed.json").read_bytes() == \
-            (tmp_path / "rebuilt.json").read_bytes()
+        assert index.live_doc_ids() \
+            == {entry.hash for entry in builtin_corpus.entries()}
+        for scorer in ("cosine", "bm25"):
+            for entry in builtin_corpus.entries():
+                tree_ = builtin_corpus.load(entry.hash)
+                assert index._lexical_scores(
+                    index.query_tokens(tree_), scorer=scorer
+                ) == fresh_scores(builtin_corpus, tmp_path, tree_, scorer)
 
-    def test_refresh_after_removal_only(self, builtin_corpus):
-        index = CorpusIndex.build(builtin_corpus)
+    def test_refresh_after_removal_only(self, builtin_corpus, tmp_path):
+        index = SegmentedCorpusIndex.build(builtin_corpus)
         removed = builtin_corpus.entry("PO2").hash
         builtin_corpus.remove("PO2")
         assert index.stale_for(builtin_corpus)
         assert index.refresh(builtin_corpus) == (0, 1)
         assert not index.stale_for(builtin_corpus)
-        assert removed not in index.inverted.document_ids()
+        assert removed not in index.live_doc_ids()
         # Removal shifts N and every df: post-refresh scores must match
         # a from-scratch build over the remaining documents.
-        tree = builtin_corpus.load("PO1")
-        tokens = index.query_tokens(tree)
-        fresh = CorpusIndex.build(builtin_corpus)
-        assert index.inverted.scores(tokens) \
-            == fresh.inverted.scores(tokens)
+        tree_ = builtin_corpus.load("PO1")
+        assert index._lexical_scores(index.query_tokens(tree_)) \
+            == fresh_scores(builtin_corpus, tmp_path, tree_)
 
     def test_refresh_after_remove_and_readd_same_name(self, builtin_corpus,
                                                       po2_tree):
-        index = CorpusIndex.build(builtin_corpus)
+        index = SegmentedCorpusIndex.build(builtin_corpus)
         old_hash = builtin_corpus.entry("PO2").hash
         builtin_corpus.remove("PO2")
         index.refresh(builtin_corpus)
@@ -242,22 +320,40 @@ class TestCorpusIndex:
         assert index.stale_for(builtin_corpus)
         assert index.refresh(builtin_corpus) == (1, 0)
         assert not index.stale_for(builtin_corpus)
-        assert old_hash in index.inverted.document_ids()
+        assert old_hash in index.live_doc_ids()
         assert index.document_count == len(builtin_corpus)
 
     def test_version_mismatch_rejected(self, builtin_corpus):
-        payload = CorpusIndex.build(builtin_corpus).to_payload()
-        payload["version"] = 99
-        with pytest.raises(IndexError_, match="version"):
-            CorpusIndex.from_payload(payload)
+        index = SegmentedCorpusIndex.build(builtin_corpus)
+        manifest = index.root / SEGMENT_MANIFEST_NAME
+        manifest.write_text(
+            manifest.read_text(encoding="utf-8").replace(
+                '"version": 1', '"version": 99'
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(SegmentError, match="version"):
+            SegmentedCorpusIndex.open(index.root)
 
-    def test_load_missing_path(self, tmp_path):
-        with pytest.raises(IndexError_, match="no index"):
-            CorpusIndex.load(tmp_path / "absent.json")
+    def test_load_missing_path(self, builtin_corpus):
+        # A corpus without a segment manifest (never indexed, or indexed
+        # in an older format) must be rebuilt, and the error says how.
+        from repro.service.server import build_searcher
 
-    def test_no_thesaurus_config_uses_empty_thesaurus(self):
-        index = CorpusIndex(IndexConfig(use_thesaurus=False))
+        assert not (builtin_corpus.root / SEGMENTS_DIR).exists()
+        with pytest.raises(CorpusError, match="qmatch index build$"):
+            build_searcher(builtin_corpus.root)
+        with pytest.raises(SegmentError, match="qmatch index build$"):
+            SegmentedCorpusIndex.open(builtin_corpus.root / SEGMENTS_DIR)
+
+    def test_no_thesaurus_config_uses_empty_thesaurus(self, tmp_path):
+        index = SegmentedCorpusIndex(
+            tmp_path, config=IndexConfig(use_thesaurus=False)
+        )
         assert index.thesaurus.expand_abbreviation("qty") is None
+        # Nor do the index's query tokens expand abbreviations.
+        assert index.query_tokens(token_tree({"qty": 1})) \
+            == Counter({"qty": 1})
 
 
 class TestIndexingEdgeCaseLabels:
@@ -265,8 +361,6 @@ class TestIndexingEdgeCaseLabels:
 
     @pytest.fixture()
     def odd_tree(self):
-        from repro.xsd.builder import element, tree
-
         return tree(element(
             "Straße",
             element("addr2", type_name="string"),
@@ -285,63 +379,83 @@ class TestIndexingEdgeCaseLabels:
     def test_self_retrieval(self, tmp_path, odd_tree):
         corpus = SchemaCorpus(tmp_path / "odd")
         entry = corpus.add(odd_tree, name="Odd")
-        index = CorpusIndex.build(corpus)
-        scores = index.inverted.scores(index.query_tokens(odd_tree))
-        assert scores[entry.hash] == pytest.approx(1.0)
-        assert entry.hash in index.minhash.candidates(
-            index.query_signature(odd_tree)
+        index = SegmentedCorpusIndex.build(corpus)
+        scores, candidates = index.retrieve_scores(
+            index.query_tokens(odd_tree), index.query_signature(odd_tree)
         )
+        assert scores[entry.hash] == pytest.approx(1.0)
+        assert entry.hash in candidates
 
 
 class TestBM25Scoring:
     """The second lexical scorer over the same postings."""
 
     @pytest.fixture()
-    def index(self):
-        index = InvertedIndex()
-        index.add("short", Counter({"order": 2, "ship": 1}))
-        index.add("long", Counter({"order": 2, "book": 5, "author": 4,
-                                   "title": 4}))
-        index.add("books", Counter({"book": 3, "title": 1}))
-        return index
+    def index(self, tmp_path):
+        return token_index(tmp_path / "index", {
+            "short": {"order": 2, "ship": 1},
+            "long": {"order": 2, "book": 5, "author": 4, "title": 4},
+            "books": {"book": 3, "title": 1},
+        })
 
     def test_scores_dispatch(self, index):
         query = Counter({"order": 1})
-        assert index.scores(query, scorer="bm25") == index.bm25_scores(query)
-        assert index.scores(query) == index.cosine_scores(query)
-        with pytest.raises(IndexError_, match="unknown scorer"):
-            index.scores(query, scorer="tfidf")
+        signature = index.query_signature(token_tree(query))
+        bm25 = index._lexical_scores(query, scorer="bm25")
+        cosine = index._lexical_scores(query)
+        assert bm25 != cosine
+        assert index.retrieve_scores(query, signature, scorer="bm25")[0] \
+            == bm25
+        assert index.retrieve_scores(query, signature)[0] == cosine
+        with pytest.raises(SegmentError, match="unknown scorer"):
+            index._lexical_scores(query, scorer="tfidf")
 
     def test_normalized_to_unit_interval(self, index):
-        scores = index.bm25_scores(Counter({"order": 1, "book": 1}))
+        scores = index._lexical_scores(Counter({"order": 1, "book": 1}),
+                                       scorer="bm25")
         assert scores
         assert all(0.0 < score <= 1.0 for score in scores.values())
         assert max(scores.values()) == pytest.approx(1.0)
 
     def test_only_documents_with_evidence_score(self, index):
-        scores = index.bm25_scores(Counter({"order": 1}))
+        scores = index._lexical_scores(Counter({"order": 1}), scorer="bm25")
         assert set(scores) == {"short", "long"}
-        assert index.bm25_scores(Counter({"nothing": 3})) == {}
-        assert index.bm25_scores(Counter()) == {}
+        assert index._lexical_scores(Counter({"nothing": 3}),
+                                     scorer="bm25") == {}
+        assert index._lexical_scores(Counter(), scorer="bm25") == {}
 
     def test_length_normalization_prefers_shorter_document(self, index):
         # Both carry tf("order") == 2; BM25's b-term penalizes the
         # longer document, where cosine-style tf alone would tie them.
-        scores = index.bm25_scores(Counter({"order": 1}))
+        scores = index._lexical_scores(Counter({"order": 1}), scorer="bm25")
         assert scores["short"] > scores["long"]
 
-    def test_lengths_survive_add_and_remove(self, index):
-        assert index.average_length == pytest.approx((3 + 15 + 4) / 3)
-        index.remove("long")
-        assert index.average_length == pytest.approx((3 + 4) / 2)
-        index.add("long", Counter({"order": 1}))
-        assert index.average_length == pytest.approx((3 + 4 + 1) / 3)
+    def test_lengths_survive_add_and_remove(self, index, tmp_path):
+        def average_length():
+            stats = index._ensure_stats()
+            return stats["total_length"] / stats["n"]
 
-    def test_common_token_still_contributes(self):
+        assert average_length() == pytest.approx((3 + 15 + 4) / 3)
+        index.remove("long")
+        assert average_length() == pytest.approx((3 + 4) / 2)
+        index.add_batch([("long", token_tree({"order": 1}))])
+        assert average_length() == pytest.approx((3 + 4 + 1) / 3)
+        # Tombstone plus a second segment scores exactly like one
+        # fresh segment over the same three documents.
+        fresh = token_index(tmp_path / "fresh", {
+            "short": {"order": 2, "ship": 1},
+            "books": {"book": 3, "title": 1},
+            "long": {"order": 1},
+        })
+        query = Counter({"order": 1, "title": 1})
+        assert index._lexical_scores(query, scorer="bm25") \
+            == fresh._lexical_scores(query, scorer="bm25")
+
+    def test_common_token_still_contributes(self, tmp_path):
         # df == N floors the Robertson idf at epsilon instead of zero,
         # so tiny corpora where every schema shares a token still rank.
-        index = InvertedIndex()
-        index.add("a", Counter({"order": 4}))
-        index.add("b", Counter({"order": 1}))
-        scores = index.bm25_scores(Counter({"order": 1}))
+        index = token_index(tmp_path, {
+            "a": {"order": 4}, "b": {"order": 1},
+        })
+        scores = index._lexical_scores(Counter({"order": 1}), scorer="bm25")
         assert scores["a"] > scores["b"] > 0.0

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.corpus import CorpusIndex, CorpusSearcher, SchemaCorpus
+from repro.corpus import (
+    CorpusSearcher,
+    SchemaCorpus,
+    SegmentedCorpusIndex,
+)
 from repro.datasets import registry
 from repro import make_matcher
 
@@ -19,7 +23,7 @@ def builtin_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def builtin_index(builtin_corpus):
-    return CorpusIndex.build(builtin_corpus)
+    return SegmentedCorpusIndex.build(builtin_corpus)
 
 
 @pytest.fixture()

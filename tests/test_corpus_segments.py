@@ -1,12 +1,17 @@
-"""Segmented corpus index: packed payloads, score parity, tombstones,
-compaction, lazy loading (repro.corpus.segments)."""
+"""Segmented corpus index: packed payloads, golden score parity,
+tombstones, compaction, lazy loading (repro.corpus.segments).
+
+Score references are the frozen goldens of :mod:`tests.corpus_golden`
+(recorded from the former monolithic index) and, for corpora the
+goldens do not cover, a fresh single-segment build over the same live
+documents -- the build those goldens pin.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.corpus import (
-    CorpusIndex,
     CorpusSearcher,
     SchemaCorpus,
     Segment,
@@ -24,6 +29,7 @@ from repro.corpus.segments import (
 )
 from repro.datasets.registry import load_schema, schema_names
 from repro.xsd.generator import SchemaGenerator, synthetic_corpus_configs
+from tests.corpus_golden import load_fixture
 
 
 def synth_trees(count, n_nodes=8, max_depth=2):
@@ -112,6 +118,25 @@ class TestSegment:
         first = segment.load(hasher).postings
         assert segment.load(hasher).postings is first
 
+    def test_load_publishes_last(self, tmp_path, monkeypatch):
+        # Sharded scans load segments lazily from several threads: a
+        # segment must not report ``loaded`` while it is half decoded.
+        from repro.corpus import segments
+
+        Segment.write(tmp_path / "seg", "seg-000001", self.DOCS, num_perm=4)
+        segment = Segment(tmp_path / "seg")
+        seen = []
+        real_unpack = segments.unpack_signatures
+
+        def unpack_and_peek(blob):
+            seen.append((segment.loaded, segment.postings))
+            return real_unpack(blob)
+
+        monkeypatch.setattr(segments, "unpack_signatures", unpack_and_peek)
+        segment.load(MinHashIndex(num_perm=4, bands=2))
+        assert seen == [(False, None)]
+        assert segment.loaded and segment.postings is not None
+
     def test_missing_meta_rejected(self, tmp_path):
         with pytest.raises(SegmentError, match=SEGMENT_META_NAME):
             Segment(tmp_path / "absent")
@@ -130,29 +155,20 @@ class TestSegment:
 
 
 # ----------------------------------------------------------------------
-# Score parity with the monolithic index (the acceptance assertion)
+# Score parity with the frozen goldens (the acceptance assertion)
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def full_corpus(tmp_path_factory):
-    """Every builtin schema in one corpus (the acceptance fixture)."""
+    """Every builtin schema in one corpus (the golden fixture corpus)."""
     corpus = SchemaCorpus(tmp_path_factory.mktemp("segments") / "corpus")
     corpus.add_many([load_schema(name) for name in schema_names()])
     return corpus
 
 
 @pytest.fixture(scope="module")
-def mono_index(full_corpus):
-    # Freshly built (not save/load round-tripped): the monolithic JSON
-    # payload sorts each document's token vector, so a *loaded* index
-    # accumulates norms in sorted order while builds (segmented and
-    # monolithic alike) use extraction order.  Parity is defined against
-    # the build.
-    return CorpusIndex.build(full_corpus)
-
-
-@pytest.fixture(scope="module")
 def seg_index(full_corpus):
+    """A fresh single-segment build: the reference layout."""
     return SegmentedCorpusIndex.build(full_corpus)
 
 
@@ -171,83 +187,107 @@ def multi_seg_index(full_corpus, tmp_path_factory):
     return index
 
 
+@pytest.fixture(scope="module")
+def golden():
+    """Per-query golden cases of the builtins corpus, keyed by name."""
+    return load_fixture("builtins")["queries"]
+
+
+def named_scores(corpus, scores) -> dict:
+    """``{doc_id: float}`` as the goldens store it: ``{name: repr}``."""
+    return {
+        corpus.entry(doc_id).name: repr(score)
+        for doc_id, score in scores.items()
+    }
+
+
 class TestMonolithicParity:
+    """Every layout reproduces the monolithic-recorded goldens."""
+
     @pytest.mark.parametrize("scorer", ["cosine", "bm25"])
-    def test_lexical_scores_byte_identical(self, full_corpus, mono_index,
-                                           seg_index, scorer):
+    def test_lexical_scores_byte_identical(self, full_corpus, seg_index,
+                                           golden, scorer):
         for entry in full_corpus.entries():
-            tree = full_corpus.load(entry.hash)
-            tokens = mono_index.query_tokens(tree)
-            expected = mono_index.inverted.scores(tokens, scorer=scorer)
-            assert seg_index._lexical_scores(tokens, scorer=scorer) \
-                == expected
+            tokens = seg_index.query_tokens(full_corpus.load(entry.hash))
+            assert named_scores(
+                full_corpus, seg_index._lexical_scores(tokens, scorer=scorer)
+            ) == golden[entry.name][scorer]["lexical"]
 
     @pytest.mark.parametrize("scorer", ["cosine", "bm25"])
     def test_multi_segment_scores_byte_identical(self, full_corpus,
-                                                 mono_index,
-                                                 multi_seg_index, scorer):
+                                                 multi_seg_index, golden,
+                                                 scorer):
         # Splitting the corpus across segments must not move a single
         # bit: IDF and norms come from the merged statistics.
+        assert multi_seg_index.segment_count > 1
+        for entry in full_corpus.entries():
+            tokens = multi_seg_index.query_tokens(
+                full_corpus.load(entry.hash)
+            )
+            assert named_scores(
+                full_corpus,
+                multi_seg_index._lexical_scores(tokens, scorer=scorer),
+            ) == golden[entry.name][scorer]["lexical"]
+
+    def test_structural_candidates_identical(self, full_corpus,
+                                             multi_seg_index, golden):
         for entry in full_corpus.entries():
             tree = full_corpus.load(entry.hash)
-            tokens = mono_index.query_tokens(tree)
-            expected = mono_index.inverted.scores(tokens, scorer=scorer)
-            assert multi_seg_index._lexical_scores(tokens, scorer=scorer) \
-                == expected
+            _, candidates = multi_seg_index.retrieve_scores(
+                multi_seg_index.query_tokens(tree),
+                multi_seg_index.query_signature(tree),
+            )
+            assert sorted(
+                full_corpus.entry(doc_id).name for doc_id in candidates
+            ) == golden[entry.name]["candidates"]
 
-    def test_structural_candidates_identical(self, full_corpus, mono_index,
-                                             multi_seg_index):
+    def test_jaccard_estimates_identical(self, full_corpus, multi_seg_index,
+                                         golden):
         for entry in full_corpus.entries():
-            tree = full_corpus.load(entry.hash)
-            signature = mono_index.query_signature(tree)
-            assert multi_seg_index.minhash.candidates(signature) \
-                == mono_index.minhash.candidates(signature)
-
-    def test_jaccard_estimates_identical(self, full_corpus, mono_index,
-                                         multi_seg_index):
-        tree = full_corpus.load("PO1")
-        signature = mono_index.query_signature(tree)
-        for entry in full_corpus.entries():
-            assert multi_seg_index.minhash.estimate(signature, entry.hash) \
-                == mono_index.minhash.estimate(signature, entry.hash)
+            signature = multi_seg_index.query_signature(
+                full_corpus.load(entry.hash)
+            )
+            expected = golden[entry.name]["estimates"]
+            assert {
+                name: repr(multi_seg_index.estimate(
+                    signature, full_corpus.entry(name).hash
+                ))
+                for name in expected
+            } == expected
 
     @pytest.mark.parametrize("scorer", ["cosine", "bm25"])
-    def test_top_k_ids_and_scores_identical(self, full_corpus, mono_index,
-                                            seg_index, scorer):
-        # The acceptance check: segmented retrieval returns the same
-        # ranked ids with the same floats as the monolithic index.
-        mono = CorpusSearcher(full_corpus, mono_index, scorer=scorer)
-        segmented = CorpusSearcher(full_corpus, seg_index, scorer=scorer)
-        for entry in full_corpus.entries():
-            tree = full_corpus.load(entry.hash)
-            expected = mono.search(tree, k=10, rerank=False)
-            got = segmented.search(tree, k=10, rerank=False)
-            assert [
-                (hit.hash, hit.retrieval_score, hit.lexical_score,
-                 hit.structural_score)
-                for hit in got.hits
-            ] == [
-                (hit.hash, hit.retrieval_score, hit.lexical_score,
-                 hit.structural_score)
-                for hit in expected.hits
-            ]
+    def test_top_k_ids_and_scores_identical(self, full_corpus, seg_index,
+                                            multi_seg_index, golden, scorer):
+        # The acceptance check: retrieval returns the golden ranked ids
+        # with the golden floats, whatever the segment layout.
+        for index in (seg_index, multi_seg_index):
+            searcher = CorpusSearcher(full_corpus, index, scorer=scorer)
+            for entry in full_corpus.entries():
+                got = searcher.search(full_corpus.load(entry.hash), k=10,
+                                      rerank=False)
+                assert [
+                    [hit.hash, hit.name, repr(hit.retrieval_score),
+                     repr(hit.lexical_score), repr(hit.structural_score)]
+                    for hit in got.hits
+                ] == golden[entry.name][scorer]["search"]
 
-    def test_reopened_index_scores_identical(self, full_corpus, mono_index,
-                                             seg_index):
+    def test_reopened_index_scores_identical(self, full_corpus, seg_index,
+                                             golden):
         reopened = SegmentedCorpusIndex.open(
             full_corpus.root / SEGMENTS_DIR
         )
-        tree = full_corpus.load("Book")
-        tokens = mono_index.query_tokens(tree)
-        assert reopened._lexical_scores(tokens) \
-            == mono_index.inverted.scores(tokens)
+        tokens = seg_index.query_tokens(full_corpus.load("Book"))
+        scores = reopened._lexical_scores(tokens)
+        assert scores == seg_index._lexical_scores(tokens)
+        assert named_scores(full_corpus, scores) \
+            == golden["Book"]["cosine"]["lexical"]
 
-    def test_document_counts_agree(self, full_corpus, mono_index,
-                                   seg_index, multi_seg_index):
-        assert seg_index.document_count == mono_index.document_count
-        assert multi_seg_index.document_count == mono_index.document_count
-        assert seg_index.inverted.document_ids() \
-            == mono_index.inverted.document_ids()
+    def test_document_counts_agree(self, full_corpus, seg_index,
+                                   multi_seg_index):
+        assert seg_index.document_count == len(full_corpus)
+        assert multi_seg_index.document_count == len(full_corpus)
+        assert seg_index.live_doc_ids() == multi_seg_index.live_doc_ids() \
+            == {entry.hash for entry in full_corpus.entries()}
 
     def test_unknown_scorer_rejected(self, seg_index):
         with pytest.raises(SegmentError, match="unknown scorer"):
@@ -357,17 +397,19 @@ class TestTombstones:
         assert not index.remove("not-a-doc")
         assert index.tombstone_count == 0
 
-    def test_tombstoned_scores_match_shrunken_monolithic(self, corpus):
+    def test_tombstoned_scores_match_shrunken_monolithic(self, corpus,
+                                                         tmp_path):
         index = SegmentedCorpusIndex.build(corpus)
         index.remove(corpus.entry("PO2").hash)
         corpus.remove("PO2")
-        fresh = CorpusIndex.build(corpus)
+        fresh = SegmentedCorpusIndex.build(corpus, root=tmp_path / "fresh")
         tree = corpus.load("PO1")
         tokens = fresh.query_tokens(tree)
         # Removal changes N and df, hence every idf: parity must hold
-        # against a monolithic build over the remaining documents.
-        assert index._lexical_scores(tokens) \
-            == fresh.inverted.scores(tokens)
+        # against a fresh build over the remaining documents.
+        for scorer in ("cosine", "bm25"):
+            assert index._lexical_scores(tokens, scorer=scorer) \
+                == fresh._lexical_scores(tokens, scorer=scorer)
 
     def test_tombstones_survive_reopen(self, corpus):
         index = SegmentedCorpusIndex.build(corpus)
@@ -387,7 +429,7 @@ class TestTombstones:
         assert index.tombstone_count == 0
         assert not extra_root.exists()
 
-    def test_remove_then_readd_same_name(self, corpus):
+    def test_remove_then_readd_same_name(self, corpus, tmp_path):
         index = SegmentedCorpusIndex.build(corpus, auto_compact=False)
         readded = corpus.load("PO1")
         doomed = corpus.entry("PO1").hash
@@ -401,10 +443,10 @@ class TestTombstones:
         # segment, live in the new one -- but counts exactly once.
         assert doomed in index.live_doc_ids()
         assert index.document_count == 4
-        fresh = CorpusIndex.build(corpus)
+        fresh = SegmentedCorpusIndex.build(corpus, root=tmp_path / "fresh")
         tokens = fresh.query_tokens(readded)
         assert index._lexical_scores(tokens) \
-            == fresh.inverted.scores(tokens)
+            == fresh._lexical_scores(tokens)
 
 
 class TestRefreshAndStale:
@@ -538,9 +580,9 @@ class TestCompaction:
                 (entry.hash, corpus.load(entry.hash))
                 for entry in entries[start:start + 2]
             )
-        fresh = CorpusIndex.build(corpus)
+        fresh = SegmentedCorpusIndex.build(corpus, root=tmp_path / "fresh")
         tokens = fresh.query_tokens(po1_tree)
-        expected = fresh.inverted.scores(tokens)
+        expected = fresh._lexical_scores(tokens)
         assert index._lexical_scores(tokens) == expected
         index.compact(full=True)
         assert index.segment_count == 1
@@ -552,15 +594,15 @@ class TestCompaction:
 # ----------------------------------------------------------------------
 
 class TestBudgetMode:
-    def test_budgeted_scores_are_exact_subset(self, full_corpus, mono_index):
+    def test_budgeted_scores_are_exact_subset(self, full_corpus, seg_index):
         budgeted = SegmentedCorpusIndex.open(
             full_corpus.root / SEGMENTS_DIR, max_candidates=6
         )
         for name in ("PO1", "Book", "Library"):
             tree = full_corpus.load(name)
-            tokens = mono_index.query_tokens(tree)
-            signature = mono_index.query_signature(tree)
-            full = mono_index.inverted.scores(tokens)
+            tokens = seg_index.query_tokens(tree)
+            signature = seg_index.query_signature(tree)
+            full = seg_index._lexical_scores(tokens)
             lexical, _ = budgeted.retrieve_scores(tokens, signature)
             assert lexical
             # Admission may prune candidates, but never perturbs the

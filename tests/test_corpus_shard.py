@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus import (
-    CorpusIndex,
     CorpusSearcher,
     SchemaCorpus,
     SegmentedCorpusIndex,
@@ -59,11 +58,6 @@ class TestShardAssignment:
 
 
 class TestConstruction:
-    def test_monolithic_index_rejected(self, corpus):
-        mono = CorpusIndex.build(corpus)
-        with pytest.raises(SegmentError, match="monolithic"):
-            ShardedCorpusSearcher(corpus, mono)
-
     def test_bad_shard_count_rejected(self, corpus, seg_index):
         with pytest.raises(SegmentError, match="shards"):
             ShardedCorpusSearcher(corpus, seg_index, shards=0)
@@ -93,16 +87,21 @@ class TestShardedParity:
             assert self.ranking(sharded, tree) == self.ranking(plain, tree)
 
     @pytest.mark.parametrize("scorer", ["cosine", "bm25"])
-    def test_matches_monolithic(self, corpus, seg_index, scorer):
-        mono = CorpusSearcher(
-            corpus, CorpusIndex.build(corpus), scorer=scorer
+    def test_matches_monolithic(self, corpus, seg_index, scorer,
+                                tmp_path):
+        # The reference is a fresh single-segment build, the layout the
+        # monolithic-recorded corpus goldens pin.
+        fresh = CorpusSearcher(
+            corpus,
+            SegmentedCorpusIndex.build(corpus, root=tmp_path / "fresh"),
+            scorer=scorer,
         )
         sharded = ShardedCorpusSearcher(
             corpus, seg_index, shards=2, scorer=scorer
         )
         for entry in corpus.entries():
             tree = corpus.load(entry.hash)
-            assert self.ranking(sharded, tree) == self.ranking(mono, tree)
+            assert self.ranking(sharded, tree) == self.ranking(fresh, tree)
 
     def test_budget_mode_falls_back_to_combined_call(self, corpus):
         budgeted = SegmentedCorpusIndex.open(

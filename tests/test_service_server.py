@@ -264,13 +264,17 @@ class TestIsolatedMode:
 class TestSearchEndpoint:
     @pytest.fixture()
     def corpus_service(self, tmp_path):
-        from repro.corpus import CorpusIndex, CorpusSearcher, SchemaCorpus
+        from repro.corpus import (
+            CorpusSearcher,
+            SchemaCorpus,
+            SegmentedCorpusIndex,
+        )
         from repro.datasets import registry
 
         corpus = SchemaCorpus(tmp_path / "corpus")
         for name in ("PO1", "PO2", "Book", "Article", "Library"):
             corpus.add(registry.load_schema(name))
-        searcher = CorpusSearcher(corpus, CorpusIndex.build(corpus))
+        searcher = CorpusSearcher(corpus, SegmentedCorpusIndex.build(corpus))
         service = MatchService(workers=1, searcher=searcher)
         yield service
         service.shutdown()
@@ -312,6 +316,13 @@ class TestSearchEndpoint:
         assert status == 200
         assert stats["corpus"]["entries"] == 5
         assert stats["corpus"]["indexed"] == 5
+
+    def test_metrics_report_the_index_segments(self, corpus_url):
+        status, text = request_text(f"{corpus_url}/metrics")
+        assert status == 200
+        assert 'qmatch_corpus_segments{kind="segmented"} 1' in text
+        assert 'qmatch_corpus_docs{kind="segmented"} 5' in text
+        assert 'qmatch_corpus_tombstones{kind="segmented"} 0' in text
 
     def test_search_validation_errors_400(self, corpus_url):
         status, payload = request(f"{corpus_url}/search", "POST", {})
