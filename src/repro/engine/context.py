@@ -19,7 +19,8 @@ and handed to every matcher that scores the pair.  It owns:
 - the **pairwise memo**: label comparisons keyed by interned label-id
   pairs and property comparisons keyed by interned signature-id pairs
   (equal ids exactly when the label texts / signatures are equal), with
-  hit/miss accounting in :class:`EngineStats`;
+  hit/miss accounting in :class:`EngineStats` (each memo counts on its
+  :class:`CacheStats` record, bound on the memo's first lookup);
 - the **instrumentation**: an :class:`EngineStats` collecting per-stage
   wall time, pair counts and cache counters for the whole run.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.stats import EngineStats
+from repro.engine.stats import CacheStats, EngineStats
 from repro.linguistic.matcher import LabelComparison, LinguisticMatcher
 from repro.obs.trace import NULL_TRACER
 from repro.properties.matcher import PropertyComparison, PropertyMatcher
@@ -138,6 +139,11 @@ class MatchContext:
         self._label_memo: dict[tuple[int, int], LabelComparison] = {}
         self._property_memo: dict[tuple[int, int], PropertyComparison] = {}
         self._instance_memo: dict[tuple[int, int], float] = {}
+        # Their hit/miss records in ``stats``, bound on each memo's first
+        # lookup so caches appear in ``stats`` in first-use order.
+        self._label_stats: Optional[CacheStats] = None
+        self._property_stats: Optional[CacheStats] = None
+        self._instance_stats: Optional[CacheStats] = None
 
     # ------------------------------------------------------------------
     # Per-node precomputed state
@@ -280,16 +286,19 @@ class MatchContext:
         if not self.cache_enabled:
             texts = self._label_texts
             return self.linguistic.compare_labels(texts[left], texts[right])
+        counts = self._label_stats
+        if counts is None:
+            counts = self._label_stats = self.stats.cache(LABEL_CACHE)
         key = (left, right)
         cached = self._label_memo.get(key)
         if cached is None:
-            self.stats.record_miss(LABEL_CACHE)
+            counts.misses += 1
             texts = self._label_texts
             cached = self.linguistic.compare_labels(texts[left], texts[right])
             self._label_memo[key] = cached
             self._label_memo[(right, left)] = cached  # symmetric
         else:
-            self.stats.record_hit(LABEL_CACHE)
+            counts.hits += 1
         return cached
 
     def node_label(self, source_index: int,
@@ -357,14 +366,17 @@ class MatchContext:
 
     def _property_pair(self, left: int, right: int, source: SchemaNode,
                        target: SchemaNode) -> PropertyComparison:
+        counts = self._property_stats
+        if counts is None:
+            counts = self._property_stats = self.stats.cache(PROPERTY_CACHE)
         key = (left, right)
         cached = self._property_memo.get(key)
         if cached is None:
-            self.stats.record_miss(PROPERTY_CACHE)
+            counts.misses += 1
             cached = self.property_matcher.compare(source, target)
             self._property_memo[key] = cached
         else:
-            self.stats.record_hit(PROPERTY_CACHE)
+            counts.hits += 1
         return cached
 
     def instance_cached(self, source: SchemaNode,
@@ -394,17 +406,20 @@ class MatchContext:
                 source.properties.get(PROFILE_PROPERTY),
                 target.properties.get(PROFILE_PROPERTY),
             )
+        counts = self._instance_stats
+        if counts is None:
+            counts = self._instance_stats = self.stats.cache(INSTANCE_CACHE)
         key = (id(source), id(target))
         cached = self._instance_memo.get(key)
         if cached is None:
-            self.stats.record_miss(INSTANCE_CACHE)
+            counts.misses += 1
             cached = profile_similarity(
                 source.properties.get(PROFILE_PROPERTY),
                 target.properties.get(PROFILE_PROPERTY),
             )
             self._instance_memo[key] = cached
         else:
-            self.stats.record_hit(INSTANCE_CACHE)
+            counts.hits += 1
         return cached
 
     # ------------------------------------------------------------------

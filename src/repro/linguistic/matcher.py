@@ -100,11 +100,14 @@ class LinguisticMatcher(Matcher):
         # Token-level caches: schema vocabularies are small, so both the
         # per-label token preparation and the pairwise token similarity
         # are heavily reused across the n*m label comparisons.  Tokens
-        # are interned to small ids; the similarity table is keyed by id
-        # pairs.
+        # are interned to small ids; the similarity table holds one row
+        # per left token id, mapping right token ids to
+        # ``(score, mechanism)``, so an alignment fetches each row once
+        # and never builds a key tuple.  Every entry is written in both
+        # directions (token similarity is symmetric).
         self._token_ids: dict[str, int] = {}
         self._token_texts: list[str] = []
-        self._token_cache: dict[tuple[int, int], tuple[float, str]] = {}
+        self._token_rows: dict[int, dict[int, tuple[float, str]]] = {}
         self._prepared_cache: dict[str, list] = {}
         # Per distinct label, everything a comparison needs from one
         # side: (normalized form, synonym class of the normalized form,
@@ -251,13 +254,11 @@ class LinguisticMatcher(Matcher):
         """
         if not left_tokens or not right_tokens:
             return 0.0, False, False
-        table = self._token_cache
         if len(left_tokens) == 1 and len(right_tokens) == 1:
             # One candidate pair: the greedy pass below reduces to it,
             # with the same float operations.
-            key = (left_tokens[0], right_tokens[0])
-            pair_score, mechanism = (
-                table.get(key) or self._token_similarity(*key)
+            pair_score, mechanism = self._token_similarity(
+                left_tokens[0], right_tokens[0]
             )
             if pair_score > 0:
                 all_exact = not (
@@ -267,13 +268,16 @@ class LinguisticMatcher(Matcher):
             return 0.0, False, False
         candidates = []
         for i, left_token in enumerate(left_tokens):
+            row = self._token_row(left_token)
             for j, right_token in enumerate(right_tokens):
                 pair_score, mechanism = (
-                    table.get((left_token, right_token))
+                    row.get(right_token)
                     or self._token_similarity(left_token, right_token)
                 )
                 if pair_score > 0:
                     candidates.append((-pair_score, i, j, mechanism))
+        if not candidates:
+            return 0.0, False, False
         # (i, j) is unique per candidate, so this orders by descending
         # score, then i, then j -- never by mechanism.
         candidates.sort()
@@ -296,18 +300,24 @@ class LinguisticMatcher(Matcher):
         full_coverage = (
             matched_pairs == len(left_tokens) == len(right_tokens)
         )
-        return score, all_exact and matched_pairs > 0, full_coverage
+        return score, all_exact, full_coverage
+
+    def _token_row(self, token_id):
+        """The similarity row of one token id (created empty)."""
+        row = self._token_rows.get(token_id)
+        if row is None:
+            row = self._token_rows[token_id] = {}
+        return row
 
     def _token_similarity(self, left, right):
         """Score one token-id pair; returns ``(score, mechanism)``.  Cached."""
-        key = (left, right)
-        cached = self._token_cache.get(key)
+        row = self._token_row(left)
+        cached = row.get(right)
         if cached is None:
-            cached = self._token_similarity_uncached(
+            cached = row[right] = self._token_similarity_uncached(
                 self._token_texts[left], self._token_texts[right]
             )
-            self._token_cache[key] = cached
-            self._token_cache[(right, left)] = cached
+            self._token_row(right)[left] = cached
         return cached
 
     def _token_similarity_uncached(self, left, right):

@@ -74,13 +74,17 @@ class PropertyComparison:
 class PropertyMatcher:
     """Compares the property sets of two schema nodes.
 
-    Comparisons depend only on a small signature (type, order,
-    occurrences, kind) of each node, so results are cached per signature
-    pair -- the QMatch inner loop calls this for every node pair.
+    Each property is compared on its own, so a comparison reads only the
+    two type names and four equality bits (order, minOccurs, maxOccurs,
+    kind).  Results are cached on exactly that factored key rather than
+    on the pair of full signatures: sibling ``order`` makes nearly every
+    signature unique, but only whether two orders are *equal* matters.
     """
 
     def __init__(self, config=None):
         self.config = config or PropertyConfig()
+        # (source type, target type, order ==, min_occurs ==,
+        #  max_occurs ==, kind is) -> PropertyComparison.
         self._cache: dict = {}
         # (type strength, type similarity) per type-name pair.
         self._type_cache: dict = {}
@@ -95,6 +99,8 @@ class PropertyMatcher:
         weights = self.config.weights
         self._weights = tuple(weights.get(name, 0.0) for name in self._compared)
         self._total_weight = sum(self._weights)
+        if self._total_weight <= 0:
+            raise ValueError("property weights sum to zero for compared properties")
 
     @staticmethod
     def signature(node: SchemaNode):
@@ -111,7 +117,14 @@ class PropertyMatcher:
 
     def compare(self, source: SchemaNode, target: SchemaNode) -> PropertyComparison:
         """Compare ``source`` and ``target`` along the properties axis."""
-        key = (self.signature(source), self.signature(target))
+        left, right = source.properties, target.properties
+        key = (
+            left.get("type"), right.get("type"),
+            left.get("order") == right.get("order"),
+            left.get("min_occurs", 1) == right.get("min_occurs", 1),
+            left.get("max_occurs", 1) == right.get("max_occurs", 1),
+            source.kind is target.kind,
+        )
         cached = self._cache.get(key)
         if cached is None:
             cached = self._compare_uncached(source, target)
@@ -144,8 +157,6 @@ class PropertyMatcher:
         for name in self._compared[1:]:
             scores.append(_strength_score(outcomes[name], relaxed_credit))
 
-        if self._total_weight <= 0:
-            raise ValueError("property weights sum to zero for compared properties")
         score = sum(
             weight * value for weight, value in zip(self._weights, scores)
         ) / self._total_weight

@@ -106,9 +106,13 @@ class TestConfig:
         assert generous.compare(*pair).score > stingy.compare(*pair).score
 
     def test_zero_weights_rejected(self):
-        matcher = PropertyMatcher(PropertyConfig(weights={}))
         with pytest.raises(ValueError, match="sum to zero"):
-            matcher.compare(*leaf_pair())
+            PropertyMatcher(PropertyConfig(weights={}))
+
+    def test_weights_of_uncompared_properties_do_not_count(self):
+        config = PropertyConfig(weights={"order": 1.0}, compare_order=False)
+        with pytest.raises(ValueError, match="sum to zero"):
+            PropertyMatcher(config)
 
 
 class TestOccursOverlap:
