@@ -22,6 +22,9 @@ class NameMatcher(Matcher):
     def __init__(self, linguistic=None):
         self.linguistic = linguistic or LinguisticMatcher()
 
+    def resident_entries(self) -> int:
+        return self.linguistic.resident_entries()
+
     def make_context(self, source, target, stats=None, cache_enabled=True,
                      tracer=None):
         from repro.engine.context import MatchContext
@@ -58,6 +61,9 @@ class NamePathMatcher(Matcher):
 
     def __init__(self, linguistic=None):
         self.linguistic = linguistic or LinguisticMatcher()
+
+    def resident_entries(self) -> int:
+        return self.linguistic.resident_entries()
 
     def make_context(self, source, target, stats=None, cache_enabled=True,
                      tracer=None):

@@ -107,6 +107,10 @@ class QMatchMatcher(Matcher):
         self.linguistic = linguistic or LinguisticMatcher(thesaurus=thesaurus)
         self.property_matcher = property_matcher or PropertyMatcher()
 
+    def resident_entries(self) -> int:
+        return (self.linguistic.resident_entries()
+                + self.property_matcher.resident_entries())
+
     # ------------------------------------------------------------------
     # Matcher protocol
     # ------------------------------------------------------------------

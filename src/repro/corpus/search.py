@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.corpus.corpus import SchemaCorpus
@@ -34,7 +35,7 @@ from repro.engine.stats import EngineStats
 from repro.obs.log import NULL_LOGGER
 from repro.obs.spans import current_tracer
 from repro.service.jobs import MatchJobSpec
-from repro.service.runner import BatchRunner
+from repro.service.runner import BatchRunner, ResidentMatchers, execute_job
 from repro.service.store import ResultStore, content_hash
 
 #: Default number of hits a search returns.
@@ -205,6 +206,10 @@ class CorpusSearcher:
         self.workers = workers
         self.store = store
         self.log = log
+        #: Resident state of the inline rerank: one matcher per
+        #: configuration, kept across searches.  No tree cache: parsing
+        #: is ~3% of a search, too little to hold corpus trees for.
+        self._rerank_state = {"matchers": ResidentMatchers()}
 
     # ------------------------------------------------------------------
     # Stage 1: index retrieval
@@ -285,11 +290,16 @@ class CorpusSearcher:
             )
             for hit in shortlist
         ]
+        inline = self.workers == 1
         runner = BatchRunner(
             workers=self.workers,
             store=self.store,
             retries=0,
-            inline=self.workers == 1,
+            inline=inline,
+            worker=(
+                partial(execute_job, state=self._rerank_state) if inline
+                else execute_job
+            ),
             log=self.log.child(stage="rerank"),
         )
         with stats.stage("search:rerank"):

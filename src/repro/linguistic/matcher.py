@@ -96,7 +96,9 @@ class LinguisticMatcher(Matcher):
     def __init__(self, thesaurus=None, config=None):
         self.thesaurus = thesaurus if thesaurus is not None else Thesaurus.default()
         self.config = config or LinguisticConfig()
-        self._cache: dict[tuple[str, str], LabelComparison] = {}
+        # Label pairs are memoized per match in ``MatchContext``, not
+        # here: a matcher may stay resident across jobs, and a label
+        # memo kept here would grow with every job's n*m label pairs.
         # Token-level caches: schema vocabularies are small, so both the
         # per-label token preparation and the pairwise token similarity
         # are heavily reused across the n*m label comparisons.  Tokens
@@ -144,16 +146,11 @@ class LinguisticMatcher(Matcher):
     # ------------------------------------------------------------------
 
     def compare_labels(self, left: str, right: str) -> LabelComparison:
-        """Compare two labels; results are cached per label pair."""
-        key = (left, right)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._compare_uncached(left, right)
-            self._cache[key] = cached
-            self._cache[(right, left)] = cached  # symmetric
-        return cached
+        """Compare two labels.
 
-    def _compare_uncached(self, left, right) -> LabelComparison:
+        Not memoized per label pair (``MatchContext.label_comparison``
+        is); the per-label and per-token-pair work underneath is.
+        """
         config = self.config
         left_norm, left_class, left_tokens, left_acronym = (
             self._label_info.get(left) or self._prepare_label(left)
@@ -310,15 +307,31 @@ class LinguisticMatcher(Matcher):
         return row
 
     def _token_similarity(self, left, right):
-        """Score one token-id pair; returns ``(score, mechanism)``.  Cached."""
+        """Score one token-id pair; returns ``(score, mechanism)``.  Cached.
+
+        Scored on the text-ordered pair, so the entry written both ways
+        is the same whichever direction a job happened to ask first.
+        """
         row = self._token_row(left)
         cached = row.get(right)
         if cached is None:
+            texts = self._token_texts
+            left_text, right_text = texts[left], texts[right]
+            if right_text < left_text:
+                left_text, right_text = right_text, left_text
             cached = row[right] = self._token_similarity_uncached(
-                self._token_texts[left], self._token_texts[right]
+                left_text, right_text
             )
             self._token_row(right)[left] = cached
         return cached
+
+    def resident_entries(self) -> int:
+        """Token similarity entries (a scored pair holds two, one per
+        direction), interned tokens, and per-label preparations."""
+        return (
+            sum(map(len, self._token_rows.values())) + len(self._token_ids)
+            + len(self._prepared_cache) + len(self._label_info)
+        )
 
     def _token_similarity_uncached(self, left, right):
         config = self.config

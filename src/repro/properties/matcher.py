@@ -102,6 +102,10 @@ class PropertyMatcher:
         if self._total_weight <= 0:
             raise ValueError("property weights sum to zero for compared properties")
 
+    def resident_entries(self) -> int:
+        """Entries in the comparison and type memos."""
+        return len(self._cache) + len(self._type_cache)
+
     @staticmethod
     def signature(node: SchemaNode):
         """The node's property tuple; equal signatures compare equal."""
@@ -214,6 +218,9 @@ class PropertiesMatcher(Matcher):
 
     def __init__(self, property_matcher=None, config=None):
         self.property_matcher = property_matcher or PropertyMatcher(config=config)
+
+    def resident_entries(self) -> int:
+        return self.property_matcher.resident_entries()
 
     def make_context(self, source, target, stats=None, cache_enabled=True,
                      tracer=None):

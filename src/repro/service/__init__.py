@@ -29,7 +29,7 @@ process over a corpus.  This subpackage is the serving layer on top of
 
 from repro.service.jobs import JobQueue, JobRecord, JobState, MatchJobSpec
 from repro.service.manifest import load_manifest
-from repro.service.pool import PoolError, WorkerPool, execute_job_resident
+from repro.service.pool import PoolError, WorkerPool
 from repro.service.runner import (
     BatchReport,
     BatchRunner,
@@ -61,7 +61,6 @@ __all__ = [
     "content_hash",
     "create_server",
     "execute_job",
-    "execute_job_resident",
     "load_manifest",
     "schema_content_hash",
     "validate_algorithm",

@@ -11,11 +11,16 @@ matching happens.  Fine for batch; fatal for interactive latency.
 - the default thesaurus is parsed once and stays resident;
 - parsed schema trees are kept in a per-worker LRU keyed by content
   hash, so repeated requests over the same schemas skip XSD parsing
-  entirely (matching never mutates trees -- all memoization lives in
+  entirely (matching never mutates trees -- per-match memos live in
   ``MatchContext`` -- which is what makes the cache safe);
 - with a corpus configured, the :class:`~repro.corpus.search.CorpusSearcher`
-  (corpus + inverted/MinHash indexes) loads once per worker and serves
-  ``POST /search`` without ever re-reading the index from disk.
+  (corpus + inverted/MinHash indexes, and the matchers its rerank keeps
+  resident) loads once per worker and serves ``POST /search`` without
+  ever re-reading the index from disk.
+
+A ``POST /match`` job builds a fresh matcher: only the searcher's
+rerank keeps matchers resident (DESIGN.md, "Resident matchers across
+jobs", says why).
 
 Jobs travel over a duplex pipe: the parent checks an idle worker out
 of a queue, sends the :class:`~repro.service.jobs.MatchJobSpec`, and
@@ -43,7 +48,6 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional
 
-from repro.constraints.evidence import attach_result_axes
 from repro.obs.log import NULL_LOGGER
 from repro.obs.metrics import QUEUE_WAIT_BUCKETS, pool_depth_metrics
 from repro.obs.spans import (
@@ -80,8 +84,8 @@ class PoolWarmup:
 
     Picklable (plain attributes, module-level class) so it crosses the
     process boundary under any multiprocessing start method.  The
-    returned state dict is what :func:`execute_job_resident` and the
-    resident search path read.
+    returned state dict is what :func:`~repro.service.runner.execute_job`
+    and the resident search path read.
     """
 
     def __init__(self, corpus_dir=None, cache_dir=None,
@@ -110,81 +114,6 @@ class PoolWarmup:
                 scorer=self.scorer, shards=self.shards,
             )
         return state
-
-
-def _resident_tree(state: Optional[dict], xsd_text: str, content_hash: str,
-                   name: Optional[str]):
-    """Parse ``xsd_text`` through the worker's resident LRU tree cache."""
-    from repro.xsd.parser import parse_xsd
-
-    if state is None:
-        return parse_xsd(xsd_text, name=name)
-    trees: OrderedDict = state["trees"]
-    key = (content_hash, name)
-    tree = trees.get(key)
-    if tree is None:
-        tree = parse_xsd(xsd_text, name=name)
-        trees[key] = tree
-        if len(trees) > state.get("tree_cache", DEFAULT_TREE_CACHE):
-            trees.popitem(last=False)
-    else:
-        trees.move_to_end(key)
-    return tree
-
-
-def execute_job_resident(spec: MatchJobSpec, state: Optional[dict]) -> dict:
-    """Worker body with resident state: :func:`execute_job` semantics,
-    byte-identical result payloads, but schema parsing is served from
-    the per-worker tree cache when the pair was seen before."""
-    from repro.engine.registry import DEFAULT_REGISTRY
-    from repro.matching.io import result_to_payload
-    from repro.obs.trace import TraceRecorder, trace_run_id
-
-    started = time.perf_counter()
-    source = _resident_tree(
-        state, spec.source_xsd, spec.source_hash, spec.source_name or None
-    )
-    target = _resident_tree(
-        state, spec.target_xsd, spec.target_hash, spec.target_name or None
-    )
-    if spec.source_profiles or spec.target_profiles:
-        # Profiles are per-job evidence; the LRU trees are shared across
-        # jobs keyed by schema content alone, so attach to copies --
-        # mutating a resident tree would leak one job's data into the
-        # next job's match.
-        from repro.ingest.profile import attach_profiles
-
-        if spec.source_profiles:
-            source = source.copy()
-            attach_profiles(source, spec.source_profiles)
-        if spec.target_profiles:
-            target = target.copy()
-            attach_profiles(target, spec.target_profiles)
-    matcher = DEFAULT_REGISTRY.create(spec.algorithm, **spec.matcher_kwargs())
-    tracer = None
-    if spec.trace:
-        tracer = TraceRecorder(run_id=trace_run_id(
-            spec.source_hash, spec.target_hash,
-            matcher.fingerprint(spec.threshold, spec.strategy),
-        ))
-    context = matcher.make_context(source, target, tracer=tracer)
-    result = matcher.match(
-        source, target, threshold=spec.threshold, strategy=spec.strategy,
-        context=context,
-    )
-    payload = result_to_payload(result)
-    attach_result_axes(payload, result, matcher, source, target, context=context)
-    payload["source_hash"] = spec.source_hash
-    payload["target_hash"] = spec.target_hash
-    stats = result.stats.as_dict() if result.stats is not None else {}
-    envelope = {
-        "result": payload,
-        "stats": stats,
-        "elapsed": time.perf_counter() - started,
-    }
-    if tracer is not None:
-        envelope["trace"] = tracer.as_dict()
-    return envelope
 
 
 class _StatelessBody:
@@ -324,7 +253,7 @@ class WorkerPool(JobExecutionCore):
                  timeout: Optional[float] = DEFAULT_TIMEOUT,
                  retries: int = 1,
                  retry_backoff: float = 0.1,
-                 worker=execute_job_resident,
+                 worker=execute_job,
                  warm=None,
                  corpus_dir=None,
                  cache_dir=None,

@@ -60,7 +60,9 @@ import multiprocessing
 import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -109,7 +111,120 @@ def job_fingerprint(spec: MatchJobSpec) -> str:
     return fingerprint
 
 
-def execute_job(spec: MatchJobSpec) -> dict:
+#: Matcher configurations one map keeps resident.  A searcher reranks
+#: with the one ``(algorithm, weights)`` it was built with; the limit
+#: bounds any map that is handed jobs of many configurations.
+MAX_RESIDENT_MATCHERS = 4
+
+#: Memo entries (:meth:`~repro.matching.base.Matcher.resident_entries`:
+#: token pairs, tokens, labels, property comparisons, type pairs) one
+#: map keeps across all its matchers.  Measured with tracemalloc on
+#: Python 3.11, a token-pair entry costs ~45-80 B, a label ~140-270 B
+#: and a property comparison, the dearest, ~450 B; so the map holds at
+#: most ~22 MB, and ~3 MB on the usual token-heavy mix.  The rerank of
+#: a 100-search run over a 2k-schema synthetic corpus leaves ~34k
+#: entries; one Protein-sized pair leaves ~350k and is not kept.
+MAX_RESIDENT_ENTRIES = 50_000
+
+
+class ResidentMatchers:
+    """Matchers kept across jobs, one per ``(algorithm, weights)``.
+
+    A matcher's token and property tables depend only on the tokens and
+    types it has scored, never on which job asked first, so a warm
+    matcher produces the same bytes as a fresh one.  A job *checks its
+    matcher out* (two threads never share one) and checks it back in
+    only when the match completed.  The map is least-recently-used: it
+    holds at most :data:`MAX_RESIDENT_MATCHERS` configurations and
+    :data:`MAX_RESIDENT_ENTRIES` memo entries between them, and a
+    matcher over that alone is dropped at check-in (its configuration's
+    next job starts fresh).
+    """
+
+    def __init__(self):
+        # key -> (matcher, its resident entries at check-in).
+        self._matchers: OrderedDict = OrderedDict()
+        self._entries = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._matchers)
+
+    def resident_entries(self) -> int:
+        """Memo entries of the matchers held (not checked out)."""
+        return self._entries
+
+    def _pop(self, key):
+        held = self._matchers.pop(key, None)
+        if held is None:
+            return None
+        self._entries -= held[1]
+        return held[0]
+
+    def checkout(self, spec: MatchJobSpec):
+        with self._lock:
+            matcher = self._pop((spec.algorithm, spec.weights))
+        if matcher is None:
+            matcher = DEFAULT_REGISTRY.create(
+                spec.algorithm, **spec.matcher_kwargs()
+            )
+        return matcher
+
+    def checkin(self, spec: MatchJobSpec, matcher):
+        entries = matcher.resident_entries()
+        if entries > MAX_RESIDENT_ENTRIES:
+            return
+        key = (spec.algorithm, spec.weights)
+        with self._lock:
+            # A concurrent job of the same configuration may have put
+            # its own matcher back first; the later one replaces it.
+            self._pop(key)
+            self._matchers[key] = (matcher, entries)
+            self._entries += entries
+            while (len(self._matchers) > MAX_RESIDENT_MATCHERS
+                   or self._entries > MAX_RESIDENT_ENTRIES):
+                self._pop(next(iter(self._matchers)))
+
+
+@contextmanager
+def job_matcher(spec: MatchJobSpec, state: Optional[dict] = None):
+    """The matcher one job runs with.
+
+    Without ``state`` (or with a state holding no ``"matchers"`` map) a
+    fresh matcher; otherwise the state's resident matcher for the
+    spec's configuration, checked out for the ``with`` block and put
+    back only when the block completes without raising.
+    """
+    matchers = state.get("matchers") if state is not None else None
+    if matchers is None:
+        yield DEFAULT_REGISTRY.create(spec.algorithm, **spec.matcher_kwargs())
+        return
+    matcher = matchers.checkout(spec)
+    yield matcher
+    matchers.checkin(spec, matcher)
+
+
+def _resident_tree(state: Optional[dict], xsd_text: str, content_hash: str,
+                   name: Optional[str]):
+    """Parse ``xsd_text``, through the state's LRU tree cache if it has
+    one (``"trees"``, bounded by ``"tree_cache"`` entries)."""
+    from repro.xsd.parser import parse_xsd
+
+    trees = state.get("trees") if state is not None else None
+    if trees is None:
+        return parse_xsd(xsd_text, name=name)
+    key = (content_hash, name)
+    tree = trees.get(key)
+    if tree is None:
+        tree = trees[key] = parse_xsd(xsd_text, name=name)
+        if len(trees) > state["tree_cache"]:
+            trees.popitem(last=False)
+    else:
+        trees.move_to_end(key)
+    return tree
+
+
+def execute_job(spec: MatchJobSpec, state: Optional[dict] = None) -> dict:
     """Worker body: run one match job and return a picklable envelope.
 
     Returns ``{"result": <stored payload>, "stats": <EngineStats dict>,
@@ -119,6 +234,12 @@ def execute_job(spec: MatchJobSpec) -> dict:
     deterministic: no timestamps, no timings inside the payload -- a
     warm-cache rerun must be byte-identical.
 
+    ``state`` is the resident state of a caller that runs many jobs: a
+    pool worker's :class:`~repro.service.pool.PoolWarmup` dict, whose
+    ``"trees"`` LRU serves schema parsing, or a searcher's rerank
+    state, whose ``"matchers"`` (:class:`ResidentMatchers`) serve the
+    matcher.  The payload is byte-identical with or without it.
+
     With ``spec.trace`` set, a :class:`~repro.obs.trace.TraceRecorder`
     rides through the match and comes back as ``envelope["trace"]``
     (an :meth:`~repro.obs.trace.TraceRecorder.as_dict` snapshot).  Its
@@ -126,32 +247,41 @@ def execute_job(spec: MatchJobSpec) -> dict:
     fingerprint, so the trace of a forked worker is byte-identical to
     the same job run inline or via ``qmatch match --trace``.
     """
-    from repro.xsd.parser import parse_xsd
-
     started = time.perf_counter()
-    source = parse_xsd(spec.source_xsd, name=spec.source_name or None)
-    target = parse_xsd(spec.target_xsd, name=spec.target_name or None)
+    source = _resident_tree(
+        state, spec.source_xsd, spec.source_hash, spec.source_name or None
+    )
+    target = _resident_tree(
+        state, spec.target_xsd, spec.target_hash, spec.target_name or None
+    )
     if spec.source_profiles or spec.target_profiles:
+        # Profiles are per-job evidence, but resident trees are shared
+        # across jobs keyed by schema content alone, so attach to
+        # copies -- mutating a resident tree would leak one job's data
+        # into the next job's match.
         from repro.ingest.profile import attach_profiles
 
         if spec.source_profiles:
+            source = source.copy()
             attach_profiles(source, spec.source_profiles)
         if spec.target_profiles:
+            target = target.copy()
             attach_profiles(target, spec.target_profiles)
-    matcher = DEFAULT_REGISTRY.create(spec.algorithm, **spec.matcher_kwargs())
-    tracer = None
-    if spec.trace:
-        tracer = TraceRecorder(run_id=trace_run_id(
-            spec.source_hash, spec.target_hash,
-            matcher.fingerprint(spec.threshold, spec.strategy),
-        ))
-    context = matcher.make_context(source, target, tracer=tracer)
-    result = matcher.match(
-        source, target, threshold=spec.threshold, strategy=spec.strategy,
-        context=context,
-    )
-    payload = result_to_payload(result)
-    attach_result_axes(payload, result, matcher, source, target, context=context)
+    with job_matcher(spec, state) as matcher:
+        tracer = None
+        if spec.trace:
+            tracer = TraceRecorder(run_id=trace_run_id(
+                spec.source_hash, spec.target_hash,
+                matcher.fingerprint(spec.threshold, spec.strategy),
+            ))
+        context = matcher.make_context(source, target, tracer=tracer)
+        result = matcher.match(
+            source, target, threshold=spec.threshold,
+            strategy=spec.strategy, context=context,
+        )
+        payload = result_to_payload(result)
+        attach_result_axes(payload, result, matcher, source, target,
+                           context=context)
     payload["source_hash"] = spec.source_hash
     payload["target_hash"] = spec.target_hash
     stats = result.stats.as_dict() if result.stats is not None else {}

@@ -66,7 +66,7 @@ from repro.service.http_api import (
     too_large_response,
 )
 from repro.service.jobs import JobQueue, JobRecord, MatchJobSpec
-from repro.service.pool import WorkerPool, _StatelessBody, execute_job_resident
+from repro.service.pool import WorkerPool, _StatelessBody
 from repro.service.runner import DEFAULT_TIMEOUT, BatchRunner, execute_job
 from repro.service.store import ResultStore
 from repro.service.validation import (
@@ -160,7 +160,7 @@ class MatchService:
                 workers=workers, store=store, timeout=timeout,
                 retries=retries, retry_backoff=0.05,
                 worker=(
-                    execute_job_resident if worker is None
+                    execute_job if worker is None
                     else _StatelessBody(worker)
                 ),
                 corpus_dir=corpus_dir, cache_dir=cache_dir, scorer=scorer,

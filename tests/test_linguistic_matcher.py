@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.context import MatchContext
 from repro.linguistic.matcher import LinguisticConfig, LinguisticMatcher
 from repro.linguistic.thesaurus import Thesaurus
 from repro.matching.classes import MatchStrength
@@ -105,16 +106,19 @@ class TestSymmetryAndCaching:
         assert ab.score == ba.score
         assert ab.strength is ba.strength
 
-    def test_cache_returns_same_object(self):
-        fresh = LinguisticMatcher()
-        first = fresh.compare_labels("A", "B")
-        second = fresh.compare_labels("A", "B")
+    # Label pairs are memoized per match by the context, the one label
+    # memo; the matcher itself may outlive a match and keeps none.
+
+    def test_cache_returns_same_object(self, po1_tree, book_tree):
+        ctx = MatchContext(po1_tree, book_tree, linguistic=LinguisticMatcher())
+        first = ctx.label_comparison("A", "B")
+        second = ctx.label_comparison("A", "B")
         assert first is second
 
-    def test_cache_is_symmetric(self):
-        fresh = LinguisticMatcher()
-        first = fresh.compare_labels("A", "B")
-        second = fresh.compare_labels("B", "A")
+    def test_cache_is_symmetric(self, po1_tree, book_tree):
+        ctx = MatchContext(po1_tree, book_tree, linguistic=LinguisticMatcher())
+        first = ctx.label_comparison("A", "B")
+        second = ctx.label_comparison("B", "A")
         assert first is second
 
 
