@@ -76,6 +76,7 @@ import sys
 from repro import ALGORITHMS, __version__, make_matcher
 from repro.core.config import QMatchConfig
 from repro.evaluation.harness import evaluate_all, render_quality_rows
+from repro.matching.selection import STRATEGY_NAMES
 from repro.xsd.parser import parse_xsd, parse_xsd_file
 from repro.xsd.serializer import to_compact_text
 
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="correspondence acceptance threshold (default: 0.5)",
     )
     match_parser.add_argument(
-        "--strategy", choices=("greedy", "hierarchical", "stable", "all"),
+        "--strategy", choices=STRATEGY_NAMES,
         default=None,
         help="correspondence selection strategy "
              "(default: the algorithm's own)",
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="correspondence acceptance threshold (default: 0.5)",
     )
     check_parser.add_argument(
-        "--strategy", choices=("greedy", "hierarchical", "stable", "all"),
+        "--strategy", choices=STRATEGY_NAMES,
         default=None,
         help="correspondence selection strategy "
              "(default: the algorithm's own)",

@@ -130,14 +130,19 @@ class LinguisticMatcher(Matcher):
         )
 
     def match_context(self, ctx) -> ScoreMatrix:
+        source, target = ctx.source_table, ctx.target_table
+        # Rows and columns in preorder, the matrix's historical order.
+        s_order = [source.index[id(node)] for node in ctx.source_preorder]
+        t_order = [target.index[id(node)] for node in ctx.target_preorder]
+        t_labels = [target.label_ids[j] for j in t_order]
+        label_pair = ctx.label_pair
+        scores = [
+            label_pair(source.label_ids[i], t_label).score
+            for i in s_order for t_label in t_labels
+        ]
         matrix = ScoreMatrix(ctx.source, ctx.target)
-        target_nodes = ctx.target_preorder
-        for source_node in ctx.source_preorder:
-            for target_node in target_nodes:
-                comparison = ctx.label_comparison(
-                    source_node.name, target_node.name
-                )
-                matrix.set(source_node, target_node, comparison.score)
+        matrix.set_grid([source.paths[i] for i in s_order],
+                        [target.paths[j] for j in t_order], scores)
         ctx.stats.count("linguistic.pairs", len(matrix))
         return matrix
 

@@ -180,6 +180,9 @@ _STRATEGIES = {
     "all": threshold_all_pairs,
 }
 
+#: The strategy names :func:`select_correspondences` accepts.
+STRATEGY_NAMES = tuple(_STRATEGIES)
+
 
 def select_correspondences(matrix: ScoreMatrix, strategy="greedy",
                            threshold=DEFAULT_THRESHOLD, categories=None):

@@ -93,7 +93,7 @@ def json_response(status: int, payload: dict, *, route: str = "(unknown)",
                   close: bool = False) -> ApiResponse:
     return ApiResponse(
         status=status,
-        body=json.dumps(payload, indent=2).encode("utf-8"),
+        body=json.dumps(payload).encode("utf-8"),
         content_type="application/json",
         headers=list(headers or ()),
         route=route,

@@ -40,6 +40,7 @@ from repro.service.validation import (
     ValidationError,
     validate_algorithm,
     validate_positive,
+    validate_strategy,
     validate_threshold,
     validate_weights,
 )
@@ -112,7 +113,7 @@ def _build_spec(entry: dict, defaults: dict, base_dir: Path,
         target_xsd=target_xsd,
         algorithm=algorithm,
         threshold=threshold,
-        strategy=merged.get("strategy"),
+        strategy=validate_strategy(merged.get("strategy")),
         weights=weights.as_tuple() if weights is not None else None,
         timeout=timeout,
         label=str(merged.get("label", "")),

@@ -13,14 +13,13 @@ matching happens.  Fine for batch; fatal for interactive latency.
   hash, so repeated requests over the same schemas skip XSD parsing
   entirely (matching never mutates trees -- per-match memos live in
   ``MatchContext`` -- which is what makes the cache safe);
+- one matcher per ``(algorithm, weights)`` stays resident across
+  ``POST /match`` jobs (:class:`~repro.service.runner.ResidentMatchers`,
+  bounded in configurations and memo entries);
 - with a corpus configured, the :class:`~repro.corpus.search.CorpusSearcher`
-  (corpus + inverted/MinHash indexes, and the matchers its rerank keeps
-  resident) loads once per worker and serves ``POST /search`` without
-  ever re-reading the index from disk.
-
-A ``POST /match`` job builds a fresh matcher: only the searcher's
-rerank keeps matchers resident (DESIGN.md, "Resident matchers across
-jobs", says why).
+  (corpus + inverted/MinHash indexes) loads once per worker and serves
+  ``POST /search`` without ever re-reading the index from disk.  Its
+  rerank's matcher map is the worker's map, so a process holds one.
 
 Jobs travel over a duplex pipe: the parent checks an idle worker out
 of a queue, sends the :class:`~repro.service.jobs.MatchJobSpec`, and
@@ -62,6 +61,7 @@ from repro.service.runner import (
     DEFAULT_TIMEOUT,
     BatchReport,
     JobExecutionCore,
+    ResidentMatchers,
     execute_job,
 )
 from repro.service.store import ResultStore
@@ -100,20 +100,27 @@ class PoolWarmup:
     def __call__(self) -> dict:
         from repro.linguistic.thesaurus import Thesaurus
 
-        state = {
-            "thesaurus": Thesaurus.default(),
-            "trees": OrderedDict(),
-            "tree_cache": self.tree_cache,
-            "searcher": None,
-        }
+        thesaurus = Thesaurus.default()
+        searcher = None
         if self.corpus_dir is not None:
             from repro.service.server import build_searcher
 
-            state["searcher"] = build_searcher(
+            searcher = build_searcher(
                 self.corpus_dir, cache_dir=self.cache_dir,
                 scorer=self.scorer, shards=self.shards,
             )
-        return state
+        return {
+            "thesaurus": thesaurus,
+            "trees": OrderedDict(),
+            "tree_cache": self.tree_cache,
+            "searcher": searcher,
+            # One matcher map per process: /match jobs share the
+            # rerank's when there is a searcher.
+            "matchers": (
+                ResidentMatchers() if searcher is None
+                else searcher._rerank_state["matchers"]
+            ),
+        }
 
 
 class _StatelessBody:

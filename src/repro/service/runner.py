@@ -237,8 +237,9 @@ def execute_job(spec: MatchJobSpec, state: Optional[dict] = None) -> dict:
     ``state`` is the resident state of a caller that runs many jobs: a
     pool worker's :class:`~repro.service.pool.PoolWarmup` dict, whose
     ``"trees"`` LRU serves schema parsing, or a searcher's rerank
-    state, whose ``"matchers"`` (:class:`ResidentMatchers`) serve the
-    matcher.  The payload is byte-identical with or without it.
+    state.  Both hold ``"matchers"`` (:class:`ResidentMatchers`), which
+    serve the matcher.  The payload is byte-identical with or without
+    it.
 
     With ``spec.trace`` set, a :class:`~repro.obs.trace.TraceRecorder`
     rides through the match and comes back as ``envelope["trace"]``

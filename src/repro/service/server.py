@@ -74,6 +74,7 @@ from repro.service.validation import (
     validate_algorithm,
     validate_positive,
     validate_search_budget,
+    validate_strategy,
     validate_threshold,
     validate_weights,
 )
@@ -253,7 +254,7 @@ class MatchService:
             target_xsd=to_xsd(target),
             algorithm=algorithm,
             threshold=validate_threshold(body.get("threshold", 0.5)),
-            strategy=body.get("strategy"),
+            strategy=validate_strategy(body.get("strategy")),
             weights=weights.as_tuple() if weights is not None else None,
             timeout=validate_positive(
                 body.get("timeout"), "timeout", allow_none=True

@@ -21,6 +21,10 @@ class ValidationError(ValueError):
 
 def validate_threshold(value, field: str = "threshold") -> float:
     """Coerce ``value`` to a float in [0, 1] or raise ValidationError."""
+    if isinstance(value, bool):
+        raise ValidationError(
+            f"invalid {field} {value!r}: expected a number in [0, 1]"
+        )
     try:
         threshold = float(value)
     except (TypeError, ValueError):
@@ -185,11 +189,28 @@ def validate_algorithm(name, registry=None,
     return name
 
 
+def validate_strategy(name, field: str = "strategy") -> Optional[str]:
+    """Check a selection strategy name; ``None`` (the algorithm's own
+    strategy) passes through."""
+    from repro.matching.selection import STRATEGY_NAMES
+
+    if name is not None and name not in STRATEGY_NAMES:
+        raise ValidationError(
+            f"invalid {field} {name!r}: expected one of "
+            f"{', '.join(STRATEGY_NAMES)}"
+        )
+    return name
+
+
 def validate_positive(value, field: str, allow_none: bool = False,
                       allow_zero: bool = False) -> Optional[float]:
     """Coerce a positive number (timeouts, worker counts, backoffs)."""
     if value is None and allow_none:
         return None
+    if isinstance(value, bool):
+        raise ValidationError(
+            f"invalid {field} {value!r}: expected a positive number"
+        )
     try:
         number = float(value)
     except (TypeError, ValueError):

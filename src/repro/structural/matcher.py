@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.matching.base import Matcher
-from repro.matching.result import ScoreMatrix
+from repro.matching.result import ScoreMatrix, checked_score
 from repro.properties.matcher import occurs_range_overlaps
 from repro.linguistic.tokenizer import normalize
 from repro.properties.types import type_similarity
@@ -69,11 +69,12 @@ class StructuralConfig:
             )
 
 
-def _leaf_signature(node: SchemaNode):
-    """Hashable leaf descriptor; equal signatures => equal leaf scores."""
+def _leaf_shape(node: SchemaNode):
+    """A leaf's descriptor minus its name: leaves of equal shape score
+    equally against a third leaf, up to the name-equality part."""
     return (
         node.type_name, node.min_occurs, node.max_occurs, node.kind,
-        node.order or 1, normalize(node.name),
+        node.order or 1,
     )
 
 
@@ -91,35 +92,41 @@ class StructuralMatcher(Matcher):
 
     def leaf_similarity(self, source: SchemaNode, target: SchemaNode) -> float:
         """Shape similarity of two leaves (no labels involved)."""
-        type_part = type_similarity(source.type_name, target.type_name)
-        if (source.min_occurs, source.max_occurs) == (
-            target.min_occurs, target.max_occurs
-        ):
+        names_differ, names_equal = self._shape_scores(
+            _leaf_shape(source), _leaf_shape(target)
+        )
+        if normalize(source.name) == normalize(target.name):
+            return names_equal
+        return names_differ
+
+    def _shape_scores(self, source_shape, target_shape) -> tuple:
+        """Leaf similarity of two shapes as ``(names differ, names
+        equal)``: the blend with a name-equality part of 0.0 and 1.0."""
+        s_type, s_min, s_max, s_kind, s_order = source_shape
+        t_type, t_min, t_max, t_kind, t_order = target_shape
+        type_part = type_similarity(s_type, t_type)
+        if (s_min, s_max) == (t_min, t_max):
             occurs_part = 1.0
-        elif occurs_range_overlaps(
-            source.min_occurs, source.max_occurs,
-            target.min_occurs, target.max_occurs,
-        ):
+        elif occurs_range_overlaps(s_min, s_max, t_min, t_max):
             occurs_part = 0.7
         else:
             occurs_part = 0.0
-        kind_part = 1.0 if source.kind is target.kind else 0.5
-        source_order = source.order or 1
-        target_order = target.order or 1
-        order_part = 1.0 / (1.0 + abs(source_order - target_order))
-        label_part = 1.0 if normalize(source.name) == normalize(target.name) else 0.0
+        kind_part = 1.0 if s_kind is t_kind else 0.5
+        order_part = 1.0 / (1.0 + abs(s_order - t_order))
+        config = self.config
         rest = (
             1.0
-            - self.config.leaf_type_weight
-            - self.config.leaf_label_weight
-            - self.config.order_weight
+            - config.leaf_type_weight
+            - config.leaf_label_weight
+            - config.order_weight
         ) / 2
-        return (
-            self.config.leaf_type_weight * type_part
-            + self.config.leaf_label_weight * label_part
-            + self.config.order_weight * order_part
+        return tuple(
+            config.leaf_type_weight * type_part
+            + config.leaf_label_weight * label_part
+            + config.order_weight * order_part
             + rest * occurs_part
             + rest * kind_part
+            for label_part in (0.0, 1.0)
         )
 
     # ------------------------------------------------------------------
@@ -127,114 +134,89 @@ class StructuralMatcher(Matcher):
     # ------------------------------------------------------------------
 
     def match_context(self, ctx) -> ScoreMatrix:
-        matrix = ScoreMatrix(ctx.source, ctx.target)
-        s_nodes = ctx.source_postorder
-        t_nodes = ctx.target_postorder
-        s_index = {id(node): i for i, node in enumerate(s_nodes)}
-        t_index = {id(node): j for j, node in enumerate(t_nodes)}
-        n, m = len(s_nodes), len(t_nodes)
+        source, target = ctx.source_table, ctx.target_table
+        n, m = len(source), len(target)
+        s_leaves = np.flatnonzero(source.leaves)
+        t_leaves = np.flatnonzero(target.leaves)
 
-        # Leaf similarity per *signature* pair -- leaves sharing a
-        # (type, occurs, kind) signature are interchangeable, which keeps
-        # the pairwise leaf pass tiny even for thousands of leaves.
-        s_leaves = [node for node in s_nodes if node.is_leaf]
-        t_leaves = [node for node in t_nodes if node.is_leaf]
-        s_signatures = sorted({_leaf_signature(node) for node in s_leaves},
-                              key=repr)
-        t_signatures = sorted({_leaf_signature(node) for node in t_leaves},
-                              key=repr)
-        signature_score = {}
-        for s_sig in s_signatures:
-            s_probe = _node_from_signature(s_sig)
-            for t_sig in t_signatures:
-                signature_score[(s_sig, t_sig)] = self.leaf_similarity(
-                    s_probe, _node_from_signature(t_sig)
+        # Leaf-pair scores: one pair of blends per *shape* pair (leaves
+        # of equal shape are interchangeable, which keeps the pairwise
+        # leaf pass tiny even for thousands of leaves), picked per leaf
+        # pair by whether the normalized names are equal.
+        shape_ids: dict = {}
+        name_ids: dict = {}
+
+        def leaf_ids(table, leaves):
+            shapes, names = [], []
+            for index in leaves:
+                node = table.nodes[index]
+                shape = _leaf_shape(node)
+                shapes.append(shape_ids.setdefault(shape, len(shape_ids)))
+                names.append(
+                    name_ids.setdefault(normalize(node.name), len(name_ids))
                 )
+            return np.array(shapes, dtype=np.intp), np.array(names)
 
-        threshold = self.config.strong_link_threshold
+        s_shapes, s_names = leaf_ids(source, s_leaves)
+        t_shapes, t_names = leaf_ids(target, t_leaves)
+        shapes = list(shape_ids)
+        names_differ = np.zeros((len(shapes), len(shapes)))
+        names_equal = np.zeros((len(shapes), len(shapes)))
+        for a in set(s_shapes.tolist()):
+            for b in set(t_shapes.tolist()):
+                names_differ[a, b], names_equal[a, b] = self._shape_scores(
+                    shapes[a], shapes[b]
+                )
+        leaf_scores = np.where(
+            s_names[:, None] == t_names[None, :],
+            names_equal[np.ix_(s_shapes, t_shapes)],
+            names_differ[np.ix_(s_shapes, t_shapes)],
+        )
+        strong = (
+            leaf_scores >= self.config.strong_link_threshold
+        ).astype(np.int32)
+
         # linked_s[i, j]: leaves under source node i strongly linked into
         # the leaf set of target node j (and the transpose for linked_t).
+        # Base case: a source leaf is linked into a target subtree when
+        # any strong partner lives under it -- an OR up the target tree
+        # (postorder puts children first); the mirror for target leaves.
         linked_s = np.zeros((n, m), dtype=np.int32)
         linked_t = np.zeros((n, m), dtype=np.int32)
-        strongly_linked_sigs = {
-            (s_sig, t_sig)
-            for (s_sig, t_sig), score in signature_score.items()
-            if score >= threshold
-        }
-        s_strong_sigs = {}
-        for s_sig, t_sig in strongly_linked_sigs:
-            s_strong_sigs.setdefault(s_sig, set()).add(t_sig)
+        linked_s[np.ix_(s_leaves, t_leaves)] = strong
+        linked_t[np.ix_(s_leaves, t_leaves)] = strong
+        for j, children in enumerate(target.children):
+            if children:
+                linked_s[s_leaves, j] = linked_s[
+                    np.ix_(s_leaves, children)
+                ].max(axis=1)
+        for i, children in enumerate(source.children):
+            if children:
+                linked_t[i, t_leaves] = linked_t[
+                    np.ix_(children, t_leaves)
+                ].max(axis=0)
+        # DP: aggregate children into parents.  linked_s rows aggregate
+        # over the source tree; linked_t columns over the target tree.
+        for i, children in enumerate(source.children):
+            if children:
+                linked_s[i] = np.sum(linked_s[list(children)], axis=0)
+        for j, children in enumerate(target.children):
+            if children:
+                linked_t[:, j] = np.sum(linked_t[:, list(children)], axis=1)
 
-        # Base case: leaf x node "does any strong partner live under v".
-        t_sig_members: dict = {}
-        for t_leaf in t_leaves:
-            t_sig_members.setdefault(_leaf_signature(t_leaf), []).append(t_leaf)
-        for s_leaf in s_leaves:
-            strong_sigs = s_strong_sigs.get(_leaf_signature(s_leaf))
-            if not strong_sigs:
-                continue
-            i = s_index[id(s_leaf)]
-            marked = set()
-            for t_sig in strong_sigs:
-                for t_leaf in t_sig_members[t_sig]:
-                    node = t_leaf
-                    while node is not None and id(node) not in marked:
-                        marked.add(id(node))
-                        linked_s[i, t_index[id(node)]] = 1
-                        node = node.parent
-        # Mirror for target leaves into source subtrees.
-        s_sig_members: dict = {}
-        for s_leaf in s_leaves:
-            s_sig_members.setdefault(_leaf_signature(s_leaf), []).append(s_leaf)
-        t_strong_sigs = {}
-        for s_sig, t_sig in strongly_linked_sigs:
-            t_strong_sigs.setdefault(t_sig, set()).add(s_sig)
-        for t_leaf in t_leaves:
-            strong_sigs = t_strong_sigs.get(_leaf_signature(t_leaf))
-            if not strong_sigs:
-                continue
-            j = t_index[id(t_leaf)]
-            marked = set()
-            for s_sig in strong_sigs:
-                for s_leaf in s_sig_members[s_sig]:
-                    node = s_leaf
-                    while node is not None and id(node) not in marked:
-                        marked.add(id(node))
-                        linked_t[s_index[id(node)], j] = 1
-                        node = node.parent
-
-        # DP: aggregate children into parents (postorder guarantees
-        # children come first).  linked_s rows aggregate over the source
-        # tree; linked_t columns aggregate over the target tree.
-        for i, s_node in enumerate(s_nodes):
-            if s_node.children:
-                child_rows = [linked_s[s_index[id(c)]] for c in s_node.children]
-                linked_s[i] = np.sum(child_rows, axis=0)
-        for j, t_node in enumerate(t_nodes):
-            if t_node.children:
-                child_cols = [linked_t[:, t_index[id(c)]] for c in t_node.children]
-                linked_t[:, j] = np.sum(child_cols, axis=0)
-
-        # Vectorized blend (leaf sets come precomputed from the context).
-        s_leaf_count = np.array(
-            [len(ctx.leaves(node)) for node in s_nodes], dtype=np.float64,
-        )
-        t_leaf_count = np.array(
-            [len(ctx.leaves(node)) for node in t_nodes], dtype=np.float64,
-        )
+        s_leaf_count, s_height = _leaf_counts_and_heights(source)
+        t_leaf_count, t_height = _leaf_counts_and_heights(target)
         ssim = (linked_s + linked_t) / (
             s_leaf_count[:, None] + t_leaf_count[None, :]
         )
 
-        s_arity = np.array([len(node.children) for node in s_nodes], dtype=np.float64)
-        t_arity = np.array([len(node.children) for node in t_nodes], dtype=np.float64)
+        s_arity = np.array([len(c) for c in source.children], dtype=np.float64)
+        t_arity = np.array([len(c) for c in target.children], dtype=np.float64)
         arity_max = np.maximum(s_arity[:, None], t_arity[None, :])
         arity_min = np.minimum(s_arity[:, None], t_arity[None, :])
         with np.errstate(invalid="ignore", divide="ignore"):
             arity = np.where(arity_max > 0, arity_min / arity_max, 1.0)
 
-        s_height = np.array([node.height for node in s_nodes], dtype=np.float64)
-        t_height = np.array([node.height for node in t_nodes], dtype=np.float64)
         height = (np.minimum(s_height[:, None], t_height[None, :]) + 1) / (
             np.maximum(s_height[:, None], t_height[None, :]) + 1
         )
@@ -245,32 +227,27 @@ class StructuralMatcher(Matcher):
             + config.arity_weight * arity
             + config.height_weight * height
         )
-
         # Leaf-leaf pairs use the direct leaf similarity instead.
-        for s_leaf in s_leaves:
-            i = s_index[id(s_leaf)]
-            s_sig = _leaf_signature(s_leaf)
-            for t_leaf in t_leaves:
-                scores[i, t_index[id(t_leaf)]] = signature_score[
-                    (s_sig, _leaf_signature(t_leaf))
-                ]
+        scores[np.ix_(s_leaves, t_leaves)] = leaf_scores
 
-        for i, s_node in enumerate(s_nodes):
-            row = scores[i]
-            for j, t_node in enumerate(t_nodes):
-                matrix.set(s_node, t_node, float(row[j]))
+        outside = ~((scores >= -1e-9) & (scores <= 1 + 1e-9))
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            checked_score(float(scores[i, j]), source.paths[i],
+                          target.paths[j])  # raises
+        scores = np.clip(scores, 0.0, 1.0)
+        matrix = ScoreMatrix(ctx.source, ctx.target)
+        matrix.set_grid(source.paths, target.paths, scores.ravel().tolist())
         ctx.stats.count("structural.pairs", len(matrix))
         return matrix
 
 
-def _node_from_signature(signature) -> SchemaNode:
-    type_name, min_occurs, max_occurs, kind, order, label = signature
-    node = SchemaNode(
-        label or "probe",
-        kind=kind,
-        type_name=type_name,
-        min_occurs=min_occurs,
-        max_occurs=max_occurs,
-    )
-    node.properties["order"] = order
-    return node
+def _leaf_counts_and_heights(table) -> tuple:
+    """Per-node leaf counts and heights of one side, bottom-up."""
+    leaf_count = np.ones(len(table))
+    height = np.zeros(len(table))
+    for i, children in enumerate(table.children):
+        if children:
+            leaf_count[i] = sum(leaf_count[c] for c in children)
+            height[i] = 1 + max(height[c] for c in children)
+    return leaf_count, height

@@ -14,8 +14,8 @@ used in CLI output, examples and test assertions::
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
-from xml.dom import minidom
 
 from repro.xsd.model import SchemaNode, SchemaTree, UNBOUNDED, occurs_to_str
 
@@ -42,19 +42,89 @@ def _qualify(local_name):
 
 
 def to_xsd(tree: SchemaTree, pretty=True) -> str:
-    """Render a schema tree as an XML Schema document string."""
+    """Render a schema tree as an XML Schema document string.
+
+    ``pretty`` (the default) gives the canonical form the service and
+    the result store hash: an XML declaration, then one element per
+    line, indented two spaces per level, with no whitespace-only lines.
+    Raises ``TypeError`` for a non-string name or value and
+    ``ValueError`` for text holding a character XML cannot carry.
+    """
     ET.register_namespace(_XS, _XSD_URI)
     schema = ET.Element(_qualify("schema"), {f"xmlns:{_XS}": _XSD_URI})
     if tree.target_namespace:
         schema.set("targetNamespace", tree.target_namespace)
         schema.set("elementFormDefault", "qualified")
     schema.append(_element_to_xsd(tree.root, is_root=True))
-    text = ET.tostring(schema, encoding="unicode")
     if not pretty:
-        return text
-    pretty_text = minidom.parseString(text).toprettyxml(indent="  ")
-    # minidom puts the XML declaration on its own line; keep it.
-    return "\n".join(line for line in pretty_text.splitlines() if line.strip())
+        return ET.tostring(schema, encoding="unicode")
+    out = ['<?xml version="1.0" ?>\n']
+    _write_pretty(schema, "", out)
+    text = "".join(out)
+    invalid = _NON_XML_CHAR.search(text)
+    if invalid is not None:
+        raise ValueError(
+            f"cannot serialize {invalid.group()!r}: not an XML character"
+        )
+    # A name or text value may itself break lines; like the document's
+    # own line breaks, those become "\n", and lines left holding only
+    # whitespace are dropped.
+    return "\n".join(line for line in text.splitlines() if line.strip())
+
+
+#: Characters outside XML 1.0's ``Char`` production.
+_NON_XML_CHAR = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
+)
+
+#: A qualified tag this module may write: ``xs:`` plus an NCName.  The
+#: compositor and facet tags come from node properties, so are checked.
+_TAG = re.compile(r"xs:[^\W\d][\w.\-]*\Z")
+_FIXED_TAGS = frozenset(_qualify(name) for name in (
+    "schema", "element", "attribute", "annotation", "documentation",
+    "complexType", "simpleType", "restriction", "enumeration", "sequence",
+))
+
+
+def _escape(value) -> str:
+    """Text or attribute value with ``& < " >`` escaped."""
+    if not isinstance(value, str):
+        raise TypeError(
+            f"cannot serialize {value!r} (type {type(value).__name__})"
+        )
+    if "&" in value:
+        value = value.replace("&", "&amp;")
+    if "<" in value:
+        value = value.replace("<", "&lt;")
+    if '"' in value:
+        value = value.replace('"', "&quot;")
+    if ">" in value:
+        value = value.replace(">", "&gt;")
+    return value
+
+
+def _write_pretty(element: ET.Element, indent: str, out: list):
+    """Append ``element`` to ``out``, one line per element.
+
+    Elements built here carry either child elements or text, never
+    both, so text always stays inline with its tags.
+    """
+    tag = element.tag
+    if tag not in _FIXED_TAGS and not _TAG.match(tag):
+        raise ValueError(f"cannot serialize tag {tag!r}")
+    attrs = "".join(
+        f' {name}="{_escape(value)}"' for name, value in element.items()
+    )
+    if len(element):
+        out.append(f"{indent}<{tag}{attrs}>\n")
+        inner = indent + "  "
+        for child in element:
+            _write_pretty(child, inner, out)
+        out.append(f"{indent}</{tag}>\n")
+    elif element.text:
+        out.append(f"{indent}<{tag}{attrs}>{_escape(element.text)}</{tag}>\n")
+    else:
+        out.append(f"{indent}<{tag}{attrs}/>\n")
 
 
 def _element_to_xsd(node: SchemaNode, is_root=False) -> ET.Element:

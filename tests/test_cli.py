@@ -379,6 +379,22 @@ class TestBatchCommand:
         assert main(["batch", str(bad)]) == 2
         assert "threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("strategy", "bogus"),
+        ("strategy", 7),
+        ("threshold", True),
+        ("timeout", True),
+    ])
+    def test_invalid_manifest_parameter_exits_2(self, tmp_path, capsys,
+                                                field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"pairs": [
+            {"source": "builtin:PO1", "target": "builtin:PO2",
+             field: value},
+        ]}), encoding="utf-8")
+        assert main(["batch", str(bad), "--no-cache"]) == 2
+        assert f"invalid {field} {value!r}" in capsys.readouterr().err
+
     def test_bad_workers_exits_2(self, manifest_path, capsys):
         assert main(["batch", str(manifest_path), "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err

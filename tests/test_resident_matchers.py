@@ -1,11 +1,12 @@
 """A matcher kept resident across jobs answers exactly like a fresh one.
 
-The corpus searcher's inline rerank keeps one matcher per
-``(algorithm, weights)`` across jobs
-(:class:`repro.service.runner.ResidentMatchers`).  These tests pin that
-a job's payload, trace and stats never depend on which jobs ran before
-it, that the resident map stays bounded, and that concurrent searches
-on one searcher agree with a serial run.
+The corpus searcher's inline rerank and every pool worker keep one
+matcher per ``(algorithm, weights)`` across jobs
+(:class:`repro.service.runner.ResidentMatchers`), one map per process.
+These tests pin that a job's payload, trace and stats never depend on
+which jobs ran before it, that the resident map stays bounded, that a
+pool worker holds exactly one map, and that concurrent searches on one
+searcher agree with a serial run.
 """
 
 from __future__ import annotations
@@ -364,10 +365,36 @@ class TestConcurrentSearch:
 
 
 class TestPoolWorkerState:
-    def test_only_the_searcher_keeps_matchers(self, small_corpus):
+    def test_worker_with_a_corpus_holds_one_map_its_searchers(
+            self, small_corpus):
         corpus, _ = small_corpus
         state = PoolWarmup(corpus_dir=corpus.root)()
-        assert "matchers" not in state
-        assert isinstance(
-            state["searcher"]._rerank_state["matchers"], ResidentMatchers
+        assert isinstance(state["matchers"], ResidentMatchers)
+        assert state["matchers"] is (
+            state["searcher"]._rerank_state["matchers"]
         )
+
+    def test_worker_without_a_corpus_holds_a_fresh_map(self):
+        state = PoolWarmup()()
+        assert state["searcher"] is None
+        assert isinstance(state["matchers"], ResidentMatchers)
+        assert len(state["matchers"]) == 0
+        assert state["matchers"] is not PoolWarmup()()["matchers"]
+
+    def test_job_stream_equals_fresh_jobs(self):
+        """One worker state fed a stream that switches configurations
+        and repeats schemas (tree LRU hits) answers every job with the
+        result, trace and stats of a fresh ``execute_job``."""
+        specs = job_specs()
+        stream = specs[::5] + specs[1::11] + specs[::5]
+        state = PoolWarmup()()
+        mismatched = []
+        for spec in stream:
+            resident = comparable(execute_job(spec, state))
+            assert len(state["matchers"]) <= runner.MAX_RESIDENT_MATCHERS
+            if resident != comparable(execute_job(spec)):
+                mismatched.append((spec.algorithm, spec.source_name,
+                                   spec.target_name))
+        assert not mismatched, mismatched[:5]
+        assert len(state["matchers"]) > 0
+        assert state["trees"]

@@ -28,6 +28,8 @@ from repro.service.store import (
 from repro.service.validation import (
     ValidationError,
     validate_algorithm,
+    validate_positive,
+    validate_strategy,
     validate_threshold,
     validate_weights,
 )
@@ -83,9 +85,23 @@ class TestValidation:
     def test_threshold_range(self):
         assert validate_threshold(0.0) == 0.0
         assert validate_threshold("0.75") == 0.75
-        for bad in (-0.1, 1.01, "high", None):
+        for bad in (-0.1, 1.01, "high", None, True, False):
             with pytest.raises(ValidationError):
                 validate_threshold(bad)
+
+    def test_positive_rejects_booleans(self):
+        assert validate_positive(2, "timeout") == 2.0
+        for bad in (True, False):
+            with pytest.raises(ValidationError, match="invalid timeout"):
+                validate_positive(bad, "timeout", allow_zero=True)
+
+    def test_strategy_names(self):
+        assert validate_strategy(None) is None
+        for name in ("greedy", "hierarchical", "stable", "all"):
+            assert validate_strategy(name) == name
+        for bad in ("bogus", 7, "", ["greedy"]):
+            with pytest.raises(ValidationError, match="invalid strategy"):
+                validate_strategy(bad)
 
     def test_weights(self):
         weights = validate_weights("3,2,1,4")

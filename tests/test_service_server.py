@@ -197,6 +197,23 @@ class TestErrorPaths:
         assert status == 400
         assert "must be in [0, 1]" in payload["error"]
 
+    @pytest.mark.parametrize("route", ["/jobs", "/match"])
+    @pytest.mark.parametrize("field, value", [
+        ("strategy", "bogus"),
+        ("strategy", 7),
+        ("threshold", True),
+        ("timeout", True),
+    ])
+    def test_invalid_parameter_400_before_any_job_runs(
+            self, server_url, route, field, value):
+        jobs_before = request(f"{server_url}/stats")[1]["jobs"]
+        status, payload = request(
+            f"{server_url}{route}", "POST", po_pair_body(**{field: value})
+        )
+        assert status == 400
+        assert f"invalid {field} {value!r}" in payload["error"]
+        assert request(f"{server_url}/stats")[1]["jobs"] == jobs_before
+
     def test_weights_require_qmatch_400(self, server_url):
         status, payload = request(
             f"{server_url}/jobs", "POST",
