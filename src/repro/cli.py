@@ -22,7 +22,7 @@ Subcommands::
                                [--report out.json]
                                [--require constraints.json]
     qmatch serve [--host H] [--port P] [--workers N] [--cache-dir DIR]
-                 [--mode pool|fork|inline] [--timeout S] [--retries N]
+                 [--mode pool|inline] [--timeout S] [--retries N]
                  [--corpus DIR] [--scorer cosine|bm25] [--max-pending N]
                  [--max-body-bytes N] [--max-jobs N] [--drain-timeout S]
     qmatch index build DIR [schemas...] [--builtins]
@@ -49,12 +49,11 @@ human-readable breakdown; ``show`` / ``stats`` inspect one schema;
 pairs; ``generate`` emits a sample document; ``translate`` matches two
 schemas and reshapes a document from one into the other; ``diff``
 compares two saved match results; ``sdiff`` diffs two versions of a
-schema; ``batch`` runs every pair in a manifest through the parallel
-:mod:`repro.service` runner with content-addressed result caching;
-``serve`` exposes the same engine as a JSON-over-HTTP job service
-(jobs run on a persistent pre-warmed worker pool by default; ``--mode
-fork`` forks per attempt, ``--mode inline`` runs on the service
-threads);
+schema; ``batch`` runs every pair in a manifest on a :mod:`repro.service`
+worker pool with content-addressed result caching; ``serve`` exposes
+the same engine as a JSON-over-HTTP job service (jobs run on a
+persistent pre-warmed worker pool by default; ``--mode inline`` runs
+them on the service threads);
 ``index`` manages an on-disk schema corpus and its blocking indexes;
 ``search`` ranks a corpus against a query schema by retrieving a
 candidate shortlist from the indexes and reranking it with QMatch;
@@ -279,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate_parser.add_argument(
         "--workers", type=int, default=1,
-        help="route (task, algorithm) runs through the parallel batch "
-             "runner with this many worker processes (default: 1, serial)",
+        help="run the (task, algorithm) jobs on a worker pool with this "
+             "many worker processes (default: 1, serial in process)",
     )
     evaluate_parser.add_argument(
         "--format", choices=("text", "markdown"), default="text",
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_parser.add_argument(
         "--workers", type=int, default=1,
-        help="concurrent worker processes (default: 1, serial)",
+        help="worker processes in the job pool (default: 1, serial)",
     )
     batch_parser.add_argument(
         "--cache-dir", metavar="DIR", default=".qmatch-cache",
@@ -408,18 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the content-addressed result store at DIR",
     )
     serve_parser.add_argument(
-        "--mode", choices=("pool", "fork", "inline"), default="pool",
+        "--mode", choices=("pool", "inline"), default="pool",
         help="job execution backend: a persistent pre-warmed worker "
-             "pool (default), a fresh fork per attempt, or inline on "
-             "the service threads (lowest latency; no hard timeouts)",
-    )
-    serve_parser.add_argument(
-        "--inline", action="store_true",
-        help="alias for --mode inline (kept for compatibility)",
+             "pool (default) or inline on the service threads (lowest "
+             "latency; no hard timeouts)",
     )
     serve_parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job deadline in pool/fork mode (default: 300)",
+        help="per-job deadline in pool mode (default: 300)",
     )
     serve_parser.add_argument(
         "--retries", type=int, default=1,
@@ -636,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search_parser.add_argument(
         "--workers", type=int, default=1,
-        help="rerank worker processes (default: 1, inline)",
+        help="rerank worker processes; above 1 each search opens a "
+             "worker pool for its rerank (default: 1, in process)",
     )
     search_parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -1066,7 +1062,7 @@ def _command_batch(args) -> int:
     from pathlib import Path
 
     from repro.service.manifest import load_manifest
-    from repro.service.runner import BatchRunner
+    from repro.service.pool import WorkerPool
     from repro.service.store import ResultStore
     from repro.service.validation import ValidationError
 
@@ -1094,12 +1090,12 @@ def _command_batch(args) -> int:
     runner_kwargs = {}
     if args.timeout is not None:
         runner_kwargs["timeout"] = args.timeout
-    runner = BatchRunner(
+    with WorkerPool(
         workers=args.workers, store=store, retries=args.retries,
         constraint=constraint,
         **runner_kwargs,
-    )
-    report = runner.run(specs)
+    ) as pool:
+        report = pool.run(specs)
     if args.show_stats:
         _emit_stats(report.stats, args.output_format)
     if args.trace_dir:
@@ -1176,7 +1172,7 @@ def _command_serve(args) -> int:
     return serve(
         host=args.host, port=args.port, workers=args.workers,
         cache_dir=args.cache_dir,
-        mode="inline" if args.inline else args.mode,
+        mode=args.mode,
         timeout=args.timeout,
         retries=args.retries,
         corpus_dir=args.corpus,

@@ -8,10 +8,11 @@ them, and keeps a candidate shortlist.  Cost is proportional to the
 matching posting lists, not the corpus.
 
 Stage 2 (**rerank**) runs the full hybrid QMatch engine on query ×
-shortlist only, through the same :class:`~repro.service.runner.BatchRunner`
-the batch service uses (so reranks parallelize over worker processes
-and hit the content-addressed result store when one is attached), and
-orders hits by tree QoM.
+shortlist only, through the job state machine the batch service uses
+(:class:`~repro.service.runner.BatchRunner` in process, or a
+:class:`~repro.service.pool.WorkerPool` opened for the rerank when
+``workers`` > 1; either hits the content-addressed result store when
+one is attached), and orders hits by tree QoM.
 
 The point: against an ``N``-schema corpus a search examines
 ``len(shortlist)`` expensive pairs instead of ``N`` -- the
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from repro.corpus.corpus import SchemaCorpus
@@ -35,7 +35,8 @@ from repro.engine.stats import EngineStats
 from repro.obs.log import NULL_LOGGER
 from repro.obs.spans import current_tracer
 from repro.service.jobs import MatchJobSpec
-from repro.service.runner import BatchRunner, ResidentMatchers, execute_job
+from repro.service.pool import WorkerPool
+from repro.service.runner import BatchRunner, ResidentMatchers
 from repro.service.store import ResultStore, content_hash
 
 #: Default number of hits a search returns.
@@ -178,9 +179,11 @@ class CorpusSearcher:
         ``score = lw * lexical + (1 - lw) * jaccard``, where the
         lexical side is ``scorer`` -- ``cosine`` (default) or ``bm25``
         (see :data:`~repro.corpus.indexes.LEXICAL_SCORERS`; both live
-        in [0, 1]).  ``workers`` > 1 fans the rerank over that many
-        processes; ``store`` makes reranks content-addressed-cacheable
-        across searches.  ``log`` is an
+        in [0, 1]).  ``workers`` > 1 runs each rerank on a
+        :class:`~repro.service.pool.WorkerPool` of that many processes,
+        opened for that rerank (1 reranks in process, with matchers
+        kept across searches); ``store`` makes reranks
+        content-addressed-cacheable across searches.  ``log`` is an
         :class:`~repro.obs.log.EventLogger` that receives
         ``search.retrieve`` / ``search.rerank`` stage events (disabled
         by default).
@@ -290,20 +293,19 @@ class CorpusSearcher:
             )
             for hit in shortlist
         ]
-        inline = self.workers == 1
-        runner = BatchRunner(
-            workers=self.workers,
-            store=self.store,
-            retries=0,
-            inline=inline,
-            worker=(
-                partial(execute_job, state=self._rerank_state) if inline
-                else execute_job
-            ),
-            log=self.log.child(stage="rerank"),
-        )
+        log = self.log.child(stage="rerank")
         with stats.stage("search:rerank"):
-            report = runner.run(specs)
+            if self.workers == 1:
+                report = BatchRunner(
+                    store=self.store, retries=0, state=self._rerank_state,
+                    log=log,
+                ).run(specs)
+            else:
+                with WorkerPool(
+                    workers=self.workers, store=self.store, retries=0,
+                    log=log,
+                ) as pool:
+                    report = pool.run(specs)
         stats.merge(report.stats)
         for hit, record in zip(shortlist, report.records):
             hit.reranked = True

@@ -5,9 +5,9 @@
 deterministic segment groups (blake2b of the segment id, so a segment
 stays in its shard across reopenings) and fans the groups across a
 thread pool.  Stage 2 is inherited unchanged from
-:class:`~repro.corpus.search.CorpusSearcher`, whose rerank runs through
-:class:`~repro.service.runner.BatchRunner` -- so retrieval fan-out
-(threads over shards) composes with rerank parallelism (worker
+:class:`~repro.corpus.search.CorpusSearcher`, whose rerank runs in
+process or on a :class:`~repro.service.pool.WorkerPool` -- so retrieval
+fan-out (threads over shards) composes with rerank parallelism (worker
 processes over candidate pairs) without either knowing about the other.
 
 Sharding never changes scores: every shard scores its documents against

@@ -12,7 +12,7 @@ Registries are **mergeable across processes**: :meth:`as_dict` /
 :meth:`from_dict` round-trip every sample and :meth:`merge` adds
 counters/histograms sample-wise (gauges take the other side's value),
 mirroring how :class:`~repro.engine.stats.EngineStats` crosses the
-batch runner's fork boundary.  :func:`engine_stats_metrics` bridges the
+worker pool's process boundary.  :func:`engine_stats_metrics` bridges the
 two worlds by projecting an ``EngineStats`` snapshot into a registry,
 so one scrape covers HTTP traffic and engine internals alike.
 """

@@ -25,9 +25,9 @@ Design invariants (all dependency-free, all deterministic):
   wall clock, so exported files diff cleanly across runs modulo
   duration jitter.
 - **Cross-boundary propagation.**  :meth:`SpanTracer.propagation_context`
-  produces a small picklable dict that travels in the WorkerPool pipe
-  envelope or a :class:`~repro.service.runner.BatchRunner` fork
-  wrapper; the worker builds a child tracer from it, and the parent
+  produces a small picklable dict that travels in the
+  :class:`~repro.service.pool.WorkerPool` pipe envelope; the worker
+  builds a child tracer from it, and the parent
   :meth:`~SpanTracer.adopt`\\ s the returned spans rebased onto the
   anchoring span's timeline.
 

@@ -1,13 +1,9 @@
 """The HTTP JSON API, independent of any transport.
 
-One request pipeline serves both front-ends -- the threaded
-:class:`~repro.service.server.MatchRequestHandler` (embedded/test use)
-and the asyncio :class:`~repro.service.aserver.AsyncMatchServer`
-(``qmatch serve``).  Each transport only reads bytes off its socket
-and writes the returned :class:`ApiResponse` back; every route,
-status code, error message, admission decision and metric sample is
-produced here, which is what keeps the JSON API byte-identical across
-transports.
+The asyncio front end (:class:`~repro.service.aserver.AsyncMatchServer`,
+``qmatch serve``) only reads bytes off its socket and writes the
+returned :class:`ApiResponse` back; every route, status code, error
+message, admission decision and metric sample is produced here.
 
 Cross-cutting behaviour owned by this module:
 
@@ -200,7 +196,7 @@ def handle_api_request(service, method: str, path: str,
     """Dispatch one request against ``service`` and record its metrics.
 
     ``raw_body`` is the request body for POSTs (``None`` for GETs);
-    transports enforce the byte-size cap while *reading* (so an
+    the transport enforces the byte-size cap while *reading* (so an
     oversized body is never buffered) and call
     :func:`too_large_response` instead.
 

@@ -1,21 +1,19 @@
-"""Persistent pre-warmed worker pool: the interactive serving backend.
+"""Persistent pre-warmed worker pool: the process backend.
 
-:class:`~repro.service.runner.BatchRunner` forks a fresh process per
-job attempt -- perfect isolation, but every request pays process
-creation, module imports, thesaurus load and schema parsing before any
-matching happens.  Fine for batch; fatal for interactive latency.
-
-:class:`WorkerPool` keeps ``workers`` long-lived child processes, each
-**pre-warmed** before the pool reports ready:
+:class:`WorkerPool` is a :class:`~repro.service.runner.BatchRunner`
+whose attempts run in ``workers`` long-lived child processes instead of
+on the calling thread -- it overrides only the per-attempt
+``_execute``, so cache, retry and reporting semantics are the
+runner's.  Each worker is **pre-warmed** before the pool reports ready:
 
 - the default thesaurus is parsed once and stays resident;
 - parsed schema trees are kept in a per-worker LRU keyed by content
   hash, so repeated requests over the same schemas skip XSD parsing
   entirely (matching never mutates trees -- per-match memos live in
   ``MatchContext`` -- which is what makes the cache safe);
-- one matcher per ``(algorithm, weights)`` stays resident across
-  ``POST /match`` jobs (:class:`~repro.service.runner.ResidentMatchers`,
-  bounded in configurations and memo entries);
+- one matcher per ``(algorithm, weights)`` stays resident across jobs
+  (:class:`~repro.service.runner.ResidentMatchers`, bounded in
+  configurations and memo entries);
 - with a corpus configured, the :class:`~repro.corpus.search.CorpusSearcher`
   (corpus + inverted/MinHash indexes) loads once per worker and serves
   ``POST /search`` without ever re-reading the index from disk.  Its
@@ -26,10 +24,12 @@ of a queue, sends the :class:`~repro.service.jobs.MatchJobSpec`, and
 waits for the reply envelope with the job's deadline.  A worker that
 crashes (EOF on the pipe) or overruns its deadline is killed and
 **respawned** -- the pool never shrinks -- and the failure surfaces as
-the same structured error/timeout record :class:`BatchRunner`
-produces, because both backends share
-:class:`~repro.service.runner.JobExecutionCore`'s state machine.
-Retry then naturally lands on a fresh (or different) worker.
+a structured error/timeout record.  Retry then lands on a fresh (or
+different) worker.
+
+``qmatch serve`` keeps one pool for its lifetime; ``qmatch batch``,
+parallel evaluation and parallel search reranks open one for a single
+run (``with WorkerPool(...) as pool: pool.run(specs)``).
 
 Instrumentation: ``service_pool_workers{state=idle|busy}`` gauges,
 ``service_pool_queue_wait_seconds`` (time a job waited for a free
@@ -39,13 +39,13 @@ worker -- the serving backpressure signal), and
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import queue as queue_module
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.obs.log import NULL_LOGGER
 from repro.obs.metrics import QUEUE_WAIT_BUCKETS, pool_depth_metrics
@@ -56,11 +56,10 @@ from repro.obs.spans import (
     use_request_id,
     use_tracer,
 )
-from repro.service.jobs import JobQueue, MatchJobSpec
+from repro.service.jobs import MatchJobSpec
 from repro.service.runner import (
     DEFAULT_TIMEOUT,
-    BatchReport,
-    JobExecutionCore,
+    BatchRunner,
     ResidentMatchers,
     execute_job,
 )
@@ -121,18 +120,6 @@ class PoolWarmup:
                 else searcher._rerank_state["matchers"]
             ),
         }
-
-
-class _StatelessBody:
-    """Adapts a ``(spec) -> envelope`` body to the pool's
-    ``(spec, state)`` signature -- lets tests reuse the BatchRunner
-    worker injection points unchanged."""
-
-    def __init__(self, body=execute_job):
-        self.body = body
-
-    def __call__(self, spec, state):
-        return self.body(spec)
 
 
 def _search_resident(request: dict, state: Optional[dict]) -> dict:
@@ -250,8 +237,9 @@ class _WorkerHandle:
         self.jobs = 0
 
 
-class WorkerPool(JobExecutionCore):
-    """N persistent pre-warmed workers behind the shared job core."""
+class WorkerPool(BatchRunner):
+    """N persistent pre-warmed workers behind the runner's job state
+    machine."""
 
     mode = "pool"
 
@@ -266,41 +254,36 @@ class WorkerPool(JobExecutionCore):
                  cache_dir=None,
                  scorer: str = "cosine",
                  shards=None,
-                 mp_context=None,
                  log=NULL_LOGGER,
                  metrics=None,
                  constraint=None,
                  spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT):
-        """``worker`` is the resident job body ``(spec, state) ->
-        envelope`` (wrap a plain ``(spec)`` body with
-        :class:`_StatelessBody`); ``warm`` overrides the default
-        :class:`PoolWarmup` built from ``corpus_dir``/``cache_dir``/
-        ``scorer``.  The constructor blocks until every worker finished
-        warming (or ``spawn_timeout`` expires), so the first request
-        never pays cold-start cost.
+        """``worker`` is the job body ``(spec, state) -> envelope``, run
+        inside a worker against that worker's resident state; ``warm``
+        overrides the default :class:`PoolWarmup` built from
+        ``corpus_dir``/``cache_dir``/``scorer``.  The constructor blocks
+        until every worker finished warming (or ``spawn_timeout``
+        expires), so the first request never pays cold-start cost.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         super().__init__(
             store=store, timeout=timeout, retries=retries,
-            retry_backoff=retry_backoff, log=log, metrics=metrics,
-            constraint=constraint,
+            retry_backoff=retry_backoff, worker=worker, log=log,
+            metrics=metrics, constraint=constraint,
         )
         self.workers = workers
-        self.worker = worker
         self.warm = warm if warm is not None else PoolWarmup(
             corpus_dir=corpus_dir, cache_dir=cache_dir, scorer=scorer,
             shards=shards,
         )
         self.spawn_timeout = spawn_timeout
-        if mp_context is None:
-            import multiprocessing
-
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-        self._mp = mp_context
+        # fork inherits the parent's imported library, so a spawn costs
+        # only the warm-up; fall back to the default context elsewhere.
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None
+        )
         self._idle: queue_module.Queue = queue_module.Queue()
         self._handles: list[_WorkerHandle] = []
         self._pool_lock = threading.Lock()
@@ -475,6 +458,9 @@ class WorkerPool(JobExecutionCore):
                 message = handle.conn.recv()
             except (EOFError, OSError):
                 keep = False
+                # The pipe closed because the worker is exiting: reap
+                # it so the error can name its exit code.
+                handle.process.join(5)
                 exitcode = handle.process.exitcode
                 self.log.event(
                     "pool.worker_crash", kind=kind, phase="recv",
@@ -517,51 +503,6 @@ class WorkerPool(JobExecutionCore):
             f"{value.get('type', 'Error')}: "
             f"{value.get('message', 'search failed')}"
         )
-
-    # ------------------------------------------------------------------
-    # Batch entry point (parity with BatchRunner.run)
-    # ------------------------------------------------------------------
-
-    def run(self, specs: Iterable[MatchJobSpec],
-            queue: Optional[JobQueue] = None) -> BatchReport:
-        """Run every spec over the pool; report in submission order."""
-        queue = queue if queue is not None else JobQueue()
-        records = queue.submit_all(specs)
-        self.log.event(
-            "batch.start", jobs=len(records), workers=self.workers,
-            mode="pool",
-        )
-        started = time.perf_counter()
-        if self.workers == 1:
-            for record in records:
-                self.run_record(record, queue)
-        else:
-            with ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="qmatch-pool",
-            ) as dispatchers:
-                futures = [
-                    dispatchers.submit(self.run_record, record, queue)
-                    for record in records
-                ]
-                for future in futures:
-                    future.result()
-        report = BatchReport(
-            records=records,
-            workers=self.workers,
-            wall_seconds=time.perf_counter() - started,
-            stats=self.stats,
-            traces={
-                record.job_id: self.traces[record.job_id]
-                for record in records if record.job_id in self.traces
-            },
-        )
-        self.log.event(
-            "batch.done", wall_seconds=round(report.wall_seconds, 6),
-            jobs=len(records), counts=report.counts,
-            cache_hits=report.cache_hits,
-        )
-        return report
 
     # ------------------------------------------------------------------
     # Shutdown

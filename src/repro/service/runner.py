@@ -1,83 +1,63 @@
-"""Job execution core + the fork-per-job parallel batch runner.
+"""The per-job state machine and its in-process backend.
 
-Two layers live here, deliberately separated so every execution
-backend shares one set of semantics:
-
-:class:`JobExecutionCore` is the **per-job state machine**, backend
-agnostic.  It drives a :class:`~repro.service.jobs.JobRecord` through
-its lifecycle:
+:class:`BatchRunner` drives a :class:`~repro.service.jobs.JobRecord`
+through its lifecycle:
 
 1. **Cache check** -- the content-addressed
    :class:`~repro.service.store.ResultStore` is consulted first; a hit
-   completes the job without any worker (``cache_hit=True``, zero
+   completes the job without running it (``cache_hit=True``, zero
    attempts).
 2. **Bounded retry with backoff** -- timeouts and errors are retried up
    to ``retries`` extra attempts with exponential backoff, then land in
    the ``timed-out`` / ``failed`` state.  A bad pair never aborts the
    batch.
-3. **Stats / trace / metrics collection** -- worker envelopes fold
-   their :class:`~repro.engine.stats.EngineStats` and trace snapshots
-   back into the core under one lock, and every terminal job emits a
-   log event plus metric samples.
+3. **Stats / trace / metrics collection** -- job envelopes fold their
+   :class:`~repro.engine.stats.EngineStats` and trace snapshots back
+   into the runner under one lock, and every terminal job emits a log
+   event plus metric samples.
 
-What the core does *not* define is how one attempt actually executes:
-subclasses implement ``_execute(spec, timeout)``.  Two backends exist:
+One attempt is :meth:`BatchRunner._execute`, and it is the only thing
+the two backends do differently:
 
-- :class:`BatchRunner` (here) -- **fork-per-job**: each attempt runs
-  :func:`execute_job` in a fresh ``multiprocessing`` child process,
-  which gives a real per-job deadline (the child is terminated on
-  timeout) and turns a hard worker crash (segfault, ``os._exit``) into
-  a structured error record instead of a poisoned pool.  Best for
-  batch workloads where per-job process cost amortizes over long jobs.
-- :class:`~repro.service.pool.WorkerPool` -- **persistent pre-warmed
-  workers**: attempts dispatch over pipes to long-lived processes that
-  keep expensive state (thesaurus, parsed schemas, corpus index)
-  resident.  Best for interactive serving, where fork + re-import +
-  re-parse per request dominates latency.
+- :class:`BatchRunner` runs the job body in process, on the calling
+  thread.  No hard deadline; the corpus search's inline rerank,
+  ``qmatch serve --mode inline`` and embedded callers use it.
+- :class:`~repro.service.pool.WorkerPool` subclasses it and sends each
+  attempt over a pipe to one of N persistent pre-warmed worker
+  processes.  A worker that overruns its deadline or crashes is killed
+  and respawned, and the attempt becomes a structured timeout/error
+  record.  ``qmatch batch``, ``qmatch serve``, parallel evaluation and
+  parallel search reranks run on it.
 
-Because both run the *same* state machine, retry/timeout/crash
-semantics, cache behaviour, and result bytes are identical across
-backends -- asserted by the byte-identity tests.
-
-Concurrency in :class:`BatchRunner` is a thread pool of dispatchers,
-each managing one child process at a time, so ``workers=4`` means at
-most four concurrent match processes.  ``inline=True`` skips process
-isolation and runs jobs on the dispatcher thread itself -- the lowest
-latency mode, and the fallback where ``fork``/``spawn`` is unavailable
-(timeouts are then not enforceable).
+Both call the same job body, ``worker(spec, state)`` (by default
+:func:`execute_job`), so retry/timeout semantics, cache behaviour and
+result bytes are identical across backends -- asserted by the
+byte-identity tests.
 
 A run produces a :class:`BatchReport`: job records in deterministic
 submission order, per-state counts, store hit rates and the merged
-:class:`~repro.engine.stats.EngineStats` of every worker (worker
-processes return their stats as dicts; the parent folds them back in
+:class:`~repro.engine.stats.EngineStats` of every job (worker
+processes return their stats as dicts; the runner folds them back in
 through :meth:`EngineStats.from_dict`).
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.constraints.evidence import attach_result_axes
 from repro.engine.registry import DEFAULT_REGISTRY
 from repro.engine.stats import EngineStats
 from repro.matching.io import result_to_payload
 from repro.obs.log import NULL_LOGGER
-from repro.obs.spans import (
-    SpanTracer,
-    current_request_id,
-    current_tracer,
-    use_request_id,
-    use_tracer,
-)
+from repro.obs.spans import current_tracer
 from repro.obs.trace import TraceRecorder, trace_run_id
 from repro.service.jobs import JobQueue, JobRecord, JobState, MatchJobSpec
 from repro.service.store import ResultStore
@@ -245,8 +225,8 @@ def execute_job(spec: MatchJobSpec, state: Optional[dict] = None) -> dict:
     rides through the match and comes back as ``envelope["trace"]``
     (an :meth:`~repro.obs.trace.TraceRecorder.as_dict` snapshot).  Its
     run ID derives from the spec's content hashes and the matcher
-    fingerprint, so the trace of a forked worker is byte-identical to
-    the same job run inline or via ``qmatch match --trace``.
+    fingerprint, so the trace of a pool worker is byte-identical to the
+    same job run inline or via ``qmatch match --trace``.
     """
     started = time.perf_counter()
     source = _resident_tree(
@@ -294,46 +274,6 @@ def execute_job(spec: MatchJobSpec, state: Optional[dict] = None) -> dict:
     if tracer is not None:
         envelope["trace"] = tracer.as_dict()
     return envelope
-
-
-def _process_entry(conn, worker, spec):
-    """Child-process entry: run ``worker`` and ship the outcome back."""
-    try:
-        value = worker(spec)
-        conn.send({"ok": True, "value": value})
-    except BaseException as exc:  # noqa: BLE001 -- boundary: report, don't die
-        conn.send({
-            "ok": False,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        })
-    finally:
-        conn.close()
-
-
-class _SpanWorker:
-    """Carries the request span context across the fork boundary.
-
-    A picklable wrapper (plain attributes, module-level class -- works
-    under any multiprocessing start method) that builds the worker-side
-    tracer, runs the job body under it, and rides the exported spans
-    back on the envelope.  The parent pops the ``spans`` key before the
-    result payload goes anywhere, so stored/served bytes are identical
-    with tracing on or off.
-    """
-
-    def __init__(self, body, context: dict, request_id: str):
-        self.body = body
-        self.context = context
-        self.request_id = request_id
-
-    def __call__(self, spec):
-        tracer = SpanTracer.from_context(self.context)
-        with use_request_id(self.request_id), use_tracer(tracer):
-            with tracer.span("worker.job", {"pid": os.getpid()}):
-                envelope = self.body(spec)
-        if isinstance(envelope, dict):
-            envelope["spans"] = tracer.export_spans()
-        return envelope
 
 
 @dataclass
@@ -463,26 +403,36 @@ class BatchReport:
         return "\n".join(lines)
 
 
-class JobExecutionCore:
-    """The backend-agnostic per-job state machine.
+class BatchRunner:
+    """Run match jobs through the per-job state machine, in process.
 
     Owns cache lookup, bounded retry with backoff, stats/trace
-    aggregation and terminal-state bookkeeping.  Subclasses provide the
-    actual attempt execution via :meth:`_execute` and whatever process
-    lifecycle that requires (fork-per-job in :class:`BatchRunner`,
-    persistent pre-warmed workers in
-    :class:`~repro.service.pool.WorkerPool`).
+    aggregation and terminal-state bookkeeping.  Each attempt calls the
+    job body on the calling thread; :class:`~repro.service.pool.WorkerPool`
+    overrides :meth:`_execute` to run it in worker processes instead.
     """
+
+    mode = "inline"
+    #: Jobs :meth:`run` drives at once (one dispatcher thread each).
+    workers = 1
 
     def __init__(self, store: Optional[ResultStore] = None,
                  timeout: Optional[float] = DEFAULT_TIMEOUT,
                  retries: int = 1,
                  retry_backoff: float = 0.1,
+                 worker: Callable[[MatchJobSpec, Optional[dict]], dict]
+                 = execute_job,
+                 state: Optional[dict] = None,
                  log=NULL_LOGGER,
                  metrics=None,
                  constraint=None):
-        """``retries`` is the number of *extra* attempts after the first;
-        ``retry_backoff`` seconds double per retry.  ``log`` is an
+        """``worker`` is the job body ``(spec, state) -> envelope`` --
+        injectable so tests can simulate failures, crashes and hangs --
+        and ``state`` the resident state this runner hands it (see
+        :func:`execute_job`).  ``retries`` is the number of *extra*
+        attempts after the first; ``retry_backoff`` seconds double per
+        retry.  ``timeout`` is the per-job deadline a backend that can
+        enforce one applies.  ``log`` is an
         :class:`~repro.obs.log.EventLogger` (disabled by default);
         ``metrics`` an optional
         :class:`~repro.obs.metrics.MetricsRegistry` fed per-job
@@ -497,14 +447,16 @@ class JobExecutionCore:
         self.timeout = timeout
         self.retries = retries
         self.retry_backoff = retry_backoff
+        self.worker = worker
+        self.state = state
         self.log = log
         self.metrics = metrics
         self.constraint = constraint
         #: job_id -> trace snapshot for traced jobs, collected from the
-        #: worker envelopes (guarded by the stats lock).
+        #: job envelopes (guarded by the stats lock).
         self.traces: dict[str, dict] = {}
-        #: Aggregated over the whole run: every worker's EngineStats
-        #: plus the store's hit/miss counters.  Guarded by a lock --
+        #: Aggregated over the whole run: every job's EngineStats plus
+        #: the store's hit/miss counters.  Guarded by a lock --
         #: run_record is called concurrently from dispatcher threads.
         self.stats = EngineStats()
         self._stats_lock = threading.Lock()
@@ -512,6 +464,51 @@ class JobExecutionCore:
             # Fold store counters into the runner's metrics object so
             # one report covers compute and cache behaviour.
             self.store.stats = self.stats
+
+    # ------------------------------------------------------------------
+    # Batch entry point
+    # ------------------------------------------------------------------
+
+    def run(self, specs: Iterable[MatchJobSpec],
+            queue: Optional[JobQueue] = None) -> BatchReport:
+        """Run every spec; returns the report in submission order."""
+        queue = queue if queue is not None else JobQueue()
+        records = queue.submit_all(specs)
+        self.log.event(
+            "batch.start", jobs=len(records), workers=self.workers,
+            mode=self.mode,
+        )
+        started = time.perf_counter()
+        if self.workers == 1:
+            for record in records:
+                self.run_record(record, queue)
+        else:
+            with ThreadPoolExecutor(
+                max_workers=self.workers,
+                thread_name_prefix="qmatch-batch",
+            ) as dispatchers:
+                futures = [
+                    dispatchers.submit(self.run_record, record, queue)
+                    for record in records
+                ]
+                for future in futures:
+                    future.result()
+        report = BatchReport(
+            records=records,
+            workers=self.workers,
+            wall_seconds=time.perf_counter() - started,
+            stats=self.stats,
+            traces={
+                record.job_id: self.traces[record.job_id]
+                for record in records if record.job_id in self.traces
+            },
+        )
+        self.log.event(
+            "batch.done", wall_seconds=round(report.wall_seconds, 6),
+            jobs=len(records), counts=report.counts,
+            cache_hits=report.cache_hits,
+        )
+        return report
 
     # ------------------------------------------------------------------
     # Per-job state machine (also driven directly by the HTTP service)
@@ -679,200 +676,19 @@ class JobExecutionCore:
         )
 
     # ------------------------------------------------------------------
-    # One attempt (backend-specific)
+    # One attempt
     # ------------------------------------------------------------------
 
     def _execute(self, spec: MatchJobSpec, timeout: Optional[float]):
         """One attempt.  Returns ``("ok", envelope)``,
-        ``("timeout", error)`` or ``("error", error)``."""
-        raise NotImplementedError
-
-
-class BatchRunner(JobExecutionCore):
-    """Run many match jobs over a bounded pool of worker processes.
-
-    The fork-per-job backend: every attempt gets a fresh child process
-    (or runs inline with ``inline=True``).  Simple, perfectly isolated,
-    and the right trade for batch workloads; the per-request fork cost
-    is what :class:`~repro.service.pool.WorkerPool` exists to remove.
-    """
-
-    def __init__(self, workers: int = 1,
-                 store: Optional[ResultStore] = None,
-                 timeout: Optional[float] = DEFAULT_TIMEOUT,
-                 retries: int = 1,
-                 retry_backoff: float = 0.1,
-                 inline: bool = False,
-                 worker: Callable[[MatchJobSpec], dict] = execute_job,
-                 mp_context=None,
-                 log=NULL_LOGGER,
-                 metrics=None,
-                 constraint=None):
-        """``worker`` is the job body -- injectable so tests can
-        simulate crashes and hangs; the rest is
-        :class:`JobExecutionCore`'s contract."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        super().__init__(
-            store=store, timeout=timeout, retries=retries,
-            retry_backoff=retry_backoff, log=log, metrics=metrics,
-            constraint=constraint,
-        )
-        self.workers = workers
-        self.inline = inline
-        self.worker = worker
-        if mp_context is None and not inline:
-            methods = multiprocessing.get_all_start_methods()
-            # fork keeps per-job process cost near-zero (the parsed
-            # library is inherited); fall back to the default context
-            # elsewhere.
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-        self._mp = mp_context
-
-    # ------------------------------------------------------------------
-    # Batch entry point
-    # ------------------------------------------------------------------
-
-    def run(self, specs: Iterable[MatchJobSpec],
-            queue: Optional[JobQueue] = None) -> BatchReport:
-        """Run every spec; returns the report in submission order."""
-        queue = queue if queue is not None else JobQueue()
-        records = queue.submit_all(specs)
-        self.log.event(
-            "batch.start", jobs=len(records), workers=self.workers,
-            inline=self.inline,
-        )
-        started = time.perf_counter()
-        if self.workers == 1:
-            for record in records:
-                self.run_record(record, queue)
-        else:
-            with ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="qmatch-batch",
-            ) as pool:
-                futures = [
-                    pool.submit(self.run_record, record, queue)
-                    for record in records
-                ]
-                for future in futures:
-                    future.result()
-        report = BatchReport(
-            records=records,
-            workers=self.workers,
-            wall_seconds=time.perf_counter() - started,
-            stats=self.stats,
-            traces={
-                record.job_id: self.traces[record.job_id]
-                for record in records if record.job_id in self.traces
-            },
-        )
-        self.log.event(
-            "batch.done", wall_seconds=round(report.wall_seconds, 6),
-            jobs=len(records), counts=report.counts,
-            cache_hits=report.cache_hits,
-        )
-        return report
-
-    # ------------------------------------------------------------------
-    # One attempt
-    # ------------------------------------------------------------------
-
-    def _execute(self, spec: MatchJobSpec,
-                 timeout: Optional[float]):
-        """One attempt.  Returns ``("ok", envelope)``,
-        ``("timeout", error)`` or ``("error", error)``."""
-        if self.inline:
-            return self._execute_inline(spec)
-        return self._execute_process(spec, timeout)
+        ``("timeout", error)`` or ``("error", error)``; this backend
+        cannot enforce ``timeout``."""
+        return self._execute_inline(spec)
 
     def _execute_inline(self, spec: MatchJobSpec):
         try:
-            return "ok", self.worker(spec)
+            return "ok", self.worker(spec, self.state)
         except Exception as exc:  # noqa: BLE001 -- job boundary
             return "error", {
                 "type": type(exc).__name__, "message": str(exc),
             }
-
-    def _execute_process(self, spec: MatchJobSpec,
-                         timeout: Optional[float]):
-        tracer = current_tracer()
-        worker = self.worker
-        span = None
-        if tracer.enabled:
-            span = tracer.start("fork.execute")
-            worker = _SpanWorker(
-                self.worker, tracer.propagation_context(span),
-                current_request_id(),
-            )
-        parent_conn, child_conn = self._mp.Pipe(duplex=False)
-        process = self._mp.Process(
-            target=_process_entry,
-            args=(child_conn, worker, spec),
-            daemon=True,
-        )
-        process.start()
-        # Close our copy of the child end so EOF propagates if the
-        # child dies without sending.
-        child_conn.close()
-        try:
-            # Wait on the pipe, not the process: a large payload blocks
-            # the child's send until we read it, so joining first would
-            # deadlock into a spurious timeout.
-            if not parent_conn.poll(timeout):
-                self._kill(process)
-                tracer.finish(span, status="ERROR",
-                              attributes={"error.type": "JobTimeout"})
-                return "timeout", {
-                    "type": "JobTimeout",
-                    "message": f"job exceeded its {timeout:g}s deadline",
-                }
-            try:
-                message = parent_conn.recv()
-            except (EOFError, OSError):
-                message = None
-        finally:
-            parent_conn.close()
-        process.join(5)
-        if process.is_alive():
-            self._kill(process)
-        if message is None:
-            tracer.finish(span, status="ERROR",
-                          attributes={"error.type": "WorkerCrash"})
-            return "error", {
-                "type": "WorkerCrash",
-                "message": (
-                    "worker process died without a result "
-                    f"(exit code {process.exitcode})"
-                ),
-            }
-        if message["ok"]:
-            value = message["value"]
-            if span is not None and isinstance(value, dict):
-                # Pop the side channel before the envelope's payload is
-                # stored or served: result bytes never carry spans.
-                tracer.adopt(value.pop("spans", None), anchor=span)
-            tracer.finish(span)
-            return "ok", value
-        tracer.finish(span, status="ERROR", attributes={
-            "error.type": message["error"].get("type", "Error"),
-        })
-        return "error", message["error"]
-
-    @staticmethod
-    def _kill(process):
-        process.terminate()
-        process.join(5)
-        if process.is_alive():
-            process.kill()
-            process.join(5)
-
-
-def run_batch(specs: Sequence[MatchJobSpec], workers: int = 1,
-              cache_dir=None, **kwargs) -> BatchReport:
-    """Convenience one-call batch: build the store and runner, run."""
-    store = ResultStore(cache_dir) if cache_dir is not None else None
-    runner = BatchRunner(workers=workers, store=store, **kwargs)
-    return runner.run(specs)

@@ -1,25 +1,22 @@
-"""The embeddable match service and its threaded HTTP front-end.
+"""The embeddable match service behind ``qmatch serve``.
 
 :class:`MatchService` is the core: submit a schema pair, poll the job,
 fetch the result.  Jobs run through the same per-job state machine as
-the batch runner (:class:`~repro.service.runner.JobExecutionCore`), so
-cache behaviour, retry semantics and error records are identical
-whether a pair arrives via a manifest or via HTTP.  Three execution
-modes share that state machine:
+``qmatch batch`` (:class:`~repro.service.runner.BatchRunner`), so cache
+behaviour, retry semantics and error records are identical whether a
+pair arrives via a manifest or via HTTP.  Two execution modes share
+that state machine:
 
-- ``inline``   -- on the service thread itself; lowest latency, no
-  hard timeouts (embedded default);
-- ``isolated`` -- one forked worker process per attempt; real
-  deadlines and crash containment at ~ms fork cost per job;
-- ``pool``     -- a persistent pre-warmed
-  :class:`~repro.service.pool.WorkerPool`; deadline + crash
-  containment of ``isolated`` without the per-job fork, parse or
-  thesaurus-load cost (the ``qmatch serve`` default).
+- ``inline`` -- :class:`~repro.service.runner.BatchRunner` on the
+  service threads; lowest latency, no hard timeouts (the embedded
+  default);
+- ``pool``   -- a persistent pre-warmed
+  :class:`~repro.service.pool.WorkerPool`; real deadlines and crash
+  containment without a per-job fork, parse or thesaurus-load cost
+  (the ``qmatch serve`` default).
 
-The HTTP API itself lives in :mod:`repro.service.http_api`; the
-:class:`MatchRequestHandler` here is the threaded transport for it
-(embedded/test use), and :mod:`repro.service.aserver` is the asyncio
-transport ``qmatch serve`` runs.  Endpoints::
+The HTTP API itself lives in :mod:`repro.service.http_api`, and
+:mod:`repro.service.aserver` is its asyncio front end.  Endpoints::
 
     GET  /healthz            -- liveness
     GET  /stats              -- job counts + store hit rates + engine stats
@@ -44,7 +41,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.obs.log import NULL_LOGGER, EventLogger
@@ -56,17 +52,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.slo import default_slos, evaluate_slos, slo_metrics
 from repro.obs.spans import RequestTracing
-from repro.service.http_api import (
-    ServiceDraining,
-    ServiceSaturated,
-    finish_request,
-    handle_api_request,
-    open_request,
-    stamp_request_id,
-    too_large_response,
-)
+from repro.service.http_api import ServiceDraining, ServiceSaturated
 from repro.service.jobs import JobQueue, JobRecord, MatchJobSpec
-from repro.service.pool import WorkerPool, _StatelessBody
+from repro.service.pool import WorkerPool
 from repro.service.runner import DEFAULT_TIMEOUT, BatchRunner, execute_job
 from repro.service.store import ResultStore
 from repro.service.validation import (
@@ -83,8 +71,8 @@ from repro.service.validation import (
 #: small enough that a misbehaving client cannot balloon the process.
 DEFAULT_MAX_BODY = 10 * 1024 * 1024
 
-#: Execution modes (``fork`` is accepted as an alias of ``isolated``).
-SERVICE_MODES = ("inline", "isolated", "pool")
+#: Execution modes (see the module docstring).
+SERVICE_MODES = ("inline", "pool")
 
 
 class MatchService:
@@ -94,10 +82,9 @@ class MatchService:
                  store: Optional[ResultStore] = None,
                  timeout: Optional[float] = None,
                  retries: int = 0,
-                 isolate: bool = False,
-                 mode: Optional[str] = None,
+                 mode: str = "inline",
                  searcher=None,
-                 worker=None,
+                 worker=execute_job,
                  corpus_dir=None,
                  cache_dir=None,
                  scorer: str = "cosine",
@@ -112,14 +99,8 @@ class MatchService:
                  slos=None,
                  log=NULL_LOGGER):
         # ``mode`` picks the execution backend (see the module
-        # docstring); the older ``isolate`` flag keeps working for
-        # embedded callers and maps onto inline/isolated.  ``worker``
-        # is the job body, injectable for tests -- a plain ``(spec) ->
-        # envelope`` callable in every mode (the pool wraps it).
-        if mode is None:
-            mode = "isolated" if isolate else "inline"
-        if mode == "fork":
-            mode = "isolated"
+        # docstring); ``worker`` is the ``(spec, state)`` job body,
+        # injectable for tests.
         if mode not in SERVICE_MODES:
             raise ValidationError(
                 f"invalid mode {mode!r}: expected one of "
@@ -134,7 +115,6 @@ class MatchService:
                 f"max_body_bytes must be >= 1, got {max_body_bytes}"
             )
         self.mode = mode
-        self.isolate = mode == "isolated"
         self.log = log
         #: Long-lived HTTP/job/pool metrics (the engine side is
         #: projected in fresh per scrape -- see :meth:`metrics_text`).
@@ -154,26 +134,19 @@ class MatchService:
         #: Service-level objectives evaluated on demand over the
         #: long-lived request metrics (``/slo`` and ``qmatch_slo_*``).
         self.slos = list(slos) if slos is not None else default_slos()
-        if timeout is None and mode != "inline":
-            timeout = DEFAULT_TIMEOUT
         if mode == "pool":
             self.runner = WorkerPool(
-                workers=workers, store=store, timeout=timeout,
-                retries=retries, retry_backoff=0.05,
-                worker=(
-                    execute_job if worker is None
-                    else _StatelessBody(worker)
-                ),
+                workers=workers, store=store,
+                timeout=timeout if timeout is not None else DEFAULT_TIMEOUT,
+                retries=retries, retry_backoff=0.05, worker=worker,
                 corpus_dir=corpus_dir, cache_dir=cache_dir, scorer=scorer,
-                shards=shards, log=log,
-                metrics=self.metrics,
+                shards=shards, log=log, metrics=self.metrics,
             )
         else:
             self.runner = BatchRunner(
-                workers=1, store=store, timeout=timeout, retries=retries,
-                retry_backoff=0.05, inline=(mode == "inline"),
-                worker=worker if worker is not None else execute_job,
-                log=log, metrics=self.metrics,
+                store=store, timeout=timeout, retries=retries,
+                retry_backoff=0.05, worker=worker, log=log,
+                metrics=self.metrics,
             )
         self.queue = JobQueue(max_records=max_jobs)
         self.workers = workers
@@ -309,9 +282,7 @@ class MatchService:
         Validation -- including the query parse -- always happens here,
         so malformed requests are 400s in every mode.
         """
-        pool_search = (
-            self.mode == "pool" and getattr(self.runner, "has_corpus", False)
-        )
+        pool_search = self.mode == "pool" and self.runner.has_corpus
         if self.searcher is None and not pool_search:
             raise ValidationError(
                 "no corpus configured; start the service with "
@@ -523,97 +494,6 @@ class MatchService:
             self.runner.shutdown(wait=wait)
 
 
-class MatchRequestHandler(BaseHTTPRequestHandler):
-    """Threaded transport for the shared HTTP API router.
-
-    Reads bytes off the socket (enforcing the service's body cap
-    *before* buffering) and writes back whatever
-    :func:`~repro.service.http_api.handle_api_request` returns; all
-    routing, status codes and metrics live in the router, shared with
-    the asyncio front-end.
-    """
-
-    server_version = "qmatch-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    #: Set True (e.g. by the CLI) to log requests to stderr.
-    verbose = False
-
-    @property
-    def service(self) -> MatchService:
-        return self.server.service
-
-    def log_message(self, format, *args):  # noqa: A002 -- stdlib signature
-        if self.verbose:
-            super().log_message(format, *args)
-
-    def do_GET(self):  # noqa: N802 -- stdlib naming
-        self._handle("GET")
-
-    def do_POST(self):  # noqa: N802 -- stdlib naming
-        self._handle("POST")
-
-    def _handle(self, method: str):
-        started = time.perf_counter()
-        tracer, request_id = open_request(
-            self.service,
-            {name.lower(): value for name, value in self.headers.items()},
-        )
-        root = tracer.start("http.request", {
-            "method": method, "path": self.path.partition("?")[0],
-            "transport": "threaded",
-        }) if tracer.enabled else None
-        raw = None
-        if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > self.service.max_body_bytes:
-                response = too_large_response(
-                    self.service, method, self.path, length, started,
-                )
-                stamp_request_id(response, request_id)
-                if root is not None:
-                    tracer.finish(root, status="ERROR",
-                                  attributes={"status": 413})
-                    finish_request(self.service, tracer)
-                return self._send_api_response(response)
-            raw = self.rfile.read(length) if length > 0 else b""
-        response = handle_api_request(
-            self.service, method, self.path, raw, started,
-            tracer=tracer, request_id=request_id,
-        )
-        write_span = tracer.start("response.write") \
-            if tracer.enabled else None
-        self._send_api_response(response)
-        if root is not None:
-            tracer.finish(write_span,
-                          attributes={"bytes": len(response.body)})
-            tracer.finish(root, attributes={
-                "status": response.status, "route": response.route,
-            })
-            finish_request(self.service, tracer)
-
-    def _send_api_response(self, response):
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.body)))
-        for name, value in response.headers:
-            self.send_header(name, value)
-        if response.close:
-            # An oversized body was never read off the socket; the
-            # connection cannot be reused.
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(response.body)
-
-
-def create_server(service: MatchService, host: str = "127.0.0.1",
-                  port: int = 8765) -> ThreadingHTTPServer:
-    """Bind a threading HTTP server around ``service`` (port 0 = ephemeral)."""
-    server = ThreadingHTTPServer((host, port), MatchRequestHandler)
-    server.service = service
-    return server
-
-
 def build_searcher(corpus_dir, cache_dir=None, workers: int = 1,
                    scorer: str = "cosine", log=NULL_LOGGER,
                    shards: Optional[int] = None):
@@ -663,8 +543,8 @@ def build_searcher(corpus_dir, cache_dir=None, workers: int = 1,
 
 
 def serve(host: str = "127.0.0.1", port: int = 8765, workers: int = 2,
-          cache_dir=None, verbose: bool = True, isolate: bool = True,
-          mode: Optional[str] = None, timeout=None, retries: int = 1,
+          cache_dir=None, verbose: bool = True, mode: str = "pool",
+          timeout=None, retries: int = 1,
           corpus_dir=None, scorer: str = "cosine",
           shards: Optional[int] = None,
           max_pending: Optional[int] = None,
@@ -705,8 +585,6 @@ def serve(host: str = "127.0.0.1", port: int = 8765, workers: int = 2,
                     "the last build); run qmatch index build to refresh"
                 ),
             )
-    if mode is None:
-        mode = "isolated" if isolate else "inline"
     service = MatchService(
         workers=workers, store=store, timeout=timeout, retries=retries,
         mode=mode, searcher=searcher, corpus_dir=corpus_dir,

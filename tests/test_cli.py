@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.datasets import po1
 from repro.xsd.serializer import to_xsd
 
@@ -404,6 +404,23 @@ class TestServeCommand:
     def test_bad_workers_exits_2(self, capsys):
         assert main(["serve", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["fork", "isolated"])
+    def test_removed_modes_are_argparse_choice_errors(self, mode, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--mode", mode])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{mode}'" in capsys.readouterr().err
+
+    def test_serve_function_defaults_to_the_cli_mode(self):
+        import inspect
+
+        from repro.service.server import serve
+
+        cli_default = build_parser().parse_args(["serve"]).mode
+        assert cli_default == "pool"
+        assert inspect.signature(serve).parameters["mode"].default == \
+            cli_default
 
 
 class TestEvaluateRegistryOptions:

@@ -3,7 +3,7 @@
 Covers the strict parser (grammar forms, aliases, includes, every
 malformed-document error class), the evaluator over real PO1/PO2
 evidence, report rendering/serialization, and the cross-layer wiring:
-byte-identical ConstraintReport JSON across the inline, fork and pool
+byte-identical ConstraintReport JSON across the inline and pool
 backends, constraint-filtered corpus search (CLI and HTTP answering
 identically), CI-style gating exit codes, and the constraint counters
 in /metrics.
@@ -396,15 +396,12 @@ class TestBackendParity:
 
     def test_reports_byte_identical_across_backends(self, manifest):
         inline = self.run_backend(manifest, lambda c: BatchRunner(
-            workers=1, store=None, constraint=c,
-        ))
-        forked = self.run_backend(manifest, lambda c: BatchRunner(
-            workers=2, store=None, constraint=c,
+            store=None, constraint=c,
         ))
         pooled = self.run_backend(manifest, lambda c: WorkerPool(
             workers=2, store=None, constraint=c,
         ))
-        assert inline == forked == pooled
+        assert inline == pooled
         verdicts = {
             label: json.loads(blob)["passed"]
             for label, blob in inline.items()
@@ -415,9 +412,7 @@ class TestBackendParity:
         }
 
     def test_batch_report_carries_constraint_summary(self, manifest):
-        runner = BatchRunner(
-            workers=1, store=None, constraint=parse_constraint(GATE),
-        )
+        runner = BatchRunner(store=None, constraint=parse_constraint(GATE))
         report = runner.run(load_manifest(manifest))
         assert report.ok
         assert not report.constraints_ok

@@ -98,6 +98,18 @@ class TestSearch:
             CorpusSearcher(searcher.corpus, searcher.index,
                            lexical_weight=1.5)
 
+    def test_pool_rerank_equals_inline_rerank(self, builtin_corpus,
+                                              builtin_index, po1_tree):
+        """``workers`` > 1 reranks on a worker pool opened for the
+        search; the hits and counters are the in-process rerank's."""
+        inline = CorpusSearcher(builtin_corpus, builtin_index)
+        pooled = CorpusSearcher(builtin_corpus, builtin_index, workers=2)
+        want = inline.search(po1_tree, k=3, candidates=6).as_dict()
+        got = pooled.search(po1_tree, k=3, candidates=6).as_dict()
+        for payload in (want, got):
+            del payload["stats"]["stages"]  # wall-clock timings
+        assert got == want
+
     def test_result_serializes(self, searcher, po1_tree):
         import json
 

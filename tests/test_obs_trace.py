@@ -6,8 +6,8 @@ The load-bearing guarantees tested here:
   bit-identical to an untraced run's;
 - every span's axis contributions sum exactly to its QoM;
 - the JSON-lines form is byte-deterministic, so a trace collected from
-  a forked :class:`BatchRunner` worker equals the same job recorded
-  inline, bit for bit.
+  a forked :class:`~repro.service.pool.WorkerPool` worker equals the
+  same job recorded inline, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.obs.trace import (
     trace_run_id,
 )
 from repro.service.jobs import MatchJobSpec
+from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner, execute_job
 from repro.xsd.serializer import to_xsd
 
@@ -231,7 +232,7 @@ def traced_spec() -> MatchJobSpec:
 
 class TestTraceAcrossProcesses:
     def test_inline_runner_collects_the_trace(self):
-        runner = BatchRunner(workers=1, inline=True)
+        runner = BatchRunner()
         report = runner.run([traced_spec()])
         assert report.ok
         (trace,) = report.traces.values()
@@ -242,7 +243,7 @@ class TestTraceAcrossProcesses:
         spec = MatchJobSpec(
             source_xsd=to_xsd(po1()), target_xsd=to_xsd(po2()),
         )
-        report = BatchRunner(workers=1, inline=True).run([spec])
+        report = BatchRunner().run([spec])
         assert report.ok
         assert report.traces == {}
         assert "trace" not in execute_job(spec)
@@ -251,17 +252,15 @@ class TestTraceAcrossProcesses:
     def test_forked_trace_is_byte_identical_to_inline(self):
         """The tentpole determinism guarantee.
 
-        The same job traced in a forked worker process, traced inline,
-        and traced through a directly-driven matcher must produce
-        byte-identical JSON-lines -- deterministic span ids, a content-
-        derived run ID, and no timestamps anywhere in the trace.
+        The same job traced in a forked pool worker process, traced
+        inline, and traced through a directly-driven matcher must
+        produce byte-identical JSON-lines -- deterministic span ids, a
+        content-derived run ID, and no timestamps anywhere in the trace.
         """
         spec = traced_spec()
-        forked = BatchRunner(
-            workers=1,
-            mp_context=multiprocessing.get_context("fork"),
-        ).run([spec])
-        inline = BatchRunner(workers=1, inline=True).run([spec])
+        with WorkerPool(workers=1) as pool:
+            forked = pool.run([spec])
+        inline = BatchRunner().run([spec])
         assert forked.ok and inline.ok
         forked_jsonl = TraceRecorder.from_dict(
             next(iter(forked.traces.values()))

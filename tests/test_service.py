@@ -1,6 +1,7 @@
 """Service-layer tests: jobs, store, manifest, runner failure semantics.
 
-The batch contract under test (ISSUE 2): a worker crash marks the job
+The batch contract under test (``qmatch batch`` runs on a
+:class:`~repro.service.pool.WorkerPool`): a worker crash marks the job
 failed with a structured error record; a hung job is killed, retried,
 and lands in the timed-out state; a cache hit returns a bit-identical
 result to a cold run; and a batch of N pairs under K workers completes
@@ -18,6 +19,7 @@ import pytest
 from repro.engine.stats import EngineStats
 from repro.service.jobs import JobQueue, JobState, MatchJobSpec
 from repro.service.manifest import load_manifest, parse_manifest
+from repro.service.pool import WorkerPool
 from repro.service.runner import BatchRunner, execute_job, job_fingerprint
 from repro.service.store import (
     ResultStore,
@@ -58,27 +60,28 @@ def make_spec(**overrides) -> MatchJobSpec:
 
 
 # ----------------------------------------------------------------------
-# Injectable worker bodies (module-level: must survive fork/pickle)
+# Injectable (spec, state) job bodies (module-level: must survive
+# fork/pickle)
 # ----------------------------------------------------------------------
 
-def crashing_worker(spec):
+def crashing_worker(spec, state=None):
     os._exit(13)  # hard crash, no exception, no result
 
 
-def failing_worker(spec):
+def failing_worker(spec, state=None):
     raise RuntimeError("synthetic worker failure")
 
 
-def hanging_worker(spec):
+def hanging_worker(spec, state=None):
     time.sleep(30)
-    return execute_job(spec)
+    return execute_job(spec, state)
 
 
-def slow_then_ok_worker(spec):
+def slow_then_ok_worker(spec, state=None):
     # Jobs complete out of submission order: later (smaller index)
     # labels sleep longest.
     time.sleep(0.05 * (5 - int(spec.label[-1])))
-    return execute_job(spec)
+    return execute_job(spec, state)
 
 
 class TestValidation:
@@ -337,7 +340,8 @@ class TestManifest:
 class TestBatchRunner:
     def test_batch_completes_under_worker_pool(self):
         specs = [make_spec(label=f"job{i}") for i in range(6)]
-        report = BatchRunner(workers=3, retries=0).run(specs)
+        with WorkerPool(workers=3, retries=0) as pool:
+            report = pool.run(specs)
         assert report.ok
         assert report.counts["done"] == 6
         assert all(r.result["tree_qom"] > 0 for r in report.records)
@@ -346,10 +350,10 @@ class TestBatchRunner:
     def test_report_order_is_submission_order(self):
         """Completion order is scrambled; the report never is."""
         specs = [make_spec(label=f"job{i}") for i in range(4)]
-        runner = BatchRunner(
+        with WorkerPool(
             workers=4, retries=0, worker=slow_then_ok_worker, timeout=30
-        )
-        report = runner.run(specs)
+        ) as pool:
+            report = pool.run(specs)
         assert [r.spec.label for r in report.records] == [
             f"job{i}" for i in range(4)
         ]
@@ -357,10 +361,10 @@ class TestBatchRunner:
         assert [j["label"] for j in jobs] == [f"job{i}" for i in range(4)]
 
     def test_worker_crash_yields_failed_record(self):
-        runner = BatchRunner(
+        with WorkerPool(
             workers=1, retries=1, retry_backoff=0, worker=crashing_worker
-        )
-        report = runner.run([make_spec()])
+        ) as pool:
+            report = pool.run([make_spec()])
         (record,) = report.records
         assert record.state is JobState.FAILED
         assert record.attempts == 2  # first try + one retry
@@ -369,21 +373,21 @@ class TestBatchRunner:
         assert record.error["attempts"] == 2
 
     def test_worker_exception_yields_failed_record(self):
-        runner = BatchRunner(
+        with WorkerPool(
             workers=1, retries=0, retry_backoff=0, worker=failing_worker
-        )
-        (record,) = runner.run([make_spec()]).records
+        ) as pool:
+            (record,) = pool.run([make_spec()]).records
         assert record.state is JobState.FAILED
         assert record.error["type"] == "RuntimeError"
         assert "synthetic worker failure" in record.error["message"]
 
     def test_timeout_is_retried_then_timed_out(self):
-        runner = BatchRunner(
+        with WorkerPool(
             workers=1, timeout=0.3, retries=1, retry_backoff=0,
             worker=hanging_worker,
-        )
-        started = time.perf_counter()
-        (record,) = runner.run([make_spec()]).records
+        ) as pool:
+            started = time.perf_counter()
+            (record,) = pool.run([make_spec()]).records
         assert record.state is JobState.TIMED_OUT
         assert record.attempts == 2
         assert record.error["type"] == "JobTimeout"
@@ -396,7 +400,8 @@ class TestBatchRunner:
             make_spec(label="boom", algorithm="no-such-algorithm"),
             make_spec(label="ok-2"),
         ]
-        report = BatchRunner(workers=2, retries=0).run(specs)
+        with WorkerPool(workers=2, retries=0) as pool:
+            report = pool.run(specs)
         states = {r.spec.label: r.state for r in report.records}
         assert states["ok-1"] is JobState.DONE
         assert states["ok-2"] is JobState.DONE
@@ -406,12 +411,13 @@ class TestBatchRunner:
 
     def test_inline_mode_matches_process_mode(self):
         spec = make_spec()
-        inline = BatchRunner(workers=1, inline=True).run([spec])
-        isolated = BatchRunner(workers=1).run([make_spec()])
-        assert inline.records[0].result == isolated.records[0].result
+        inline = BatchRunner().run([spec])
+        with WorkerPool(workers=1) as pool:
+            pooled = pool.run([make_spec()])
+        assert inline.records[0].result == pooled.records[0].result
 
     def test_run_report_is_machine_readable(self):
-        report = BatchRunner(workers=1, retries=0).run([make_spec()])
+        report = BatchRunner(retries=0).run([make_spec()])
         payload = json.loads(report.to_json())
         assert payload["summary"]["done"] == 1
         assert payload["summary"]["total"] == 1
@@ -426,11 +432,11 @@ class TestResultCaching:
         specs = [make_spec(label=f"job{i}", threshold=0.3 + 0.1 * i)
                  for i in range(3)]
         cold_store = ResultStore(tmp_path / "cache")
-        cold = BatchRunner(workers=2, store=cold_store, retries=0).run(specs)
+        cold = BatchRunner(store=cold_store, retries=0).run(specs)
         assert cold.ok and cold.cache_hits == 0
 
         warm_store = ResultStore(tmp_path / "cache")
-        warm = BatchRunner(workers=2, store=warm_store, retries=0).run(
+        warm = BatchRunner(store=warm_store, retries=0).run(
             [make_spec(label=f"job{i}", threshold=0.3 + 0.1 * i)
              for i in range(3)]
         )
@@ -447,7 +453,7 @@ class TestResultCaching:
 
     def test_changed_schema_misses_changed_config_misses(self, tmp_path):
         store = ResultStore(tmp_path)
-        runner = BatchRunner(workers=1, store=store, retries=0)
+        runner = BatchRunner(store=store, retries=0)
         runner.run([make_spec()])
         # Same pair again: hit.
         hit = runner.run([make_spec()]).records[0]
@@ -464,9 +470,7 @@ class TestResultCaching:
         assert not changed.cache_hit
 
     def test_store_counters_surface_in_report_stats(self, tmp_path):
-        runner = BatchRunner(
-            workers=1, store=ResultStore(tmp_path), retries=0
-        )
+        runner = BatchRunner(store=ResultStore(tmp_path), retries=0)
         runner.run([make_spec()])
         report = runner.run([make_spec()])
         cache = report.stats.caches["result-store"]

@@ -1,8 +1,9 @@
 """End-to-end tests for the ``qmatch serve`` HTTP service.
 
-A real :class:`ThreadingHTTPServer` is bound to an ephemeral port and
-exercised over actual HTTP: submit-poll-fetch, the synchronous
-convenience route, cache behaviour, and the 400/404/409 error paths.
+The asyncio front end (:class:`~repro.service.aserver.AsyncMatchServer`)
+is bound to an ephemeral port and exercised over actual HTTP:
+submit-poll-fetch, the synchronous convenience route, cache behaviour,
+and the 400/404/409 error paths.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ import urllib.request
 import pytest
 
 from repro.datasets import po1, po2
-from repro.service.server import MatchService, create_server
+from repro.service.server import MatchService
 from repro.service.store import ResultStore
+from repro.service.validation import ValidationError
 from repro.xsd.serializer import to_xsd
+
+from tests.async_server import AsyncServerThread
 
 
 @pytest.fixture()
@@ -30,13 +34,8 @@ def service(tmp_path):
 
 @pytest.fixture()
 def server_url(service):
-    server = create_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-    thread.join(5)
+    with AsyncServerThread(service) as running:
+        yield running.url
 
 
 def request(url, method="GET", body=None):
@@ -152,9 +151,9 @@ class TestErrorPaths:
         block = threading.Event()
         original_worker = service.runner.worker
 
-        def gated_worker(spec):
+        def gated_worker(spec, state):
             block.wait(10)
-            return original_worker(spec)
+            return original_worker(spec, state)
 
         service.runner.worker = gated_worker
         try:
@@ -238,11 +237,12 @@ class TestServiceWithoutStore:
 
 
 class TestIsolatedMode:
-    """``serve`` default: jobs run in worker processes, not in-thread."""
+    """``serve`` default: jobs run in pool worker processes, not
+    in-thread."""
 
     def test_isolated_service_completes_jobs(self, tmp_path):
         service = MatchService(
-            workers=2, store=ResultStore(tmp_path / "cache"), isolate=True,
+            workers=2, store=ResultStore(tmp_path / "cache"), mode="pool",
         )
         try:
             record = service.run_sync(
@@ -250,18 +250,18 @@ class TestIsolatedMode:
             )
             assert record.state.value == "done"
             assert record.result["tree_qom"] > 0.9
-            assert service.stats_snapshot()["mode"] == "isolated"
+            assert service.stats_snapshot()["mode"] == "pool"
         finally:
             service.shutdown()
 
     def test_isolated_mode_survives_worker_crash(self):
         import os
 
-        def crashing_worker(spec):
+        def crashing_worker(spec, state):
             os._exit(13)
 
         service = MatchService(
-            workers=1, isolate=True, retries=0, worker=crashing_worker,
+            workers=1, mode="pool", retries=0, worker=crashing_worker,
             timeout=30.0,
         )
         try:
@@ -276,6 +276,14 @@ class TestIsolatedMode:
 
     def test_inline_is_the_embedded_default(self, service):
         assert service.stats_snapshot()["mode"] == "inline"
+
+    @pytest.mark.parametrize("mode", ["fork", "isolated"])
+    def test_unknown_mode_names_the_two_backends(self, mode):
+        with pytest.raises(ValidationError) as excinfo:
+            MatchService(mode=mode)
+        message = str(excinfo.value)
+        assert f"invalid mode {mode!r}" in message
+        assert "inline, pool" in message
 
 
 class TestSearchEndpoint:
@@ -298,13 +306,8 @@ class TestSearchEndpoint:
 
     @pytest.fixture()
     def corpus_url(self, corpus_service):
-        server = create_server(corpus_service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-        server.shutdown()
-        server.server_close()
-        thread.join(5)
+        with AsyncServerThread(corpus_service) as running:
+            yield running.url
 
     def test_search_returns_ranking(self, corpus_url):
         status, payload = request(
