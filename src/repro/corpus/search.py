@@ -233,10 +233,13 @@ class CorpusSearcher:
 
         Union scoring: a schema appears when the inverted index *or*
         the LSH buckets surface it; the blended score rewards agreement
-        between the two signals.
+        between the two signals.  Traced, the stage emits the
+        ``corpus.retrieve`` span.
         """
         stats = stats if stats is not None else EngineStats()
-        with stats.stage("search:retrieve"):
+        tracer = current_tracer()
+        with stats.stage("search:retrieve", span="corpus.retrieve"):
+            tracer.annotate({"corpus_size": len(self.corpus)})
             tokens = self.index.query_tokens(query_tree)
             signature = self.index.query_signature(query_tree)
             lexical, structural_candidates = self._stage1(tokens, signature)
@@ -261,6 +264,14 @@ class CorpusSearcher:
                 ))
             hits.sort(key=lambda hit: (-hit.retrieval_score, hit.name,
                                        hit.hash))
+            if tracer.enabled:
+                # The index's per-call scan telemetry (approximate under
+                # sharded fan-out; each shard span has exact numbers).
+                scan = self.index.last_scan
+                tracer.annotate({"candidates": len(hits), **{
+                    key: value for key, value in scan.items()
+                    if value is not None
+                }})
         return hits
 
     # ------------------------------------------------------------------
@@ -294,7 +305,9 @@ class CorpusSearcher:
             for hit in shortlist
         ]
         log = self.log.child(stage="rerank")
-        with stats.stage("search:rerank"):
+        tracer = current_tracer()
+        with stats.stage("search:rerank", span="corpus.rerank"):
+            tracer.annotate({"examined": len(shortlist)})
             if self.workers == 1:
                 report = BatchRunner(
                     store=self.store, retries=0, state=self._rerank_state,
@@ -306,20 +319,23 @@ class CorpusSearcher:
                     log=log,
                 ) as pool:
                     report = pool.run(specs)
+            for hit, record in zip(shortlist, report.records):
+                hit.reranked = True
+                if record.result is not None:
+                    hit.payload = record.result
+                    hit.qom = record.result.get("tree_qom")
+                    hit.axes = record.result.get("root_axes")
+                    hit.correspondences = len(
+                        record.result.get("correspondences", ())
+                    )
+                else:
+                    hit.error = (record.error or {}).get(
+                        "message", "rerank failed"
+                    )
+            tracer.annotate({
+                "errors": sum(1 for hit in shortlist if hit.error),
+            })
         stats.merge(report.stats)
-        for hit, record in zip(shortlist, report.records):
-            hit.reranked = True
-            if record.result is not None:
-                hit.payload = record.result
-                hit.qom = record.result.get("tree_qom")
-                hit.axes = record.result.get("root_axes")
-                hit.correspondences = len(
-                    record.result.get("correspondences", ())
-                )
-            else:
-                hit.error = (record.error or {}).get(
-                    "message", "rerank failed"
-                )
 
     # ------------------------------------------------------------------
     # The search entry point
@@ -360,23 +376,7 @@ class CorpusSearcher:
             candidates if candidates is not None
             else max(OVERSAMPLE * k, MIN_CANDIDATES)
         )
-        tracer = current_tracer()
-        retrieve_span = tracer.start("corpus.retrieve", {
-            "corpus_size": len(self.corpus),
-        }) if tracer.enabled else None
         ranked = self.retrieve(query_tree, stats=stats)
-        if retrieve_span is not None:
-            # ``last_scan`` is the index's per-call scan telemetry
-            # (approximate under sharded fan-out, where each shard span
-            # carries the authoritative numbers).
-            scan = self.index.last_scan
-            tracer.finish(retrieve_span, attributes={
-                "candidates": len(ranked),
-                **{
-                    key: value for key, value in scan.items()
-                    if value is not None
-                },
-            })
         shortlist = ranked[:budget]
         pruned = len(ranked) - len(shortlist)
         if len(shortlist) < budget:
@@ -400,7 +400,6 @@ class CorpusSearcher:
         stats.count("search.corpus-size", len(self.corpus))
         stats.count("search.candidates", len(ranked))
         stats.count("search.pruned", pruned)
-        retrieve_stage = stats.stages.get("search:retrieve")
         self.log.event(
             "search.retrieve",
             query=query_tree.name,
@@ -408,10 +407,7 @@ class CorpusSearcher:
             candidates=len(ranked),
             shortlist=len(shortlist),
             pruned=pruned,
-            seconds=(
-                round(retrieve_stage.seconds, 6)
-                if retrieve_stage is not None else None
-            ),
+            seconds=round(stats.stage_seconds("search:retrieve"), 6),
         )
         result = SearchResult(
             query_name=query_tree.name,
@@ -423,29 +419,18 @@ class CorpusSearcher:
         )
         if rerank and shortlist:
             query_xsd = to_xsd(query_tree)
-            rerank_span = tracer.start("corpus.rerank", {
-                "examined": len(shortlist),
-            }) if tracer.enabled else None
             self._rerank(
                 query_xsd, content_hash(query_xsd), query_tree.name,
                 shortlist, stats, query_profiles=query_profiles,
             )
-            if rerank_span is not None:
-                tracer.finish(rerank_span, attributes={
-                    "errors": sum(1 for hit in shortlist if hit.error),
-                })
             result.examined = len(shortlist)
             stats.count("search.reranked", len(shortlist))
-            rerank_stage = stats.stages.get("search:rerank")
             self.log.event(
                 "search.rerank",
                 query=query_tree.name,
                 examined=len(shortlist),
                 errors=sum(1 for hit in shortlist if hit.error),
-                seconds=(
-                    round(rerank_stage.seconds, 6)
-                    if rerank_stage is not None else None
-                ),
+                seconds=round(stats.stage_seconds("search:rerank"), 6),
             )
             shortlist.sort(
                 key=lambda hit: (-(hit.qom if hit.qom is not None else -1.0),
@@ -469,12 +454,10 @@ class CorpusSearcher:
         from repro.xsd.parser import parse_xsd
 
         tracer = current_tracer()
-        constrain_span = tracer.start("constraints.filter", {
-            "evaluated": len(shortlist),
-        }) if tracer.enabled else None
         admitted = []
         filtered = 0
-        with stats.stage("search:constrain"):
+        with stats.stage("search:constrain", span="constraints.filter"):
+            tracer.annotate({"evaluated": len(shortlist)})
             for hit in shortlist:
                 if hit.payload is None:
                     filtered += 1
@@ -490,10 +473,7 @@ class CorpusSearcher:
                     admitted.append(hit)
                 else:
                     filtered += 1
-        if constrain_span is not None:
-            tracer.finish(constrain_span, attributes={
-                "admitted": len(admitted), "filtered": filtered,
-            })
+            tracer.annotate({"admitted": len(admitted), "filtered": filtered})
         stats.count("search.constraint_admitted", len(admitted))
         stats.count("search.constraint_filtered", filtered)
         result.constraints = {

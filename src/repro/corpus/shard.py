@@ -83,7 +83,7 @@ class ShardedCorpusSearcher(CorpusSearcher):
         # per-shard docs_scored (the index's ``last_scan`` attribute is
         # a single slot the concurrent calls would race on).
         tracer = current_tracer()
-        parent_id = tracer.current_id() if tracer.enabled else ""
+        parent_id = tracer.current_id()
 
         def scan_shard(shard_index: int, group: list) -> tuple:
             span = tracer.child(
@@ -91,16 +91,15 @@ class ShardedCorpusSearcher(CorpusSearcher):
                 attributes={
                     "shard": shard_index, "segments": len(group),
                 },
-            ) if tracer.enabled else None
+            )
             shard_lexical, shard_structural = self.index.retrieve_scores(
                 tokens, signature,
                 scorer=self.scorer, segments=group, normalize=False,
             )
-            if span is not None:
-                tracer.finish(span, attributes={
-                    "docs_scored": len(shard_lexical),
-                    "structural_candidates": len(shard_structural),
-                })
+            tracer.finish(span, attributes={
+                "docs_scored": len(shard_lexical),
+                "structural_candidates": len(shard_structural),
+            })
             return shard_lexical, shard_structural
 
         futures = [

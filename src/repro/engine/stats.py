@@ -16,10 +16,11 @@ readable ("how long did selection take?") without building a profiler.
 from __future__ import annotations
 
 import json
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.obs.spans import StageClock
 
 
 @dataclass
@@ -72,21 +73,23 @@ class EngineStats:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def stage(self, name: str):
+    def stage(self, name: str, span: Optional[str] = None):
         """Time a block of work under ``name`` (re-entrant per name).
 
         The stage is registered on *entry*, so reports render stages in
         pipeline order (an outer stage appears before the inner stages
-        it wraps) rather than completion order.
+        it wraps) rather than completion order.  A traced stage emits
+        the span named ``span`` from its own clock readings.
         """
         stage = self.stages.get(name)
         if stage is None:
             stage = self.stages[name] = StageStats(name)
-        started = time.perf_counter()
+        clock = StageClock(span)
         try:
-            yield self
+            with clock:
+                yield self
         finally:
-            stage.add(time.perf_counter() - started)
+            stage.add(clock.seconds)
 
     def count(self, name: str, amount: int = 1):
         """Bump a free-form counter (pair counts, node counts, ...)."""
@@ -182,10 +185,6 @@ class EngineStats:
     def to_json(self, indent: Optional[int] = None) -> str:
         """Machine-readable snapshot (``--stats --format json``)."""
         return json.dumps(self.as_dict(), indent=indent)
-
-    def pretty(self) -> str:
-        """Human-readable report, stages in pipeline (insertion) order."""
-        return self.render()
 
     def render(self) -> str:
         """Human-readable report (what ``qmatch match --stats`` prints)."""

@@ -53,6 +53,7 @@ from typing import Iterable, Optional, Union
 __all__ = [
     "SpanTracer",
     "NULL_SPAN_TRACER",
+    "StageClock",
     "HeadSampler",
     "SpanStore",
     "SpanFileExporter",
@@ -131,12 +132,15 @@ class SpanTracer:
 
     # -- span lifecycle -------------------------------------------------
 
-    def _new_span(self, name: str, parent_id: str) -> dict:
+    def _new_span(self, name: str, parent_id: str,
+                  started: Optional[float] = None) -> dict:
+        if started is None:
+            started = time.perf_counter()
         span = {
             "span_id": f"{self.prefix}{next(self._ids):04x}",
             "parent_id": parent_id,
             "name": name,
-            "start": time.perf_counter() - self._epoch,
+            "start": started - self._epoch,
             "duration": None,
             "status": "OK",
             "attributes": {},
@@ -144,12 +148,14 @@ class SpanTracer:
         self._spans.append(span)
         return span
 
-    def start(self, name: str, attributes: Optional[dict] = None) -> dict:
-        """Open a span under the current stack top and push it."""
+    def start(self, name: str, attributes: Optional[dict] = None,
+              started: Optional[float] = None) -> dict:
+        """Open a span under the current stack top and push it
+        (at the caller's ``perf_counter`` reading ``started``, if given)."""
         with self._lock:
             parent = (self._stack[-1]["span_id"] if self._stack
                       else self._root_parent)
-            span = self._new_span(name, parent)
+            span = self._new_span(name, parent, started)
             if attributes:
                 _bound_attributes(span["attributes"], attributes)
             self._stack.append(span)
@@ -174,12 +180,14 @@ class SpanTracer:
         return span
 
     def finish(self, span: Optional[dict], status: Optional[str] = None,
-               attributes: Optional[dict] = None) -> None:
+               attributes: Optional[dict] = None,
+               duration: Optional[float] = None) -> None:
+        """Close ``span`` (lasting the caller's ``duration``, if given)."""
         if span is None:
             return
         with self._lock:
             if span["duration"] is None:
-                span["duration"] = (
+                span["duration"] = duration if duration is not None else (
                     time.perf_counter() - self._epoch - span["start"]
                 )
             if status is not None:
@@ -347,6 +355,41 @@ class _NullSpanTracer:
 
 
 NULL_SPAN_TRACER = _NullSpanTracer()
+
+
+class StageClock:
+    """One ``perf_counter`` reading at each end of a block of work.
+
+    On exit ``seconds`` holds the block's wall time, the one number the
+    caller reports to stats, records and metrics.  When ``span`` is
+    named and the tracer (default :func:`current_tracer`) is enabled,
+    that span opens at ``started`` and closes with ``duration ==
+    seconds``.  Set ``status = "ERROR"`` for a failed outcome that
+    raised nothing; an exception marks the span with its ``error.type``.
+    """
+
+    def __init__(self, span: Optional[str] = None,
+                 attributes: Optional[dict] = None, tracer=None):
+        self.span, self.attributes = span, attributes
+        self.tracer = tracer if tracer is not None else current_tracer()
+        self.status = "OK"
+        self.started = self.seconds = 0.0
+        self._open = None
+
+    def __enter__(self) -> "StageClock":
+        self.started = time.perf_counter()
+        if self.span is not None and self.tracer.enabled:
+            self._open = self.tracer.start(self.span, self.attributes,
+                                           started=self.started)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.seconds = time.perf_counter() - self.started
+        if self._open is not None:
+            error = {"error.type": exc_type.__name__} if exc_type else None
+            status = "ERROR" if exc_type else self.status
+            self.tracer.finish(self._open, status, error, self.seconds)
+        return False
 
 
 # ----------------------------------------------------------------------

@@ -20,10 +20,10 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
-import time
 from typing import Optional
 
 from repro.obs.log import NULL_LOGGER
+from repro.obs.spans import StageClock
 from repro.service.http_api import (
     ApiResponse,
     finish_request,
@@ -166,9 +166,7 @@ class AsyncMatchServer:
                 pass
 
     async def _serve_connection(self, reader, writer):
-        loop = asyncio.get_running_loop()
         while True:
-            started = time.perf_counter()
             try:
                 head = await _read_head(reader)
             except _BadRequest as exc:
@@ -182,65 +180,64 @@ class AsyncMatchServer:
                 return
             method, path, version, headers = head
             tracer, request_id = open_request(self.service, headers)
-            root = tracer.start("http.request", {
+            # One clock per request, started once the head is parsed
+            # (idle keep-alive time is not the request's).
+            with StageClock("http.request", {
                 "method": method, "path": path.partition("?")[0],
                 "transport": "asyncio",
-            }) if tracer.enabled else None
-            keep_alive = (
-                version.upper() != "HTTP/1.0"
-                and headers.get("connection", "").lower() != "close"
-            )
-            raw = None
-            if method in ("POST", "PUT", "PATCH"):
-                try:
-                    length = int(headers.get("content-length") or 0)
-                except ValueError:
-                    length = 0
-                if length > self.service.max_body_bytes:
-                    # Reject on the declared length -- the body is
-                    # never buffered, so the connection cannot be
-                    # reused afterwards.
-                    response = too_large_response(
-                        self.service, method, path, length, started,
-                    )
-                    stamp_request_id(response, request_id)
-                    if root is not None:
-                        tracer.finish(root, status="ERROR",
-                                      attributes={"status": 413})
-                        finish_request(self.service, tracer)
-                    writer.write(_render(response, keep_alive=False))
-                    await writer.drain()
-                    self._log_request(writer, method, path, response.status)
-                    return
-                read_span = tracer.start("request.read") \
-                    if tracer.enabled else None
-                raw = (
-                    await reader.readexactly(length) if length > 0 else b""
+            }, tracer) as clock:
+                response, keep_alive = await self._respond(
+                    reader, writer, head, clock, tracer, request_id,
                 )
-                if read_span is not None:
-                    tracer.finish(read_span,
-                                  attributes={"bytes": length})
-            response = await loop.run_in_executor(
-                None, handle_api_request,
-                self.service, method, path, raw, started,
-                tracer, request_id,
-            )
-            keep_alive = keep_alive and not response.close
-            write_span = tracer.start("response.write") \
-                if tracer.enabled else None
-            writer.write(_render(response, keep_alive=keep_alive))
-            await writer.drain()
-            if write_span is not None:
-                tracer.finish(write_span,
-                              attributes={"bytes": len(response.body)})
-            if root is not None:
-                tracer.finish(root, attributes={
-                    "status": response.status, "route": response.route,
-                })
-                finish_request(self.service, tracer)
+            finish_request(self.service, tracer)
             self._log_request(writer, method, path, response.status)
             if not keep_alive:
                 return
+
+    async def _respond(self, reader, writer, head, clock, tracer,
+                       request_id) -> tuple:
+        """Read, route and answer one request: ``(response, keep_alive)``."""
+        method, path, version, headers = head
+        keep_alive = (
+            version.upper() != "HTTP/1.0"
+            and headers.get("connection", "").lower() != "close"
+        )
+        raw = None
+        if method in ("POST", "PUT", "PATCH"):
+            try:
+                length = int(headers.get("content-length") or 0)
+            except ValueError:
+                length = 0
+            if length > self.service.max_body_bytes:
+                # Reject on the declared length -- the body is never
+                # buffered, so the connection cannot be reused
+                # afterwards.
+                response = too_large_response(
+                    self.service, method, path, length, clock.started,
+                )
+                stamp_request_id(response, request_id)
+                clock.status = "ERROR"
+                tracer.annotate({"status": 413})
+                writer.write(_render(response, keep_alive=False))
+                await writer.drain()
+                return response, False
+            with tracer.span("request.read"):
+                raw = (
+                    await reader.readexactly(length) if length > 0 else b""
+                )
+                tracer.annotate({"bytes": length})
+        response = await asyncio.get_running_loop().run_in_executor(
+            None, handle_api_request,
+            self.service, method, path, raw, clock.started,
+            tracer, request_id,
+        )
+        keep_alive = keep_alive and not response.close
+        with tracer.span("response.write"):
+            writer.write(_render(response, keep_alive=keep_alive))
+            await writer.drain()
+            tracer.annotate({"bytes": len(response.body)})
+        tracer.annotate({"status": response.status, "route": response.route})
+        return response, keep_alive
 
     def _log_request(self, writer, method: str, path: str, status: int):
         if not self.verbose:

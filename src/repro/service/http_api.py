@@ -17,7 +17,9 @@ Cross-cutting behaviour owned by this module:
 - **metrics**: every request lands in ``http_requests_total`` /
   ``http_request_seconds`` exactly once (the ``/metrics`` scrape
   records itself *before* rendering, so the first scrape already
-  carries samples).
+  carries samples).  The clock starts at the transport's ``started``,
+  read once the request head is parsed (the ``http.request`` span's
+  start), so idle keep-alive time is not counted.
 """
 
 from __future__ import annotations
@@ -219,9 +221,8 @@ def handle_api_request(service, method: str, path: str,
     parts = [part for part in path.split("/") if part]
     route = route_label(parts)
     params = parse_qs(query, keep_blank_values=True)
-    with use_tracer(tracer), use_request_id(request_id):
-        span = tracer.start("router", {"method": method}) \
-            if tracer.enabled else None
+    with use_tracer(tracer), use_request_id(request_id), \
+            tracer.span("router", {"method": method}):
         try:
             if method == "GET":
                 response = _get(service, parts, route, params, started)
@@ -249,10 +250,7 @@ def handle_api_request(service, method: str, path: str,
             response = json_response(
                 500, {"error": f"{type(exc).__name__}: {exc}"}, route=route,
             )
-        if span is not None:
-            tracer.finish(span, attributes={
-                "route": response.route, "status": response.status,
-            })
+        tracer.annotate({"route": response.route, "status": response.status})
     stamp_request_id(response, request_id)
     if route != "/metrics":
         service.record_request(

@@ -188,20 +188,18 @@ def _pool_worker_main(conn, warm, worker_body):
             tracer = SpanTracer.from_context(extras["span"])
         with use_request_id((extras or {}).get("request_id", "")), \
                 use_tracer(tracer if tracer is not None
-                           else current_tracer()):
-            span = None
-            if tracer is not None:
-                span = tracer.start(f"worker.{kind}", {"pid": os.getpid()})
+                           else current_tracer()) as bound:
             try:
-                if kind == "job":
-                    value = worker_body(payload, state)
-                elif kind == "search":
-                    value = _search_resident(payload, state)
-                else:
-                    raise PoolError(f"unknown pool request kind {kind!r}")
+                with bound.span(f"worker.{kind}", {"pid": os.getpid()}):
+                    if kind == "job":
+                        value = worker_body(payload, state)
+                    elif kind == "search":
+                        value = _search_resident(payload, state)
+                    else:
+                        raise PoolError(
+                            f"unknown pool request kind {kind!r}"
+                        )
                 reply = {"ok": True, "value": value}
-                if tracer is not None:
-                    tracer.finish(span)
             except BaseException as exc:  # noqa: BLE001 -- boundary
                 reply = {
                     "ok": False,
@@ -210,10 +208,6 @@ def _pool_worker_main(conn, warm, worker_body):
                         "message": str(exc),
                     },
                 }
-                if tracer is not None:
-                    tracer.finish(span, status="ERROR", attributes={
-                        "error.type": type(exc).__name__,
-                    })
         # Spans ride the reply envelope (a side channel), never the
         # result value -- payload bytes stay identical with tracing
         # on or off.
@@ -380,10 +374,8 @@ class WorkerPool(BatchRunner):
                 buckets=QUEUE_WAIT_BUCKETS,
             ).observe(waited)
             self._set_depth_gauges()
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.record("pool.checkout", waited,
-                          {"idle": self._idle.qsize()})
+        current_tracer().record("pool.checkout", waited,
+                                {"idle": self._idle.qsize()})
         return handle
 
     def _checkin(self, handle: _WorkerHandle):

@@ -57,7 +57,7 @@ from repro.engine.registry import DEFAULT_REGISTRY
 from repro.engine.stats import EngineStats
 from repro.matching.io import result_to_payload
 from repro.obs.log import NULL_LOGGER
-from repro.obs.spans import current_tracer
+from repro.obs.spans import StageClock, current_tracer
 from repro.obs.trace import TraceRecorder, trace_run_id
 from repro.service.jobs import JobQueue, JobRecord, JobState, MatchJobSpec
 from repro.service.store import ResultStore
@@ -207,8 +207,8 @@ def _resident_tree(state: Optional[dict], xsd_text: str, content_hash: str,
 def execute_job(spec: MatchJobSpec, state: Optional[dict] = None) -> dict:
     """Worker body: run one match job and return a picklable envelope.
 
-    Returns ``{"result": <stored payload>, "stats": <EngineStats dict>,
-    "elapsed": seconds}``.  The result payload is the self-describing
+    Returns ``{"result": <stored payload>, "stats": <EngineStats dict>}``;
+    the runner times the attempt.  The result payload is the self-describing
     format of :mod:`repro.matching.io` plus the schema content hashes,
     so a store entry alone identifies what produced it.  Deliberately
     deterministic: no timestamps, no timings inside the payload -- a
@@ -228,7 +228,6 @@ def execute_job(spec: MatchJobSpec, state: Optional[dict] = None) -> dict:
     fingerprint, so the trace of a pool worker is byte-identical to the
     same job run inline or via ``qmatch match --trace``.
     """
-    started = time.perf_counter()
     source = _resident_tree(
         state, spec.source_xsd, spec.source_hash, spec.source_name or None
     )
@@ -266,11 +265,7 @@ def execute_job(spec: MatchJobSpec, state: Optional[dict] = None) -> dict:
     payload["source_hash"] = spec.source_hash
     payload["target_hash"] = spec.target_hash
     stats = result.stats.as_dict() if result.stats is not None else {}
-    envelope = {
-        "result": payload,
-        "stats": stats,
-        "elapsed": time.perf_counter() - started,
-    }
+    envelope = {"result": payload, "stats": stats}
     if tracer is not None:
         envelope["trace"] = tracer.as_dict()
     return envelope
@@ -519,33 +514,33 @@ class BatchRunner:
         job-level problems -- those become error records."""
         spec = record.spec
         tracer = current_tracer()
-        span = tracer.start(
+        with tracer.span(
             "job.execute", {"job_id": record.job_id, "label": spec.label},
-        ) if tracer.enabled else None
-        try:
-            key = None
-            if self.store is not None:
-                lookup = tracer.start("cache.lookup") \
-                    if tracer.enabled else None
-                key = self.store.key_for(
-                    spec.source_hash, spec.target_hash, job_fingerprint(spec)
+        ):
+            try:
+                key = None
+                if self.store is not None:
+                    with tracer.span("cache.lookup"):
+                        key = self.store.key_for(
+                            spec.source_hash, spec.target_hash,
+                            job_fingerprint(spec),
+                        )
+                        cached = self.store.get(key)
+                        tracer.annotate({"hit": cached is not None})
+                    if cached is not None:
+                        queue.mark_done(record, cached, cache_hit=True)
+                        self._observe_job(record, "cached", 0.0)
+                        return
+                self._run_attempts(record, queue, key)
+            except Exception as exc:  # noqa: BLE001 -- batch must survive
+                queue.mark_failed(
+                    record,
+                    {"type": type(exc).__name__, "message": str(exc)},
                 )
-                cached = self.store.get(key)
-                tracer.finish(lookup, attributes={"hit": cached is not None})
-                if cached is not None:
-                    queue.mark_done(record, cached, cache_hit=True)
-                    self._observe_job(record, "cached", 0.0)
-                    return
-            self._run_attempts(record, queue, key)
-        except Exception as exc:  # noqa: BLE001 -- batch must survive
-            queue.mark_failed(
-                record,
-                {"type": type(exc).__name__, "message": str(exc)},
-            )
-            self._observe_job(record, "failed", 0.0, error=str(exc))
-        finally:
-            self._apply_constraint(record)
-            tracer.finish(span, attributes={"state": record.state.value})
+                self._observe_job(record, "failed", 0.0, error=str(exc))
+            finally:
+                self._apply_constraint(record)
+                tracer.annotate({"state": record.state.value})
 
     def _apply_constraint(self, record: JobRecord):
         """Evaluate the record's (or the core's default) constraint.
@@ -569,16 +564,15 @@ class BatchRunner:
 
         spec = record.spec
         tracer = current_tracer()
-        span = tracer.start("constraints.evaluate") \
-            if tracer.enabled else None
-        source = parse_xsd(spec.source_xsd, name=spec.source_name or None)
-        target = parse_xsd(spec.target_xsd, name=spec.target_name or None)
-        evidence = MatchEvidence.from_payload(
-            record.result, source_tree=source, target_tree=target
-        )
-        report = evaluate_constraint(constraint, evidence)
-        record.constraint_report = report.as_dict()
-        tracer.finish(span, attributes={"passed": report.passed})
+        with tracer.span("constraints.evaluate"):
+            source = parse_xsd(spec.source_xsd, name=spec.source_name or None)
+            target = parse_xsd(spec.target_xsd, name=spec.target_name or None)
+            evidence = MatchEvidence.from_payload(
+                record.result, source_tree=source, target_tree=target
+            )
+            report = evaluate_constraint(constraint, evidence)
+            record.constraint_report = report.as_dict()
+            tracer.annotate({"passed": report.passed})
         with self._stats_lock:
             self.stats.count("constraints.evaluated")
             self.stats.count(
@@ -629,23 +623,18 @@ class BatchRunner:
         timeout = spec.timeout if spec.timeout is not None else self.timeout
         last_error = {"type": "Unknown", "message": "job never ran"}
         timed_out = False
-        elapsed = 0.0
         tracer = current_tracer()
         for attempt in range(self.retries + 1):
             if attempt and self.retry_backoff:
                 time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
             queue.mark_running(record)
-            started = time.perf_counter()
-            attempt_span = tracer.start(
-                "job.attempt", {"attempt": attempt + 1},
-            ) if tracer.enabled else None
-            outcome, value = self._execute(spec, timeout)
-            tracer.finish(
-                attempt_span,
-                status="OK" if outcome == "ok" else "ERROR",
-                attributes={"outcome": outcome},
-            )
-            elapsed = time.perf_counter() - started
+            # The attempt's one clock: its span, the record's
+            # ``elapsed_seconds`` and the ``service_job_seconds`` sample.
+            with StageClock("job.attempt", {"attempt": attempt + 1},
+                            tracer) as clock:
+                outcome, value = self._execute(spec, timeout)
+                clock.status = "OK" if outcome == "ok" else "ERROR"
+                tracer.annotate({"outcome": outcome})
             if outcome == "ok":
                 payload = value["result"]
                 trace = value.get("trace")
@@ -658,8 +647,8 @@ class BatchRunner:
                         self.traces[record.job_id] = trace
                 if self.store is not None and key is not None:
                     self.store.put(key, payload)
-                queue.mark_done(record, payload, elapsed=value["elapsed"])
-                self._observe_job(record, "done", value["elapsed"])
+                queue.mark_done(record, payload, elapsed=clock.seconds)
+                self._observe_job(record, "done", clock.seconds)
                 return
             timed_out = outcome == "timeout"
             last_error = value
@@ -668,10 +657,10 @@ class BatchRunner:
                     "jobs.timeouts" if timed_out else "jobs.errors"
                 )
         queue.mark_failed(
-            record, last_error, timed_out=timed_out, elapsed=elapsed
+            record, last_error, timed_out=timed_out, elapsed=clock.seconds
         )
         self._observe_job(
-            record, "timed-out" if timed_out else "failed", elapsed,
+            record, "timed-out" if timed_out else "failed", clock.seconds,
             error=last_error.get("message"),
         )
 

@@ -110,6 +110,36 @@ class TestSearch:
             del payload["stats"]["stages"]  # wall-clock timings
         assert got == want
 
+    def test_traced_stages_share_one_clock(self, searcher, po1_tree):
+        """Each traced search stage emits its span from its own stage
+        clock: the span lasts exactly the seconds the stage records."""
+        from repro.constraints import parse_constraint
+        from repro.obs.spans import SpanTracer, use_tracer
+
+        tracer = SpanTracer("t")
+        with use_tracer(tracer):
+            result = searcher.search(
+                po1_tree, k=3, candidates=4,
+                constraint=parse_constraint(
+                    {"tree-qom": {"op": ">=", "value": 0.0}}
+                ),
+            )
+        spans = {span["name"]: span for span in tracer.export_spans()}
+        for span_name, stage in (("corpus.retrieve", "search:retrieve"),
+                                 ("corpus.rerank", "search:rerank"),
+                                 ("constraints.filter", "search:constrain")):
+            assert result.stats.stages[stage].calls == 1
+            assert spans[span_name]["duration"] == \
+                result.stats.stages[stage].seconds
+        assert spans["corpus.retrieve"]["attributes"]["candidates"] == \
+            result.candidates
+        assert spans["corpus.rerank"]["attributes"] == {
+            "examined": 4, "errors": 0,
+        }
+        filtered = spans["constraints.filter"]["attributes"]
+        assert (filtered["evaluated"], filtered["admitted"],
+                filtered["filtered"]) == (4, 4, 0)
+
     def test_result_serializes(self, searcher, po1_tree):
         import json
 

@@ -16,6 +16,7 @@ from repro.obs.spans import (
     SpanFileExporter,
     SpanStore,
     SpanTracer,
+    StageClock,
     current_request_id,
     current_tracer,
     load_span_file,
@@ -138,6 +139,38 @@ class TestSpanTracer:
         spans = tracer.export_spans()
         assert len(spans) == 17
         assert len({span["span_id"] for span in spans}) == 17
+
+
+class TestStageClock:
+    def test_span_duration_is_the_clock_reading(self):
+        tracer = SpanTracer("t1")
+        with use_tracer(tracer):
+            with StageClock("stage", {"a": 1}) as clock:
+                current_tracer().annotate({"b": 2})
+        span, = tracer.export_spans()
+        assert span["duration"] == clock.seconds > 0.0
+        assert span["status"] == "OK"
+        assert span["attributes"] == {"a": 1, "b": 2}
+
+    def test_status_and_errors(self):
+        tracer = SpanTracer("t1")
+        with StageClock("failed", tracer=tracer) as clock:
+            clock.status = "ERROR"
+        with pytest.raises(KeyError):
+            with StageClock("raised", tracer=tracer):
+                raise KeyError("x")
+        failed, raised = tracer.export_spans()
+        assert failed["status"] == "ERROR"
+        assert raised["status"] == "ERROR"
+        assert raised["attributes"] == {"error.type": "KeyError"}
+
+    def test_untraced_clock_still_times(self):
+        with StageClock("stage") as clock:
+            pass
+        with StageClock() as bare:
+            pass
+        assert clock.seconds >= 0.0 and bare.seconds >= 0.0
+        assert NULL_SPAN_TRACER.export_spans() == []
 
 
 class TestPropagation:

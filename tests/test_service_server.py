@@ -439,6 +439,45 @@ class TestObservabilityEndpoints:
         assert stats["routes"]["/jobs/{id}"] == 1
         assert stats["routes"]["/jobs/{id}/result"] == 1
 
+    def test_keep_alive_idle_time_is_not_request_latency(self):
+        """The request clock starts once the head is parsed: a client
+        pausing between requests on one keep-alive connection adds
+        nothing to ``http_request_seconds`` or the latency SLO."""
+        import http.client
+        from urllib.parse import urlsplit
+
+        pause = 0.3
+        service = MatchService(workers=1, mode="inline")
+        with AsyncServerThread(service) as running:
+            address = urlsplit(running.url)
+            conn = http.client.HTTPConnection(
+                address.hostname, address.port, timeout=10,
+            )
+            for number in range(3):
+                if number:
+                    time.sleep(pause)
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            conn.close()
+            samples = [
+                sample for labels, sample
+                in service.metrics.samples("http_request_seconds")
+                if labels.get("route") == "/healthz"
+            ]
+            assert len(samples) == 1 and samples[0].count == 3
+            assert samples[0].sum < pause
+            status, slo = request(f"{running.url}/slo")
+        service.shutdown()
+        assert status == 200
+        latency = next(
+            record for record in slo["objectives"]
+            if record["kind"] == "latency"
+        )
+        assert latency["total"] == 3
+        assert latency["attainment"] == 1.0
+
     def test_error_statuses_are_labeled(self, server_url):
         request(f"{server_url}/jobs/job-9999")
         _, text = request_text(f"{server_url}/metrics")
@@ -485,3 +524,21 @@ class TestTracedJobsOverHttp:
         )
         assert status == 400
         assert "trace" in payload["error"]
+
+    def test_pool_attempt_span_is_the_job_clock(self):
+        """One attempt reads the clock once: its ``job.attempt`` span,
+        the record's ``elapsed_seconds`` and the ``service_job_seconds``
+        sample are the same number (pool checkout and pipe included)."""
+        service = MatchService(workers=1, mode="pool", trace_sample=1.0)
+        with AsyncServerThread(service) as running:
+            status, record = request(
+                f"{running.url}/match", "POST", po_pair_body()
+            )
+        assert status == 200
+        (_, spans), = service.tracing.store.traces()
+        attempt = next(s for s in spans if s["name"] == "job.attempt")
+        assert attempt["attributes"] == {"attempt": 1, "outcome": "ok"}
+        assert attempt["duration"] == record["elapsed_seconds"]
+        (_, sample), = service.metrics.samples("service_job_seconds")
+        assert sample.count == 1
+        assert sample.sum == record["elapsed_seconds"]
