@@ -24,6 +24,15 @@ paper's tree-match step "match the sub-tree rooted at PurchaseInfo with
 all sub-trees in the Purchase Order schema" falls out for free) and the
 total cost is the O(n*m) the paper claims.
 
+Only interior x interior pairs need the recursion: Eq. 2 fixes the
+children axis at 1.0 for leaf x leaf pairs and footnote 1 zeroes its
+weight for leaf x interior pairs.  The untraced, memoized run therefore
+scores every pair as numpy blocks gathered from the context's label and
+property grids and walks only the interior pairs in Python; traced runs,
+runs with the memo off, ``explain`` and incremental re-matching take the
+scalar per-pair path, which stays the reference.  Both paths add the
+axes in one expression, :func:`_combine`, so their floats are identical.
+
 Alongside the numeric matrix, the matcher classifies every pair with the
 Section 2 taxonomy (leaf-exact ... partial-relaxed), which is reported
 per correspondence.
@@ -32,7 +41,10 @@ per correspondence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product, repeat
 from typing import Optional
+
+import numpy as np
 
 from repro.core.config import QMatchConfig
 from repro.core.taxonomy import (
@@ -44,7 +56,7 @@ from repro.core.taxonomy import (
 from repro.linguistic.matcher import LabelComparison, LinguisticMatcher
 from repro.matching.base import Matcher
 from repro.matching.classes import MatchStrength
-from repro.matching.result import ScoreMatrix, checked_score
+from repro.matching.result import SCORE_NOISE, ScoreMatrix, checked_score
 from repro.properties.matcher import PropertyMatcher
 from repro.xsd.model import SchemaTree
 
@@ -151,12 +163,12 @@ class QMatchMatcher(Matcher):
         QoMs and categories land in flat row-major grids (which is where
         the children axis reads them back) and are copied into the
         path-keyed :class:`ScoreMatrix` once, in the same grid order.
+
+        A traced run or one with the memo off scores pair by pair
+        (:meth:`_score_row`); otherwise :meth:`_score_blocks` does, with
+        the same floats and categories.
         """
-        source = ctx.source_table
-        grid = [0.0] * (len(source) * len(ctx.target_table))
-        categories = (
-            [None] * len(grid) if self.config.record_categories else None
-        )
+        source, target = ctx.source_table, ctx.target_table
         tracer = ctx.tracer
         if tracer.enabled:
             tracer.begin_run(
@@ -167,10 +179,24 @@ class QMatchMatcher(Matcher):
                 threshold=self.config.threshold,
                 config=self.config_signature(),
             )
-        for s_index in range(len(source)):
-            self._score_row(s_index, grid, categories, ctx)
+        if tracer.enabled or not ctx.cache_enabled:
+            grid = [0.0] * (len(source) * len(target))
+            categories = (
+                [None] * len(grid) if self.config.record_categories
+                else None
+            )
+            for s_index in range(len(source)):
+                self._score_row(s_index, grid, categories, ctx)
+        else:
+            grid, categories = self._score_blocks(ctx)
         matrix = grid_matrix(ctx, grid, categories)
-        ctx.stats.count("qmatch.pairs", len(matrix))
+        stats = ctx.stats
+        stats.count("qmatch.pairs", len(matrix))
+        recursive = (source.leaves.count(False)
+                     * target.leaves.count(False))
+        stats.count("qmatch.pairs.block",
+                    len(source) * len(target) - recursive)
+        stats.count("qmatch.pairs.recursive", recursive)
         return matrix
 
     def _score_row(self, s_index, grid, categories, ctx):
@@ -197,6 +223,130 @@ class QMatchMatcher(Matcher):
             )
             if categories is not None:
                 categories[row + t_index] = category
+
+    def _score_blocks(self, ctx):
+        """Score every pair of a memoized, untraced run; returns the
+        row-major QoM grid and category grid (``None`` when categories
+        are not recorded) as lists.
+
+        Leaf x leaf and leaf x interior pairs need no recursion, so
+        their QoMs come from one :func:`_combine` over n x m arrays
+        gathered from the context's label and property grids, and their
+        categories from :data:`_BLOCK_CATEGORY`.  The interior x interior
+        pairs are then walked in row-major order (children first, as in
+        postorder) through :meth:`_children_axis`, which reads the child
+        gate as a precomputed grid.
+        """
+        config = self.config
+        weights = config.weights
+        source, target = ctx.source_table, ctx.target_table
+        width = len(target)
+        names, name_codes = ctx.node_label_grids()
+        props, prop_codes = ctx.node_property_grids()
+        labels, label_codes = names, name_codes
+        if config.use_documentation:
+            labels, label_codes = self._documented_grids(ctx, names,
+                                                         name_codes)
+        s_leaves = np.array(source.leaves)[:, None]
+        t_leaves = np.array(target.leaves)
+        leaf_pairs = s_leaves & t_leaves
+        mixed_pairs = s_leaves != t_leaves
+        same_level = (np.array(source.levels)[:, None]
+                      == np.array(target.levels))
+        level = same_level.astype(np.float64)
+        effective_level = (
+            np.where(leaf_pairs, 1.0, level)
+            if config.leaf_level_mode == "constant" else level
+        )
+        instance = None
+        if weights.uses_instance:
+            score_instance = ctx.instance_score
+            instance = np.array([
+                score_instance(s_node, t_node)
+                for s_node in source.nodes for t_node in target.nodes
+            ]).reshape(names.shape)
+        # Eq. 2: leaf pairs take the children axis at 1.0; footnote 1:
+        # mixed pairs give it no weight.  Interior pairs are rescored
+        # below.
+        qom = _combine(
+            weights, labels, props, effective_level,
+            np.where(leaf_pairs, weights.children, 0.0),
+            leaf_pairs.astype(np.float64), instance,
+        ).ravel()
+        interior = ~(leaf_pairs | mixed_pairs).ravel()
+        out_of_range = np.flatnonzero(
+            ~((qom >= -SCORE_NOISE) & (qom <= 1 + SCORE_NOISE)) & ~interior
+        )
+        # The scalar loop raises at the first bad pair in row-major
+        # order: interior pairs before it are still scored (and may
+        # raise first), those after it are not.
+        first_bad = out_of_range[0] if out_of_range.size else qom.size
+        # checked_score's clamp: max(0.0, q), then min(1.0, q).
+        clamped = np.where(qom > 0.0, qom, 0.0)
+        grid = np.where(clamped < 1.0, clamped, 1.0).tolist()
+        categories = None
+        if config.record_categories:
+            categories = _CATEGORY_OBJECTS[_BLOCK_CATEGORY[
+                mixed_pairs.astype(np.intp), label_codes, prop_codes,
+                same_level.astype(np.intp),
+            ]].ravel().tolist()
+        gate = ((name_codes != MatchStrength.NONE.value)
+                | (props >= config.structural_child_gate)).ravel().tolist()
+        pairs = np.flatnonzero(interior)
+        pairs = pairs[pairs < first_bad]
+        interior_pairs = zip(
+            pairs.tolist(), labels.ravel()[pairs].tolist(),
+            props.ravel()[pairs].tolist(), level.ravel()[pairs].tolist(),
+            label_codes.ravel()[pairs].tolist(),
+            prop_codes.ravel()[pairs].tolist(),
+            repeat(None) if instance is None
+            else instance.ravel()[pairs].tolist(),
+        )
+        for (index, label, prop, level_score, label_code, prop_code,
+             instance_score) in interior_pairs:
+            s_index, t_index = divmod(index, width)
+            children_score, coverage, _, children_strength = (
+                self._children_axis(s_index, t_index, grid, categories,
+                                    gate, ctx)
+            )
+            grid[index] = checked_score(
+                _combine(weights, label, prop, level_score,
+                         weights.children, children_score, instance_score),
+                source.paths[s_index], target.paths[t_index],
+            )
+            if categories is not None:
+                categories[index] = classify_subtree(
+                    _STRENGTHS[label_code], _STRENGTHS[prop_code],
+                    MatchStrength.EXACT if level_score
+                    else MatchStrength.NONE,
+                    coverage, children_strength,
+                )
+        if first_bad < qom.size:
+            s_index, t_index = divmod(int(first_bad), width)
+            checked_score(float(qom[first_bad]), source.paths[s_index],
+                          target.paths[t_index])
+        return grid, categories
+
+    def _documented_grids(self, ctx, names, name_codes):
+        """Copies of the name grids with documentation evidence folded
+        in, one :meth:`_label_evidence` per pair of documented nodes."""
+        labels, codes = names.copy(), name_codes.copy()
+        source, target = ctx.source_table, ctx.target_table
+        documented = [
+            t_index for t_index, node in enumerate(target.nodes)
+            if node.properties.get("documentation")
+        ]
+        for s_index, node in enumerate(source.nodes):
+            if not node.properties.get("documentation"):
+                continue
+            for t_index in documented:
+                label = self._label_evidence(
+                    ctx.stored_label(s_index, t_index), s_index, t_index,
+                    ctx,
+                )
+                labels[s_index, t_index] = label.score
+                codes[s_index, t_index] = label.strength.value
+        return labels, codes
 
     def _traced_pair(self, s_index, t_index, grid, categories, ctx, tracer):
         """Score one pair with full span recording (the traced path).
@@ -311,7 +461,8 @@ class QMatchMatcher(Matcher):
         """
         source, target = ctx.source_table, ctx.target_table
         weights = self.config.weights
-        label = self._label_evidence(s_index, t_index, ctx)
+        label = self._label_evidence(ctx.node_label(s_index, t_index),
+                                     s_index, t_index, ctx)
         props = ctx.node_properties(s_index, t_index)
         level_strength = (
             MatchStrength.EXACT
@@ -346,7 +497,8 @@ class QMatchMatcher(Matcher):
             effective_level = level_score
             children_score, coverage, matched, children_strength = (
                 self._children_axis(
-                    s_index, t_index, grid, categories, ctx,
+                    s_index, t_index, grid, categories,
+                    _MemoGate(ctx, self.config.structural_child_gate), ctx,
                     matched_pairs=matched_pairs,
                 )
             )
@@ -356,15 +508,6 @@ class QMatchMatcher(Matcher):
                 label.strength, props.strength, level_strength,
                 coverage, children_strength,
             )
-        # One formula for all three shapes: the leaf case fixes the
-        # children axis at 1.0, the mixed case zeroes its weight, so the
-        # sum is bit-identical to the per-branch formulas it replaces.
-        qom = (
-            weights.label * label.score
-            + weights.properties * props.score
-            + weights.level * effective_level
-            + children_weight * children_score
-        )
         instance_score = None
         if weights.uses_instance:
             # The fifth axis only ever runs at nonzero weight: the
@@ -372,7 +515,8 @@ class QMatchMatcher(Matcher):
             # adds not a single float to the sum.
             instance_score = ctx.instance_score(source.nodes[s_index],
                                                 target.nodes[t_index])
-            qom += weights.instance * instance_score
+        qom = _combine(weights, label.score, props.score, effective_level,
+                       children_weight, children_score, instance_score)
         if trace_out is not None:
             trace_out.update(
                 label=label,
@@ -388,16 +532,16 @@ class QMatchMatcher(Matcher):
             )
         return qom, category
 
-    def _label_evidence(self, s_index, t_index, ctx):
+    def _label_evidence(self, label, s_index, t_index, ctx):
         """Label-axis evidence: names, optionally backed by documentation.
 
-        With ``use_documentation`` on and both nodes carrying
+        ``label`` is the comparison of the two nodes' names.  With
+        ``use_documentation`` on and both nodes carrying
         ``xs:documentation`` text, the documentation's linguistic
         similarity (discounted) can lift a label axis the names alone
         would fail -- it never lowers the name-based score, and
         doc-mediated evidence is at best relaxed.
         """
-        label = ctx.node_label(s_index, t_index)
         if not self.config.use_documentation:
             return label
         s_doc = ctx.source_table.nodes[s_index].properties.get(
@@ -417,20 +561,22 @@ class QMatchMatcher(Matcher):
             strength = MatchStrength.RELAXED
         return LabelComparison(doc_score, strength, "documentation")
 
-    def _children_axis(self, s_index, t_index, grid, categories, ctx,
+    def _children_axis(self, s_index, t_index, grid, categories, gate, ctx,
                        matched_pairs=None):
         """Eqs. 3-5: (QoM_C, coverage, matched count, children strength).
 
         Child QoMs and categories are read from the ``grid`` /
-        ``categories`` index grids.  ``matched_pairs`` (traced path
-        only) collects the ``(source index, target index)`` child pairs
-        that counted toward the axis, so spans can link to their
+        ``categories`` index grids, and whether a child pair may count
+        at all from the ``gate`` index grid.  ``matched_pairs`` (traced
+        path only) collects the ``(source index, target index)`` child
+        pairs that counted toward the axis, so spans can link to their
         contributing child spans.
 
-        A child pair only counts when it is a genuine match: its label
-        axis matched at least relaxed, *or* its properties axis agrees
-        near-perfectly (the ``structural_child_gate`` -- what keeps the
-        Figure 7-9 structurally-identical case strong).  Without any
+        A child pair only counts when it is a genuine match (the gate):
+        its names' label axis matched at least relaxed, *or* its
+        properties axis agrees near-perfectly (the
+        ``structural_child_gate`` -- what keeps the Figure 7-9
+        structurally-identical case strong).  Without any
         gate, Eq. 2's constant (WH + WC for every leaf pair) would push
         arbitrary unrelated leaves over any threshold <= 0.5 and the
         coverage measure would stop discriminating.
@@ -442,7 +588,6 @@ class QMatchMatcher(Matcher):
         difference.
         """
         threshold = self.config.threshold
-        gate = self.config.structural_child_gate
         source = ctx.source_table
         width = len(ctx.target_table)
         s_children = source.children[s_index]
@@ -452,13 +597,6 @@ class QMatchMatcher(Matcher):
         matched = 0
         qom_sum = 0.0
         children_all_exact = True
-
-        def is_child_match(s_child, t_child):
-            if ctx.node_label(s_child, t_child).strength is not (
-                MatchStrength.NONE
-            ):
-                return True
-            return ctx.node_properties(s_child, t_child).score >= gate
 
         if self.config.children_aggregation == "best_match":
             candidates = t_children + (t_index,)
@@ -473,8 +611,7 @@ class QMatchMatcher(Matcher):
                     if t_child == t_index and not absorb:
                         continue
                     child_qom = grid[row + t_child]
-                    if child_qom > best_qom and is_child_match(s_child,
-                                                               t_child):
+                    if child_qom > best_qom and gate[row + t_child]:
                         best_qom = child_qom
                         best_target = t_child
                 if best_qom >= threshold:
@@ -497,9 +634,7 @@ class QMatchMatcher(Matcher):
                 row = s_child * width
                 for t_child in t_children:
                     child_qom = grid[row + t_child]
-                    if child_qom >= threshold and is_child_match(
-                        s_child, t_child
-                    ):
+                    if child_qom >= threshold and gate[row + t_child]:
                         qom_sum += child_qom
                         if matched_pairs is not None:
                             matched_pairs.append((s_child, t_child))
@@ -609,6 +744,61 @@ EXACT_CATEGORIES = frozenset(
 )
 
 
+def _combine(weights, label, properties, level, children_weight, children,
+             instance=None):
+    """The QoM sum ``WL*L + WP*P + WH*H + WC*C`` (``+ WI*I`` when the
+    instance axis runs), added left to right.
+
+    The one formula for every pair shape -- the leaf case fixes the
+    children axis at 1.0, the mixed case zeroes its weight -- and for
+    both paths: the arguments are floats for one pair or numpy arrays
+    for a block, and numpy's elementwise float64 operations round
+    exactly like Python's, so the two give the same bits.
+    """
+    qom = (
+        weights.label * label
+        + weights.properties * properties
+        + weights.level * level
+        + children_weight * children
+    )
+    if instance is not None:
+        qom = qom + weights.instance * instance
+    return qom
+
+
+#: ``MatchStrength`` by code (its value), as the context's grids hold it.
+_STRENGTHS = tuple(MatchStrength(code) for code in range(len(MatchStrength)))
+
+def _block_category_table():
+    """The index in ``MatchCategory`` of a block pair's category, by
+    (leaf x interior?, label code, property code, same level?), from
+    ``classify_leaf`` / ``classify_subtree`` -- so the taxonomy keeps
+    one implementation."""
+    categories = list(MatchCategory)
+    codes = range(len(_STRENGTHS))
+    table = np.empty((2, len(codes), len(codes), 2), dtype=np.intp)
+    for mixed, label, properties, level in product((0, 1), codes, codes,
+                                                   (0, 1)):
+        label_strength = _STRENGTHS[label]
+        properties_strength = _STRENGTHS[properties]
+        category = (
+            classify_subtree(
+                label_strength, properties_strength,
+                MatchStrength.EXACT if level else MatchStrength.NONE,
+                CoverageLevel.NONE, MatchStrength.NONE,
+            ) if mixed
+            else classify_leaf(label_strength, properties_strength)
+        )
+        table[mixed, label, properties, level] = categories.index(category)
+    return table
+
+
+#: Categories by index, and the block pairs' category table (built once,
+#: at import).
+_CATEGORY_OBJECTS = np.array(list(MatchCategory), dtype=object)
+_BLOCK_CATEGORY = _block_category_table()
+
+
 def _category(value) -> Optional[MatchCategory]:
     return None if value is None else MatchCategory(value)
 
@@ -621,9 +811,32 @@ def grid_matrix(ctx, grid, categories=None) -> ScoreMatrix:
                            grid)
     matrix.categories = (
         None if categories is None
-        else {key: category.value for key, category in zip(keys, categories)}
+        else {key: category._value_
+              for key, category in zip(keys, categories)}
     )
     return matrix
+
+
+class _MemoGate:
+    """The child gate as a row-major index view over the context's
+    counted memos: the scalar path's form of the gate grid
+    :meth:`QMatchMatcher._score_blocks` precomputes."""
+
+    __slots__ = ("ctx", "threshold", "width")
+
+    def __init__(self, ctx, threshold):
+        self.ctx = ctx
+        self.threshold = threshold
+        self.width = len(ctx.target_table)
+
+    def __getitem__(self, index):
+        s_index, t_index = divmod(index, self.width)
+        ctx = self.ctx
+        if ctx.node_label(s_index, t_index).strength is not (
+            MatchStrength.NONE
+        ):
+            return True
+        return ctx.node_properties(s_index, t_index).score >= self.threshold
 
 
 class _PathGrid:

@@ -16,11 +16,16 @@ and handed to every matcher that scores the pair.  It owns:
   child indices -- plus an interned label id and property-signature id
   per node, so a pair loop addresses nodes by postorder index and never
   rebuilds a path string or a signature tuple;
-- the **pairwise memo**: label comparisons keyed by interned label-id
-  pairs and property comparisons keyed by interned signature-id pairs
-  (equal ids exactly when the label texts / signatures are equal), with
-  hit/miss accounting in :class:`EngineStats` (each memo counts on its
+- the **pairwise memo**: label comparisons keyed by unordered interned
+  label-id pairs and property comparisons keyed by interned signature-id
+  pairs (equal ids exactly when the label texts / signatures are equal),
+  with hit/miss accounting in :class:`EngineStats` (each memo counts on its
   :class:`CacheStats` record, bound on the memo's first lookup);
+- the **node grids**: every node pair's name comparison and property
+  comparison as n x m numpy arrays (score and strength code), gathered
+  from dense tables over the distinct label ids and signature ids and
+  filled through the same memos, so a block scorer never looks a pair
+  up one at a time;
 - the **instrumentation**: an :class:`EngineStats` collecting per-stage
   wall time, pair counts and cache counters for the whole run.
 
@@ -39,6 +44,8 @@ bit-identical.
 from __future__ import annotations
 
 from typing import Optional
+
+import numpy as np
 
 from repro.engine.stats import CacheStats, EngineStats
 from repro.linguistic.matcher import LabelComparison, LinguisticMatcher
@@ -94,6 +101,28 @@ class SideTable:
         return len(self.nodes)
 
 
+def _unordered(left: int, right: int) -> tuple:
+    """The label memo's key of an id pair: comparison is symmetric, so
+    ``(a, b)`` and ``(b, a)`` share one entry."""
+    return (left, right) if left <= right else (right, left)
+
+
+def _distinct(ids):
+    """``(position of each distinct id's first occurrence, each
+    position's index among the distinct ids)``: the rows of a dense
+    table over ``ids`` and the gather from it back to positions."""
+    slot_of: dict[int, int] = {}
+    firsts = []
+    slots = []
+    for position, key in enumerate(ids):
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(firsts)
+            firsts.append(position)
+        slots.append(slot)
+    return firsts, np.array(slots, dtype=np.intp)
+
+
 class MatchContext:
     """Precomputed, cached state for matching one (source, target) pair."""
 
@@ -144,6 +173,9 @@ class MatchContext:
         self._label_stats: Optional[CacheStats] = None
         self._property_stats: Optional[CacheStats] = None
         self._instance_stats: Optional[CacheStats] = None
+        # The node grids, built once per context (memoized runs only).
+        self._label_grids: Optional[tuple] = None
+        self._property_grids: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Per-node precomputed state
@@ -247,10 +279,6 @@ class MatchContext:
         """
         return self.linguistic._prepare_tokens(label)
 
-    def property_signature(self, node: SchemaNode) -> tuple:
-        """The node's property tuple (type, order, occurs, kind)."""
-        return self.property_matcher.signature(node)
-
     def warm(self) -> "MatchContext":
         """Eagerly precompute all per-node state (the context build step
         the tentpole describes).  Optional: everything also fills in
@@ -289,14 +317,14 @@ class MatchContext:
         counts = self._label_stats
         if counts is None:
             counts = self._label_stats = self.stats.cache(LABEL_CACHE)
-        key = (left, right)
+        # Label comparison is symmetric: one entry per unordered pair.
+        key = (left, right) if left <= right else (right, left)
         cached = self._label_memo.get(key)
         if cached is None:
             counts.misses += 1
             texts = self._label_texts
             cached = self.linguistic.compare_labels(texts[left], texts[right])
             self._label_memo[key] = cached
-            self._label_memo[(right, left)] = cached  # symmetric
         else:
             counts.hits += 1
         return cached
@@ -317,7 +345,7 @@ class MatchContext:
         """Whether the label memo already holds two nodes' names, by
         postorder index (trace provenance: checked *before* the
         comparison runs)."""
-        return self.cache_enabled and (
+        return self.cache_enabled and _unordered(
             self._source_table.label_ids[source_index],
             self._target_table.label_ids[target_index],
         ) in self._label_memo
@@ -378,6 +406,134 @@ class MatchContext:
         else:
             counts.hits += 1
         return cached
+
+    def stored_label(self, source_index: int,
+                     target_index: int) -> LabelComparison:
+        """The memo's comparison of two nodes' names, read without
+        counting a lookup: for a caller whose pair was already counted
+        by :meth:`node_label_grids`."""
+        return self._label_memo[_unordered(
+            self._source_table.label_ids[source_index],
+            self._target_table.label_ids[target_index],
+        )]
+
+    # ------------------------------------------------------------------
+    # Node grids: every pair at once
+    # ------------------------------------------------------------------
+
+    def node_label_grids(self):
+        """Every node pair's name comparison as two n x m arrays over the
+        postorder tables: float64 scores and ``MatchStrength`` codes.
+
+        The grids gather a dense table over (distinct source label x
+        distinct target label), filled one cell per label pair through
+        the label memo: a cell already in the memo (in either order) is
+        read, a new one is compared once and stored, so
+        :meth:`label_pair` and the table read the same entries.  A node
+        pair counts as a hit when its cell was already filled and as a
+        miss when it fills it, so a fresh context's hits and misses add
+        up to n * m.  The grids are kept for the context's lifetime; a
+        second call counts n * m hits.  With the memo off every node
+        pair is compared afresh and nothing is counted or kept.
+        """
+        if self._label_grids is not None:
+            self._label_stats.hits += self.pair_count
+            return self._label_grids
+        source, target = self.source_table, self.target_table
+        if not self.cache_enabled:
+            return self._label_table(source.label_ids, target.label_ids)[:2]
+        counts = self._label_stats
+        if counts is None:
+            counts = self._label_stats = self.stats.cache(LABEL_CACHE)
+        s_firsts, s_slots = _distinct(source.label_ids)
+        t_firsts, t_slots = _distinct(target.label_ids)
+        scores, codes, misses = self._label_table(
+            [source.label_ids[i] for i in s_firsts],
+            [target.label_ids[j] for j in t_firsts],
+        )
+        counts.misses += misses
+        counts.hits += self.pair_count - misses
+        self._label_grids = grids = (scores[s_slots[:, None], t_slots],
+                                     codes[s_slots[:, None], t_slots])
+        return grids
+
+    def _label_table(self, left_ids, right_ids):
+        """(scores, strength codes, memo misses) over ``left_ids`` x
+        ``right_ids``, comparing each unordered pair once through the
+        label memo (or every cell, with the memo off)."""
+        compare = self.linguistic.compare_labels
+        texts = self._label_texts
+        scores, codes = [], []
+        misses = 0
+        if self.cache_enabled:
+            memo = self._label_memo
+            for left in left_ids:
+                left_text = texts[left]
+                for right in right_ids:
+                    key = (left, right) if left <= right else (right, left)
+                    cached = memo.get(key)
+                    if cached is None:
+                        misses += 1
+                        cached = memo[key] = compare(left_text, texts[right])
+                    scores.append(cached.score)
+                    codes.append(cached.strength._value_)
+        else:
+            for left in left_ids:
+                left_text = texts[left]
+                for right in right_ids:
+                    cached = compare(left_text, texts[right])
+                    scores.append(cached.score)
+                    codes.append(cached.strength._value_)
+        shape = (len(left_ids), len(right_ids))
+        return (np.array(scores, dtype=np.float64).reshape(shape),
+                np.array(codes, dtype=np.int8).reshape(shape), misses)
+
+    def node_property_grids(self):
+        """Every node pair's property comparison as two n x m arrays:
+        float64 scores and ``MatchStrength`` codes.
+
+        Filled like :meth:`node_label_grids`, from a dense table over
+        (distinct source signature x distinct target signature) that
+        compares each signature pair once through the property memo;
+        hits and misses are counted per node pair the same way.  Needs
+        the memo on.
+        """
+        if self._property_grids is not None:
+            self._property_stats.hits += self.pair_count
+            return self._property_grids
+        counts = self._property_stats
+        if counts is None:
+            counts = self._property_stats = self.stats.cache(PROPERTY_CACHE)
+        source, target = self.source_table, self.target_table
+        # Equal signatures compare equal, so a signature's first node
+        # (the one a row-major walk compares first) stands for it.
+        s_firsts, s_slots = _distinct(source.signature_ids)
+        t_firsts, t_slots = _distinct(target.signature_ids)
+        s_keys = [source.signature_ids[i] for i in s_firsts]
+        t_keys = [target.signature_ids[j] for j in t_firsts]
+        s_nodes = [source.nodes[i] for i in s_firsts]
+        t_nodes = [target.nodes[j] for j in t_firsts]
+        compare = self.property_matcher.compare
+        memo = self._property_memo
+        scores, codes = [], []
+        misses = 0
+        for left, left_node in zip(s_keys, s_nodes):
+            for right, right_node in zip(t_keys, t_nodes):
+                cached = memo.get((left, right))
+                if cached is None:
+                    misses += 1
+                    cached = memo[(left, right)] = compare(left_node,
+                                                           right_node)
+                scores.append(cached.score)
+                codes.append(cached.strength._value_)
+        counts.misses += misses
+        counts.hits += self.pair_count - misses
+        shape = (len(s_keys), len(t_keys))
+        scores = np.array(scores, dtype=np.float64).reshape(shape)
+        codes = np.array(codes, dtype=np.int8).reshape(shape)
+        self._property_grids = grids = (scores[s_slots[:, None], t_slots],
+                                        codes[s_slots[:, None], t_slots])
+        return grids
 
     def instance_cached(self, source: SchemaNode,
                         target: SchemaNode) -> bool:

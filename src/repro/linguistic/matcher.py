@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.linguistic import string_metrics
 from repro.linguistic.thesaurus import Thesaurus
 from repro.linguistic.tokenizer import normalize, stem, tokenize
@@ -66,13 +68,14 @@ class LinguisticConfig:
     stopwords: frozenset = DEFAULT_STOPWORDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelComparison:
     """Outcome of comparing two labels.
 
     ``mechanism`` names the dominant evidence ("string", "synonym",
     "acronym", "abbreviation", "hypernym", "tokens") -- useful in reports
-    and asserted on by the taxonomy tests.
+    and asserted on by the taxonomy tests.  Slotted: a context keeps one
+    per distinct label pair, up to ~850k on Protein.
     """
 
     score: float
@@ -134,15 +137,11 @@ class LinguisticMatcher(Matcher):
         # Rows and columns in preorder, the matrix's historical order.
         s_order = [source.index[id(node)] for node in ctx.source_preorder]
         t_order = [target.index[id(node)] for node in ctx.target_preorder]
-        t_labels = [target.label_ids[j] for j in t_order]
-        label_pair = ctx.label_pair
-        scores = [
-            label_pair(source.label_ids[i], t_label).score
-            for i in s_order for t_label in t_labels
-        ]
+        scores, _ = ctx.node_label_grids()
         matrix = ScoreMatrix(ctx.source, ctx.target)
         matrix.set_grid([source.paths[i] for i in s_order],
-                        [target.paths[j] for j in t_order], scores)
+                        [target.paths[j] for j in t_order],
+                        scores[np.ix_(s_order, t_order)].ravel().tolist())
         ctx.stats.count("linguistic.pairs", len(matrix))
         return matrix
 

@@ -29,10 +29,14 @@ class Correspondence:
         return f"{self.source_path} <-> {self.target_path} ({self.score:.3f}){category}"
 
 
+#: How far outside ``[0, 1]`` float noise may carry a score.
+SCORE_NOISE = 1e-9
+
+
 def checked_score(score: float, source_path: str, target_path: str) -> float:
     """``score`` clamped into ``[0, 1]``; a score outside the range by
     more than float noise raises, so a malformed QoM model fails loudly."""
-    if not -1e-9 <= score <= 1 + 1e-9:
+    if not -SCORE_NOISE <= score <= 1 + SCORE_NOISE:
         raise ValueError(
             f"score {score!r} for ({source_path}, {target_path}) "
             "is outside [0, 1]"

@@ -31,6 +31,7 @@ from repro.service.http_api import (
     open_request,
     stamp_request_id,
     too_large_response,
+    truncated_body_response,
 )
 
 _REASONS = {
@@ -221,11 +222,25 @@ class AsyncMatchServer:
                 writer.write(_render(response, keep_alive=False))
                 await writer.drain()
                 return response, False
-            with tracer.span("request.read"):
-                raw = (
-                    await reader.readexactly(length) if length > 0 else b""
+            try:
+                with tracer.span("request.read"):
+                    raw = (
+                        await reader.readexactly(length) if length > 0
+                        else b""
+                    )
+                    tracer.annotate({"bytes": length})
+            except asyncio.IncompleteReadError as exc:
+                # The client closed before its declared body was in:
+                # nobody is left to answer, so count the request and
+                # close the connection.
+                response = truncated_body_response(
+                    self.service, method, path, length, len(exc.partial),
+                    clock.started,
                 )
-                tracer.annotate({"bytes": length})
+                stamp_request_id(response, request_id)
+                clock.status = "ERROR"
+                tracer.annotate({"status": 400})
+                return response, False
         response = await asyncio.get_running_loop().run_in_executor(
             None, handle_api_request,
             self.service, method, path, raw, clock.started,

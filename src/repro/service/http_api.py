@@ -12,8 +12,8 @@ Cross-cutting behaviour owned by this module:
 - **admission control**: job-submitting routes consult the service's
   bounded admission queue and answer ``429`` with a ``Retry-After``
   header when saturated, ``503`` while draining;
-- **body handling**: empty/oversized/non-JSON bodies become the same
-  400/413 records everywhere;
+- **body handling**: empty/oversized/non-JSON/truncated bodies become
+  the same 400/413 records everywhere;
 - **metrics**: every request lands in ``http_requests_total`` /
   ``http_request_seconds`` exactly once (the ``/metrics`` scrape
   records itself *before* rendering, so the first scrape already
@@ -262,14 +262,32 @@ def handle_api_request(service, method: str, path: str,
 def too_large_response(service, method: str, path: str, length: int,
                        started: float) -> ApiResponse:
     """The shared 413 record (transport detected the oversized body)."""
+    error = PayloadTooLarge(length, service.max_body_bytes)
+    return _transport_response(service, method, path, 413, str(error),
+                               started)
+
+
+def truncated_body_response(service, method: str, path: str, length: int,
+                            received: int, started: float) -> ApiResponse:
+    """The shared 400 record of a body that ended (the client closed)
+    before its declared ``Content-Length``."""
+    return _transport_response(
+        service, method, path, 400,
+        f"request body ended after {received} of {length} bytes", started,
+    )
+
+
+def _transport_response(service, method, path, status, message,
+                        started) -> ApiResponse:
+    """A closing error answer the transport decided on, recorded in the
+    request metrics like every routed answer."""
     path = path.partition("?")[0]
     route = route_label([part for part in path.split("/") if part])
-    error = PayloadTooLarge(length, service.max_body_bytes)
     response = json_response(
-        413, {"error": str(error)}, route=route, close=True,
+        status, {"error": message}, route=route, close=True,
     )
     service.record_request(
-        method, route, 413, time.perf_counter() - started,
+        method, route, status, time.perf_counter() - started,
     )
     return response
 

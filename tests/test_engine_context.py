@@ -102,14 +102,27 @@ class TestMatchContext:
         backward = ctx.label_comparison("Date", "ShipDate")
         assert forward.score == backward.score
 
-    def test_repeated_labels_hit_the_cache(self, pair):
-        # "OrderNo" appears in both trees and twice as a near-duplicate
-        # on the source side, so a full pair sweep must revisit pairs.
-        source, target = pair
+    def test_repeated_labels_hit_the_cache(self):
+        # "Date" labels two source nodes and "ShipDate" two target
+        # nodes, so the 4 x 4 node pairs share 3 x 3 label cells: each
+        # cell is filled once (a miss) and every other node pair on it
+        # is a hit.  A node pair counts once, whatever revisits it.
+        source = tree(element(
+            "PO",
+            element("Date", type_name="date"),
+            element("Billing", element("Date", type_name="date")),
+        ))
+        target = tree(element(
+            "Order",
+            element("ShipDate", type_name="date"),
+            element("Shipping", element("ShipDate", type_name="date")),
+        ))
         matcher = QMatchMatcher()
         ctx = matcher.make_context(source, target)
         matcher.match_context(ctx)
-        assert ctx.stats.cache(LABEL_CACHE).hits > 0
+        labels = ctx.stats.cache(LABEL_CACHE)
+        assert (labels.hits, labels.misses) == (7, 9)
+        assert labels.hits + labels.misses == ctx.pair_count
         assert ctx.stats.total_cache_hit_rate() > 0.0
 
     def test_property_comparison_memoized_by_signature(self, pair):

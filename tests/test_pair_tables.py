@@ -24,6 +24,7 @@ from repro.engine.context import (
 from repro.linguistic.matcher import LinguisticMatcher
 from repro.properties.matcher import PropertyMatcher
 from repro.xsd.serializer import to_xsd
+from tests.qmatch_golden import load_pair
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,20 @@ class TestWorkCounters:
         # DCMD's figures, as recorded before the pair loop moved onto
         # the interned tables.
         assert (len(label_calls), len(property_calls)) == (1878, 1376)
+
+    @pytest.mark.parametrize("pair,block,recursive", [
+        ("DCMD", 1972, 42),
+        ("PO", 84, 6),
+        ("PIR-PDB50", 10990, 560),
+    ])
+    def test_pairs_by_path(self, pair, block, recursive):
+        # Leaf x leaf and leaf x interior pairs are scored as blocks;
+        # only interior x interior pairs recurse into their children.
+        source, target = load_pair(pair, "default")
+        counters = QMatchMatcher().match(source, target).stats.counters
+        assert (counters["qmatch.pairs.block"],
+                counters["qmatch.pairs.recursive"]) == (block, recursive)
+        assert block + recursive == counters["qmatch.pairs"]
 
     def test_table_size_counters(self, dcmd):
         source, target = dcmd

@@ -478,6 +478,48 @@ class TestObservabilityEndpoints:
         assert latency["total"] == 3
         assert latency["attainment"] == 1.0
 
+    def test_truncated_body_is_counted_and_closed(self, caplog):
+        """A client that closes before sending its declared body gets
+        its connection closed without an unhandled exception, and the
+        request lands in the HTTP metrics as a 400."""
+        import logging
+        import socket
+        from urllib.parse import urlsplit
+
+        service = MatchService(workers=1, mode="inline")
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with AsyncServerThread(service) as running:
+                address = urlsplit(running.url)
+                with socket.create_connection(
+                    (address.hostname, address.port), timeout=10,
+                ) as sock:
+                    sock.sendall(
+                        b"POST /match HTTP/1.1\r\nHost: test\r\n"
+                        b"Content-Type: application/json\r\n"
+                        b"Content-Length: 100\r\n\r\n"
+                        + b'{"source":'
+                    )
+                    sock.shutdown(socket.SHUT_WR)
+                    # The server closes without answering.
+                    assert sock.recv(1024) == b""
+                counted = {
+                    (labels["route"], labels["status"]): sample
+                    for labels, sample
+                    in service.metrics.samples("http_requests_total")
+                }
+                latencies = [
+                    sample for labels, sample
+                    in service.metrics.samples("http_request_seconds")
+                    if labels.get("route") == "/match"
+                ]
+        service.shutdown()
+        assert counted[("/match", "400")].value == 1
+        assert len(latencies) == 1 and latencies[0].count == 1
+        assert not [
+            record for record in caplog.records
+            if record.name == "asyncio"
+        ]
+
     def test_error_statuses_are_labeled(self, server_url):
         request(f"{server_url}/jobs/job-9999")
         _, text = request_text(f"{server_url}/metrics")
