@@ -23,6 +23,7 @@ from repro.datasets import registry
 
 from conftest import ALGORITHMS, FIGURE4_PAIRS, write_result
 from repro.evaluation.harness import render_table
+from repro.linguistic.thesaurus import Thesaurus
 
 #: (task, algorithm) -> measured seconds, filled as benchmarks run.
 MEASURED = {}
@@ -44,10 +45,14 @@ def test_fig4_runtime(benchmark, task_name, total_elements, algorithm):
     assert task.total_elements == total_elements
 
     rounds = 1 if total_elements > 100 else 3
+    # Every matcher on the default thesaurus shares its token lexicon,
+    # so one algorithm's run would warm the next one's; each timed round
+    # starts from a cold lexicon, as a lone ``repro.match`` does.
     benchmark.pedantic(
         repro.match,
         args=(task.source, task.target),
         kwargs={"algorithm": algorithm},
+        setup=Thesaurus.default().drop_lexicons,
         rounds=rounds,
         iterations=1,
     )

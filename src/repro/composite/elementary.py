@@ -22,9 +22,6 @@ class NameMatcher(Matcher):
     def __init__(self, linguistic=None):
         self.linguistic = linguistic or LinguisticMatcher()
 
-    def resident_entries(self) -> int:
-        return self.linguistic.resident_entries()
-
     def make_context(self, source, target, stats=None, cache_enabled=True,
                      tracer=None):
         from repro.engine.context import MatchContext
@@ -61,9 +58,6 @@ class NamePathMatcher(Matcher):
 
     def __init__(self, linguistic=None):
         self.linguistic = linguistic or LinguisticMatcher()
-
-    def resident_entries(self) -> int:
-        return self.linguistic.resident_entries()
 
     def make_context(self, source, target, stats=None, cache_enabled=True,
                      tracer=None):

@@ -120,8 +120,7 @@ class QMatchMatcher(Matcher):
         self.property_matcher = property_matcher or PropertyMatcher()
 
     def resident_entries(self) -> int:
-        return (self.linguistic.resident_entries()
-                + self.property_matcher.resident_entries())
+        return self.property_matcher.resident_entries()
 
     # ------------------------------------------------------------------
     # Matcher protocol

@@ -71,9 +71,6 @@ class CupidMatcher(Matcher):
         self.config = config or CupidConfig()
         self.linguistic = linguistic or LinguisticMatcher()
 
-    def resident_entries(self) -> int:
-        return self.linguistic.resident_entries()
-
     def make_context(self, source, target, stats=None, cache_enabled=True,
                      tracer=None):
         from repro.engine.context import MatchContext

@@ -7,7 +7,8 @@ and handed to every matcher that scores the pair.  It owns:
   :class:`PropertyMatcher` instance used by every matcher running under
   the context, so tokenization, thesaurus lookups and property
   comparisons happen once per distinct input instead of once per
-  matcher;
+  matcher; the linguistic matcher's token lexicon is fetched once per
+  context, so one match reads one token table throughout;
 - the **per-node precomputation**: postorder/preorder node lists, leaf
   sets, depths, tokenized labels and property signatures -- everything
   the paper's O(n*m) bound assumes is not redone inside the hot loop;
@@ -48,6 +49,7 @@ from typing import Optional
 import numpy as np
 
 from repro.engine.stats import CacheStats, EngineStats
+from repro.linguistic.lexicon import Lexicon
 from repro.linguistic.matcher import LabelComparison, LinguisticMatcher
 from repro.obs.trace import NULL_TRACER
 from repro.properties.matcher import PropertyComparison, PropertyMatcher
@@ -176,6 +178,7 @@ class MatchContext:
         # The node grids, built once per context (memoized runs only).
         self._label_grids: Optional[tuple] = None
         self._property_grids: Optional[tuple] = None
+        self._lexicon: Optional[Lexicon] = None
 
     # ------------------------------------------------------------------
     # Per-node precomputed state
@@ -271,13 +274,22 @@ class MatchContext:
         """Nesting depth of ``node`` (the model caches this per node)."""
         return node.level
 
+    @property
+    def lexicon(self) -> Lexicon:
+        """The linguistic matcher's token lexicon, fetched on first use
+        and kept for the rest of the match."""
+        lexicon = self._lexicon
+        if lexicon is None:
+            lexicon = self._lexicon = self.linguistic.lexicon()
+        return lexicon
+
     def prepared_tokens(self, label: str) -> list[str]:
         """Tokenized, stop-word-filtered form of ``label``.
 
-        Delegates to the shared linguistic matcher's per-label token
-        cache, so a label is tokenized at most once per context.
+        Read from the lexicon's per-label cache, so a label is tokenized
+        at most once per lexicon.
         """
-        return self.linguistic._prepare_tokens(label)
+        return self.lexicon.prepared_tokens(label)
 
     def warm(self) -> "MatchContext":
         """Eagerly precompute all per-node state (the context build step
@@ -313,7 +325,8 @@ class MatchContext:
         """:meth:`label_comparison` of two interned label ids."""
         if not self.cache_enabled:
             texts = self._label_texts
-            return self.linguistic.compare_labels(texts[left], texts[right])
+            return self.linguistic.compare_labels(texts[left], texts[right],
+                                                  self.lexicon)
         counts = self._label_stats
         if counts is None:
             counts = self._label_stats = self.stats.cache(LABEL_CACHE)
@@ -323,7 +336,8 @@ class MatchContext:
         if cached is None:
             counts.misses += 1
             texts = self._label_texts
-            cached = self.linguistic.compare_labels(texts[left], texts[right])
+            cached = self.linguistic.compare_labels(texts[left], texts[right],
+                                                    self.lexicon)
             self._label_memo[key] = cached
         else:
             counts.hits += 1
@@ -462,6 +476,7 @@ class MatchContext:
         ``right_ids``, comparing each unordered pair once through the
         label memo (or every cell, with the memo off)."""
         compare = self.linguistic.compare_labels
+        lexicon = self.lexicon
         texts = self._label_texts
         scores, codes = [], []
         misses = 0
@@ -474,14 +489,15 @@ class MatchContext:
                     cached = memo.get(key)
                     if cached is None:
                         misses += 1
-                        cached = memo[key] = compare(left_text, texts[right])
+                        cached = memo[key] = compare(left_text, texts[right],
+                                                     lexicon)
                     scores.append(cached.score)
                     codes.append(cached.strength._value_)
         else:
             for left in left_ids:
                 left_text = texts[left]
                 for right in right_ids:
-                    cached = compare(left_text, texts[right])
+                    cached = compare(left_text, texts[right], lexicon)
                     scores.append(cached.score)
                     codes.append(cached.strength._value_)
         shape = (len(left_ids), len(right_ids))

@@ -10,6 +10,9 @@ matchers, rebuilt from scratch:
 - :mod:`repro.linguistic.thesaurus` -- synonym / hypernym / acronym /
   abbreviation knowledge with bundled domain data (the WordNet
   substitute; see DESIGN.md);
+- :mod:`repro.linguistic.lexicon` -- the per-label and per-token-pair
+  work under one thesaurus and config, shared by every matcher on that
+  thesaurus;
 - :mod:`repro.linguistic.matcher` -- the linguistic algorithm itself,
   used both standalone (the paper's baseline) and inside QMatch.
 """

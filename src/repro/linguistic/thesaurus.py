@@ -19,6 +19,11 @@ A default thesaurus covering the paper's four evaluation domains
 files in :mod:`repro.linguistic.data`; callers can load their own files
 or extend an instance programmatically.
 
+A thesaurus also owns the token lexicons derived from it
+(:class:`~repro.linguistic.lexicon.Lexicon`, one per linguistic
+config), so every matcher built on one thesaurus shares one warm token
+table.  Every mutator drops them.
+
 TSV line format (tab-separated, ``#`` comments)::
 
     syn   word1  word2  [word3 ...]     # synonym set
@@ -29,9 +34,12 @@ TSV line format (tab-separated, ``#`` comments)::
 
 from __future__ import annotations
 
+import threading
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
+
+from repro.linguistic.lexicon import MAX_LEXICONS, Lexicon
 
 
 class ThesaurusError(ValueError):
@@ -84,6 +92,41 @@ class Thesaurus:
         self._hypernyms: dict[str, set[str]] = {}
         self._abbreviations: dict[str, str] = {}
         self._acronyms: dict[str, tuple[str, ...]] = {}
+        # Linguistic config -> the lexicon of this thesaurus under it.
+        self._lexicons: dict = {}
+        self._lexicon_lock = threading.Lock()
+
+    # ------------------------------------------------------------------
+    # Lexicons
+    # ------------------------------------------------------------------
+
+    def lexicon(self, config) -> Lexicon:
+        """The token lexicon of this thesaurus under a linguistic config.
+
+        Matchers with equal configs share it.  A lexicon past its entry
+        cap is replaced by a fresh one here, so a caller that fetches
+        its lexicon once per match reads one table throughout; past
+        :data:`~repro.linguistic.lexicon.MAX_LEXICONS` configs, the one
+        least recently replaced or added goes.
+        """
+        lexicon = self._lexicons.get(config)
+        if lexicon is None or lexicon.full():
+            with self._lexicon_lock:
+                lexicons = self._lexicons
+                lexicon = lexicons.pop(config, None)
+                if lexicon is None or lexicon.full():
+                    lexicon = Lexicon(self, config)
+                while len(lexicons) >= MAX_LEXICONS:
+                    del lexicons[next(iter(lexicons))]
+                lexicons[config] = lexicon
+        return lexicon
+
+    def drop_lexicons(self):
+        """Forget every lexicon derived from this thesaurus, so the next
+        match starts from a cold token table.  Every mutator calls it:
+        a lexicon caches synonym classes and token scores."""
+        with self._lexicon_lock:
+            self._lexicons = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -97,16 +140,19 @@ class Thesaurus:
         first = words[0]
         for word in words[1:]:
             self._synonyms.union(first, word)
+        self.drop_lexicons()
         return self
 
     def add_hypernym(self, hyponym: str, hypernym: str):
         """Record ``hyponym`` is-a ``hypernym`` (one DAG edge)."""
         self._hypernyms.setdefault(hyponym.lower(), set()).add(hypernym.lower())
+        self.drop_lexicons()
         return self
 
     def add_abbreviation(self, short: str, expansion: str):
         """Record a single-word abbreviation (``qty`` -> ``quantity``)."""
         self._abbreviations[short.lower()] = expansion.lower()
+        self.drop_lexicons()
         return self
 
     def add_acronym(self, acronym: str, words: Iterable[str]):
@@ -115,6 +161,7 @@ class Thesaurus:
         if not expansion:
             raise ThesaurusError(f"acronym {acronym!r} has an empty expansion")
         self._acronyms[acronym.lower()] = expansion
+        self.drop_lexicons()
         return self
 
     # ------------------------------------------------------------------
@@ -222,7 +269,8 @@ class Thesaurus:
     # ------------------------------------------------------------------
 
     def loads(self, text: str, source: str = "<string>"):
-        """Parse thesaurus TSV content into this instance."""
+        """Parse thesaurus TSV content into this instance (each record
+        goes through an ``add_*`` mutator, which drops the lexicons)."""
         for line_number, raw_line in enumerate(text.splitlines(), start=1):
             line = raw_line.split("#", 1)[0].strip()
             if not line:
@@ -263,18 +311,25 @@ class Thesaurus:
     def default(cls) -> "Thesaurus":
         """The bundled thesaurus covering the paper's evaluation domains.
 
-        Cached; mutating the returned instance affects later callers, so
-        build a fresh one (``Thesaurus().loads(...)``) for custom data.
+        Cached, lexicons included; mutating the returned instance
+        affects later callers, so build a fresh one (:meth:`bundled`,
+        or ``Thesaurus().loads(...)``) for custom data.
         """
         if cls._default_instance is None:
-            thesaurus = cls()
-            data_dir = resources.files("repro.linguistic") / "data"
-            for entry in sorted(data_dir.iterdir(), key=lambda item: item.name):
-                if entry.name.endswith(".tsv"):
-                    thesaurus.loads(entry.read_text(encoding="utf-8"),
-                                    source=entry.name)
-            cls._default_instance = thesaurus
+            cls._default_instance = cls.bundled()
         return cls._default_instance
+
+    @classmethod
+    def bundled(cls) -> "Thesaurus":
+        """A new instance holding the bundled data (and its own
+        lexicons)."""
+        thesaurus = cls()
+        data_dir = resources.files("repro.linguistic") / "data"
+        for entry in sorted(data_dir.iterdir(), key=lambda item: item.name):
+            if entry.name.endswith(".tsv"):
+                thesaurus.loads(entry.read_text(encoding="utf-8"),
+                                source=entry.name)
+        return thesaurus
 
     @classmethod
     def empty(cls) -> "Thesaurus":

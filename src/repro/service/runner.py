@@ -97,22 +97,22 @@ def job_fingerprint(spec: MatchJobSpec) -> str:
 MAX_RESIDENT_MATCHERS = 4
 
 #: Memo entries (:meth:`~repro.matching.base.Matcher.resident_entries`:
-#: token pairs, tokens, labels, property comparisons, type pairs) one
-#: map keeps across all its matchers.  Measured with tracemalloc on
-#: Python 3.11, a token-pair entry costs ~45-80 B, a label ~140-270 B
-#: and a property comparison, the dearest, ~450 B; so the map holds at
-#: most ~22 MB, and ~3 MB on the usual token-heavy mix.  The rerank of
-#: a 100-search run over a 2k-schema synthetic corpus leaves ~34k
-#: entries; one Protein-sized pair leaves ~350k and is not kept.
+#: property comparisons and type pairs) one map keeps across all its
+#: matchers.  Token pairs, tokens and labels are not matcher entries:
+#: they live in the thesaurus's shared lexicon, bounded on its own
+#: (:data:`repro.linguistic.lexicon.MAX_LEXICON_ENTRIES`).  Measured
+#: with tracemalloc on Python 3.11, a property comparison costs ~450 B,
+#: so the map holds at most ~22 MB.
 MAX_RESIDENT_ENTRIES = 50_000
 
 
 class ResidentMatchers:
     """Matchers kept across jobs, one per ``(algorithm, weights)``.
 
-    A matcher's token and property tables depend only on the tokens and
-    types it has scored, never on which job asked first, so a warm
-    matcher produces the same bytes as a fresh one.  A job *checks its
+    A matcher's property tables depend only on the types it has scored,
+    never on which job asked first, so a warm matcher produces the same
+    bytes as a fresh one (its token tables live in the shared lexicon
+    of its thesaurus, which holds to the same rule).  A job *checks its
     matcher out* (two threads never share one) and checks it back in
     only when the match completed.  The map is least-recently-used: it
     holds at most :data:`MAX_RESIDENT_MATCHERS` configurations and

@@ -2,8 +2,9 @@
 
 The property matcher caches on a *factored* key -- the two type names
 plus one equality bit each for order, minOccurs, maxOccurs and kind --
-instead of the full pair of node signatures, and the linguistic matcher
-writes its label memo and its token-similarity rows in both directions.
+instead of the full pair of node signatures, the context writes its
+label memo and the linguistic lexicon its token-similarity rows in both
+directions.
 These tests pin both: a warm comparison equals a cold one, the property
 memo holds exactly one entry per distinct factored key, and label
 comparison is symmetric on fresh matchers.
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.qmatch import QMatchMatcher
 from repro.datasets import registry
 from repro.linguistic.matcher import LinguisticMatcher
+from repro.linguistic.thesaurus import Thesaurus
 from repro.properties.matcher import PropertyConfig, PropertyMatcher
 from repro.xsd.model import UNBOUNDED, NodeKind, SchemaNode, SchemaTree
 
@@ -131,7 +133,9 @@ class TestLabelSymmetry:
     def test_compare_labels_is_symmetric_on_fresh_matchers(self):
         pairs = list(itertools.combinations(builtin_labels(), 2))
         forward = LinguisticMatcher()
-        backward = LinguisticMatcher(thesaurus=forward.thesaurus)
+        # Matchers on one thesaurus share its lexicon; a second thesaurus
+        # with the same data gives the backward matcher its own table.
+        backward = LinguisticMatcher(thesaurus=Thesaurus.bundled())
         ab = [forward.compare_labels(a, b) for a, b in pairs]
         # Reversed order, so the backward matcher's memo and token rows
         # fill in a different sequence than the forward one's.
@@ -147,7 +151,10 @@ class TestLabelSymmetry:
         pairs = list(itertools.combinations(builtin_labels(), 2))
         warm = LinguisticMatcher()
         results = [warm.compare_labels(a, b) for a, b in pairs]
-        thesaurus = warm.thesaurus
+        # A second thesaurus with the same data, its lexicons dropped
+        # before each comparison: every cold comparison starts empty.
+        thesaurus = Thesaurus.bundled()
         for (a, b), result in list(zip(pairs, results))[::25]:
+            thesaurus.drop_lexicons()
             cold = LinguisticMatcher(thesaurus=thesaurus)
             assert cold.compare_labels(b, a) == result, (a, b)

@@ -26,6 +26,7 @@ from repro.corpus import CorpusSearcher, SchemaCorpus, SegmentedCorpusIndex
 from repro.datasets import registry
 from repro.engine.registry import DEFAULT_REGISTRY
 from repro.linguistic.matcher import LinguisticMatcher
+from repro.linguistic.thesaurus import Thesaurus
 from repro.service import runner
 from repro.service.jobs import MatchJobSpec
 from repro.service.pool import PoolWarmup
@@ -71,7 +72,7 @@ class TestTokenSymmetry:
 
     @given(TOKENS, TOKENS)
     def test_token_similarity_is_symmetric(self, left, right):
-        score = self.matcher._token_similarity_uncached
+        score = self.matcher.lexicon().token_similarity_uncached
         assert score(left, right) == score(right, left)
 
 
@@ -137,14 +138,28 @@ def comparable(envelope: dict) -> str:
     )
 
 
+def cold_envelopes(specs) -> list:
+    """``comparable`` envelopes of fresh jobs, each run from a cold
+    token lexicon (matchers share the default thesaurus's lexicon)."""
+    envelopes = []
+    for spec in specs:
+        Thesaurus.default().drop_lexicons()
+        envelopes.append(comparable(execute_job(spec)))
+    return envelopes
+
+
 class TestResidentEqualsFresh:
     def test_every_payload_equals_a_fresh_job(self):
+        specs = job_specs()
+        fresh = cold_envelopes(specs)
         state = {"matchers": ResidentMatchers()}
         mismatched = []
-        for spec in job_specs():
+        # The resident jobs run in a row, on a lexicon every earlier
+        # job warmed.
+        for spec, expected in zip(specs, fresh):
             resident = comparable(execute_job(spec, state))
             assert len(state["matchers"]) <= runner.MAX_RESIDENT_MATCHERS
-            if resident != comparable(execute_job(spec)):
+            if resident != expected:
                 mismatched.append(spec.label)
         assert not mismatched, mismatched[:5]
 
@@ -387,12 +402,13 @@ class TestPoolWorkerState:
         result, trace and stats of a fresh ``execute_job``."""
         specs = job_specs()
         stream = specs[::5] + specs[1::11] + specs[::5]
+        fresh = cold_envelopes(stream)
         state = PoolWarmup()()
         mismatched = []
-        for spec in stream:
+        for spec, expected in zip(stream, fresh):
             resident = comparable(execute_job(spec, state))
             assert len(state["matchers"]) <= runner.MAX_RESIDENT_MATCHERS
-            if resident != comparable(execute_job(spec)):
+            if resident != expected:
                 mismatched.append((spec.algorithm, spec.source_name,
                                    spec.target_name))
         assert not mismatched, mismatched[:5]
