@@ -32,11 +32,16 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Optional
 
+import numpy as np
+
 from repro.linguistic.thesaurus import Thesaurus
 from repro.linguistic.tokenizer import normalize, stem, tokenize
 
 #: Modulus for the universal-hash permutations (Mersenne prime 2^61-1).
 _MERSENNE = (1 << 61) - 1
+_P = np.uint64(_MERSENNE)
+_LOW32 = np.uint64((1 << 32) - 1)
+_LOW29 = np.uint64((1 << 29) - 1)
 
 
 class IndexError_(ValueError):
@@ -163,6 +168,13 @@ def _shingle_hash(shingle: str) -> int:
     )
 
 
+def _mod_mersenne(values):
+    """``values mod (2^61 - 1)`` of a ``uint64`` array, any value."""
+    # x = high*2^61 + low = high + low (mod p), and high + low < 2p.
+    folded = (values & _P) + (values >> np.uint64(61))
+    return np.where(folded >= _P, folded - _P, folded)
+
+
 # ----------------------------------------------------------------------
 # Lexical scoring parameters
 # ----------------------------------------------------------------------
@@ -198,22 +210,49 @@ class MinHashIndex:
         self.rows = num_perm // bands
         rng = random.Random(seed)
         #: (a, b) per permutation for h(x) = (a*x + b) mod p.
-        self._params = [
+        params = [
             (rng.randrange(1, _MERSENNE), rng.randrange(0, _MERSENNE))
             for _ in range(num_perm)
         ]
+        # One column per permutation: a's 32-bit limbs and b.
+        a = np.array([a for a, _ in params], dtype=np.uint64)[:, None]
+        self._a_high = a >> np.uint64(32)
+        self._a_low = a & _LOW32
+        self._b = np.array([b for _, b in params], dtype=np.uint64)[:, None]
 
     def signature(self, shingles) -> tuple:
         """The MinHash signature of a shingle set (deterministic)."""
-        hashes = [_shingle_hash(shingle) for shingle in shingles]
+        return self.hashed_signature(
+            [_shingle_hash(shingle) for shingle in shingles]
+        )
+
+    def hashed_signature(self, hashes) -> tuple:
+        """The MinHash signature of a set of 64-bit shingle hashes.
+
+        Each slot is ``min((a*x + b) mod p)`` over the hashes, computed
+        exactly in ``uint64``: ``x`` is reduced mod ``p`` first, the
+        product is taken over 32-bit limbs, and every partial sum is
+        folded with ``2^61 = 1 (mod p)`` before it could overflow.
+        """
         if not hashes:
             # Empty documents get the identity-free max signature; they
             # collide only with other empty documents.
             return tuple([_MERSENNE] * self.num_perm)
-        return tuple(
-            min((a * value + b) % _MERSENNE for value in hashes)
-            for a, b in self._params
+        x = _mod_mersenne(np.array(hashes, dtype=np.uint64))[None, :]
+        x_high, x_low = x >> np.uint64(32), x & _LOW32
+        a_high, a_low = self._a_high, self._a_low
+        # a*x = high*2^64 + middle*2^32 + low, and 2^64 = 8 (mod p).
+        # middle < 2^62: its bits from 29 up times 2^32 are a multiple
+        # of 2^61, so they fold to middle >> 29.
+        middle = a_high * x_low + a_low * x_high
+        total = (
+            ((a_high * x_high) << np.uint64(3))
+            + (middle >> np.uint64(29))
+            + ((middle & _LOW29) << np.uint64(32))
+            + _mod_mersenne(a_low * x_low)
+            + self._b
         )
+        return tuple(_mod_mersenne(total).min(axis=1).tolist())
 
     def band_keys(self, signature: tuple):
         """The LSH bucket keys of a signature, one per band."""

@@ -20,8 +20,10 @@ and handed to every matcher that scores the pair.  It owns:
 - the **pairwise memo**: label comparisons keyed by unordered interned
   label-id pairs and property comparisons keyed by interned signature-id
   pairs (equal ids exactly when the label texts / signatures are equal),
-  with hit/miss accounting in :class:`EngineStats` (each memo counts on its
-  :class:`CacheStats` record, bound on the memo's first lookup);
+  the label memo holding plain ``(score, strength code, mechanism)``
+  values rather than comparison objects, with hit/miss accounting in
+  :class:`EngineStats` (each memo counts on its :class:`CacheStats`
+  record, bound on the memo's first lookup);
 - the **node grids**: every node pair's name comparison and property
   comparison as n x m numpy arrays (score and strength code), gathered
   from dense tables over the distinct label ids and signature ids and
@@ -51,6 +53,7 @@ import numpy as np
 from repro.engine.stats import CacheStats, EngineStats
 from repro.linguistic.lexicon import Lexicon
 from repro.linguistic.matcher import LabelComparison, LinguisticMatcher
+from repro.matching.classes import MatchStrength
 from repro.obs.trace import NULL_TRACER
 from repro.properties.matcher import PropertyComparison, PropertyMatcher
 from repro.xsd.model import SchemaNode, SchemaTree
@@ -107,6 +110,24 @@ def _unordered(left: int, right: int) -> tuple:
     """The label memo's key of an id pair: comparison is symmetric, so
     ``(a, b)`` and ``(b, a)`` share one entry."""
     return (left, right) if left <= right else (right, left)
+
+
+#: ``MatchStrength`` members by value, the label memo's strength codes.
+_STRENGTHS = tuple(sorted(MatchStrength, key=lambda strength: strength.value))
+
+
+def _memo_value(comparison: LabelComparison) -> tuple:
+    """What the label memo stores of a comparison: a tuple of atomic
+    values, which the cyclic collector stops tracking, so a memo of
+    ~10^5-10^6 entries adds nothing to a full collection's walk."""
+    return (comparison.score, comparison.strength._value_,
+            comparison.mechanism)
+
+
+def _memo_comparison(value: tuple) -> LabelComparison:
+    """The comparison a label memo value stands for."""
+    score, code, mechanism = value
+    return LabelComparison(score, _STRENGTHS[code], mechanism)
 
 
 def _distinct(ids):
@@ -167,7 +188,9 @@ class MatchContext:
         self._signature_ids: dict[tuple, int] = {}
 
         # Pairwise memos.
-        self._label_memo: dict[tuple[int, int], LabelComparison] = {}
+        # Label values are ``(score, strength code, mechanism)``
+        # (:func:`_memo_value`), read back as ``LabelComparison``.
+        self._label_memo: dict[tuple[int, int], tuple] = {}
         self._property_memo: dict[tuple[int, int], PropertyComparison] = {}
         self._instance_memo: dict[tuple[int, int], float] = {}
         # Their hit/miss records in ``stats``, bound on each memo's first
@@ -323,10 +346,17 @@ class MatchContext:
 
     def label_pair(self, left: int, right: int) -> LabelComparison:
         """:meth:`label_comparison` of two interned label ids."""
+        return _memo_comparison(self._label_value(left, right))
+
+    def _label_value(self, left: int, right: int) -> tuple:
+        """The label memo's value of two interned label ids, compared
+        on a miss and counted as a hit or a miss (with the memo off,
+        compared afresh and not counted)."""
         if not self.cache_enabled:
             texts = self._label_texts
-            return self.linguistic.compare_labels(texts[left], texts[right],
-                                                  self.lexicon)
+            return _memo_value(self.linguistic.compare_labels(
+                texts[left], texts[right], self.lexicon,
+            ))
         counts = self._label_stats
         if counts is None:
             counts = self._label_stats = self.stats.cache(LABEL_CACHE)
@@ -336,9 +366,10 @@ class MatchContext:
         if cached is None:
             counts.misses += 1
             texts = self._label_texts
-            cached = self.linguistic.compare_labels(texts[left], texts[right],
-                                                    self.lexicon)
-            self._label_memo[key] = cached
+            cached = self._label_memo[key] = _memo_value(
+                self.linguistic.compare_labels(texts[left], texts[right],
+                                               self.lexicon)
+            )
         else:
             counts.hits += 1
         return cached
@@ -352,7 +383,8 @@ class MatchContext:
         )
 
     def label_score(self, left: str, right: str) -> float:
-        return self.label_comparison(left, right).score
+        return self._label_value(self.label_id(left),
+                                 self.label_id(right))[0]
 
     def node_label_cached(self, source_index: int,
                           target_index: int) -> bool:
@@ -426,10 +458,10 @@ class MatchContext:
         """The memo's comparison of two nodes' names, read without
         counting a lookup: for a caller whose pair was already counted
         by :meth:`node_label_grids`."""
-        return self._label_memo[_unordered(
+        return _memo_comparison(self._label_memo[_unordered(
             self._source_table.label_ids[source_index],
             self._target_table.label_ids[target_index],
-        )]
+        )])
 
     # ------------------------------------------------------------------
     # Node grids: every pair at once
@@ -489,10 +521,11 @@ class MatchContext:
                     cached = memo.get(key)
                     if cached is None:
                         misses += 1
-                        cached = memo[key] = compare(left_text, texts[right],
-                                                     lexicon)
-                    scores.append(cached.score)
-                    codes.append(cached.strength._value_)
+                        cached = memo[key] = _memo_value(
+                            compare(left_text, texts[right], lexicon)
+                        )
+                    scores.append(cached[0])
+                    codes.append(cached[1])
         else:
             for left in left_ids:
                 left_text = texts[left]

@@ -18,8 +18,9 @@ lexicon from start to end.  Mutating the thesaurus drops its lexicons.
 
 Matches on threads (the in-process batch runner with ``workers > 1``)
 share a lexicon.  Token interning runs under the lexicon's lock, so a
-token gets one id; every other entry is a pure function of its key, so
-two threads that race to write it write the same value.
+token gets one id, and a raced label keeps its first preparation;
+every other entry is a pure function of its key, so two threads that
+race to write it write the same value.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ import threading
 from repro.linguistic import string_metrics
 from repro.linguistic.tokenizer import normalize, stem, tokenize
 
-#: Entries (scored token pairs, one per direction, interned tokens and
-#: per-label preparations) one lexicon holds before the next match
-#: starts a fresh one.  A ``pair-match`` run (seed 0) leaves ~5k
-#: entries, the full Protein pair ~14k and a ``corpus-rw`` run (seed 0)
-#: ~24k, nearly all token pairs.  tracemalloc (Python 3.11) puts a
-#: token-pair entry at ~45-80 B and a label at ~140-270 B, so a full
-#: lexicon of that mix holds ~5-10 MB.
+#: Entries (scored token pairs, one per direction, interned tokens,
+#: per-label preparations and best-two entries) one lexicon holds
+#: before the next match starts a fresh one.  A ``pair-match`` run
+#: (seed 0) leaves ~45k entries, ~40k of them best-two entries, and a
+#: ``corpus-rw`` run (seed 0) ~49k, ~23k of them; the full Protein pair
+#: leaves ~189k, so the match after it starts afresh.  tracemalloc (Python
+#: 3.11) puts a token-pair entry at ~45-80 B, a best-two entry at
+#: ~120 B and a label at ~140-270 B, so a full lexicon holds ~10 MB.
 MAX_LEXICON_ENTRIES = 100_000
 
 #: Lexicons (linguistic configs) one thesaurus keeps; the oldest goes
@@ -57,6 +59,14 @@ class Lexicon:
     mechanism)``, so an alignment fetches each row once and never
     builds a key tuple.  Every entry is written in both directions
     (token similarity is symmetric).
+
+    Each prepared label also keeps its **best-two entries**: a dict
+    from a left token id to that token's :meth:`_best_two` scan over
+    the label's tokens.  A schema's labels reuse a few tokens (PIR's 231
+    labels hold 425 token slots but 47 distinct tokens), so :meth:`align`
+    scans each (left token, right label) pair once and reads it back
+    afterwards.  A scan reads only token rows, so two threads that
+    race write the same value; the entries count toward ``len``.
     """
 
     def __init__(self, thesaurus, config):
@@ -72,17 +82,22 @@ class Lexicon:
         self._prepared_cache: dict[str, list] = {}
         #: Per distinct label, everything a comparison needs from one
         #: side: (normalized form, synonym class of the normalized form,
-        #: acronym-expanded token ids, whether an acronym expanded).
+        #: acronym-expanded token ids, whether an acronym expanded,
+        #: best-two entries by left token id).
         #: Read as ``labels.get(label) or prepare_label(label)``.
         self.labels: dict[str, tuple] = {}
-        # Row entries, counted under the lock as they are written.
+        # Row entries and best-two entries, counted under the lock as
+        # they are written.
         self._pairs = 0
+        self._best_twos = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        """Entries held: token-pair row entries, tokens and labels."""
+        """Entries held: token-pair row entries, tokens, labels and
+        best-two entries."""
         return (self._pairs + len(self._token_texts)
-                + len(self._prepared_cache) + len(self.labels))
+                + len(self._prepared_cache) + len(self.labels)
+                + self._best_twos)
 
     def full(self) -> bool:
         """Whether the lexicon holds more than :data:`MAX_LEXICON_ENTRIES`."""
@@ -93,7 +108,9 @@ class Lexicon:
     # ------------------------------------------------------------------
 
     def prepare_label(self, label):
-        """Compute and store ``labels[label]``."""
+        """Compute and store ``labels[label]``; a label another thread
+        stored first keeps that entry, so its best-two entries live in
+        one dict."""
         norm = normalize(label)
         expanded, used_acronym = self._expand_acronyms(
             self.prepared_tokens(label)
@@ -103,9 +120,9 @@ class Lexicon:
             self.thesaurus.synonym_class(norm) if norm else None,
             tuple(self.token_id(token) for token in expanded),
             used_acronym,
+            {},
         )
-        self.labels[label] = info
-        return info
+        return self.labels.setdefault(label, info)
 
     def prepared_tokens(self, label):
         """Tokenized, stop-word-filtered form of ``label``."""
@@ -158,7 +175,7 @@ class Lexicon:
     # Alignment
     # ------------------------------------------------------------------
 
-    def align(self, left_tokens, right_tokens):
+    def align(self, left_tokens, right_tokens, best_twos):
         """Greedy one-to-one alignment; returns (score, all_exact, full_coverage).
 
         ``left_tokens`` / ``right_tokens`` are interned token ids.  Score
@@ -167,17 +184,25 @@ class Lexicon:
         of both labels, so unmatched tokens on either side dilute it.
 
         A left label of one or two tokens picks the greedy pairs
-        directly; :meth:`align_sorted` is the general pass and the
-        reference, and both take the same float operations.
+        directly from each left token's best two pairs, read from
+        ``best_twos`` -- the right label's best-two entries
+        (``labels[label][4]``) -- or scanned and stored there.
+        :meth:`align_sorted` is the general pass and the reference, and
+        both take the same float operations.
         """
         if not left_tokens or not right_tokens:
             return 0.0, False, False
         if len(left_tokens) > 2:
             return self.align_sorted(left_tokens, right_tokens)
-        best, best_j, second = self._best_two(left_tokens[0], right_tokens)
+        first = left_tokens[0]
+        best, best_j, second = best_twos.get(first) or self._best_two(
+            first, right_tokens, best_twos
+        )
         if len(left_tokens) == 2:
-            other, other_j, other_second = self._best_two(
-                left_tokens[1], right_tokens
+            last = left_tokens[1]
+            other, other_j, other_second = (
+                best_twos.get(last)
+                or self._best_two(last, right_tokens, best_twos)
             )
             # The greedy pass takes the highest-scoring pair first,
             # preferring the first left token on a tie; then the best
@@ -200,11 +225,12 @@ class Lexicon:
         score = 2.0 * (0.0 + best[0]) / (len(left_tokens) + len(right_tokens))
         return score, _exact(best), len(left_tokens) == len(right_tokens) == 1
 
-    def _best_two(self, left, right_tokens):
+    def _best_two(self, left, right_tokens, best_twos):
         """The best ``(score, mechanism)`` of one left token over
         ``right_tokens`` with its position, and the second best, in the
         greedy order (higher score first, then the earlier position);
-        ``None`` where no pair scores above zero."""
+        ``None`` where no pair scores above zero.  Stored in
+        ``best_twos`` under ``left``."""
         row = self._token_rows[left]
         numeric = self._numeric
         left_numeric = numeric[left]
@@ -223,7 +249,12 @@ class Lexicon:
                 best, best_j, best_score = pair, j, pair_score
             elif pair_score > second_score:
                 second, second_score = pair, pair_score
-        return best, best_j, second
+        found = best, best_j, second
+        with self._lock:
+            if left not in best_twos:
+                best_twos[left] = found
+                self._best_twos += 1
+        return found
 
     def align_sorted(self, left_tokens, right_tokens):
         """:meth:`align` by sorting every positive token pair: the

@@ -78,8 +78,9 @@ class LabelComparison:
 
     ``mechanism`` names the dominant evidence ("string", "synonym",
     "acronym", "abbreviation", "hypernym", "tokens") -- useful in reports
-    and asserted on by the taxonomy tests.  Slotted: a context keeps one
-    per distinct label pair, up to ~850k on Protein.
+    and asserted on by the taxonomy tests.  A context's label memo keeps
+    each distinct label pair's fields, not this object (~850k pairs on
+    Protein), and builds one when a caller reads a pair.
     """
 
     score: float
@@ -157,10 +158,10 @@ class LinguisticMatcher(Matcher):
             lexicon = self.lexicon()
         config = self.config
         labels = lexicon.labels
-        left_norm, left_class, left_tokens, left_acronym = (
+        left_norm, left_class, left_tokens, left_acronym, _ = (
             labels.get(left) or lexicon.prepare_label(left)
         )
-        right_norm, right_class, right_tokens, right_acronym = (
+        right_norm, right_class, right_tokens, right_acronym, best_twos = (
             labels.get(right) or lexicon.prepare_label(right)
         )
         if not left_norm or not right_norm:
@@ -173,7 +174,7 @@ class LinguisticMatcher(Matcher):
             return LabelComparison(1.0, MatchStrength.EXACT, "synonym")
 
         score, all_exact, full_coverage = lexicon.align(
-            left_tokens, right_tokens
+            left_tokens, right_tokens, best_twos
         )
         if left_acronym or right_acronym:
             # An acronym-mediated match is at best relaxed (paper 2.1).

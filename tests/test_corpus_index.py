@@ -9,6 +9,7 @@ under test.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -24,6 +25,7 @@ from repro.corpus.indexes import (
     IndexConfig,
     IndexError_,
     MinHashIndex,
+    _shingle_hash,
     label_tokens,
     schema_shingles,
     schema_tokens,
@@ -223,6 +225,38 @@ class TestMinHashIndex:
         with pytest.raises(SegmentError, match="length"):
             Segment.write(tmp_path / "seg", "seg-000001",
                           [("doc", [], (1, 2, 3))], num_perm=16)
+
+    @pytest.mark.parametrize("num_perm,seed", [(64, 2005), (16, 7)])
+    def test_signature_equals_the_python_formula(self, num_perm, seed):
+        # The oracle: the seeded permutations and the plain-integer
+        # min((a*x + b) mod p) the numpy signature replaced.
+        mersenne = (1 << 61) - 1
+        rng = random.Random(seed)
+        params = [(rng.randrange(1, mersenne), rng.randrange(0, mersenne))
+                  for _ in range(num_perm)]
+
+        def oracle(hashes):
+            if not hashes:
+                return tuple([mersenne] * num_perm)
+            return tuple(min((a * x + b) % mersenne for x in hashes)
+                         for a, b in params)
+
+        hasher = MinHashIndex(num_perm=num_perm, bands=num_perm // 4,
+                              seed=seed)
+        edges = [0, mersenne - 1, mersenne, mersenne + 1, (1 << 64) - 1]
+        cases = [[], *([edge] for edge in edges), edges]
+        sampler = random.Random(61)
+        for _ in range(300):
+            hashes = [sampler.getrandbits(64)
+                      for _ in range(sampler.randint(1, 40))]
+            hashes += sampler.sample(edges, sampler.randint(0, 2))
+            cases.append(hashes)
+        for hashes in cases:
+            assert hasher.hashed_signature(hashes) == oracle(hashes), hashes
+        shingles = frozenset({"order", "item", "order>item"})
+        assert hasher.signature(shingles) == oracle(
+            [_shingle_hash(shingle) for shingle in shingles]
+        )
 
     def test_empty_shingles_collide_only_with_empty(self):
         hasher = MinHashIndex()

@@ -6,6 +6,8 @@ matcher with caching disabled -- checked property-based over random
 schema trees and exhaustively over the bundled paper datasets.
 """
 
+import gc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.engine.stats import EngineStats
 from repro.linguistic.matcher import LinguisticMatcher
 from repro.xsd.builder import element, tree
 from repro.xsd.generator import GeneratorConfig, SchemaGenerator
+from tests.qmatch_golden import load_pair
 
 
 @st.composite
@@ -86,13 +89,19 @@ class TestMatchContext:
         )
         assert ctx.pair_count == source.size * target.size
 
-    def test_label_comparison_is_memoized(self, pair):
+    def test_label_comparison_is_memoized(self, pair, monkeypatch):
         source, target = pair
         ctx = MatchContext(source, target, stats=EngineStats())
+        calls = []
+        compare = ctx.linguistic.compare_labels
+        monkeypatch.setattr(ctx.linguistic, "compare_labels",
+                            lambda *args: calls.append(args) or compare(*args))
         first = ctx.label_comparison("OrderNo", "OrderNo")
         second = ctx.label_comparison("OrderNo", "OrderNo")
-        assert first is second
-        assert ctx.stats.cache(LABEL_CACHE).hits >= 1
+        assert first == second
+        assert len(calls) == 1
+        counts = ctx.stats.cache(LABEL_CACHE)
+        assert (counts.misses, counts.hits) == (1, 1)
         assert ctx.stats.hit_rate(LABEL_CACHE) > 0.0
 
     def test_label_comparison_is_symmetric(self, pair):
@@ -158,6 +167,27 @@ class TestMatchContext:
         misses_after_first = ctx.stats.cache(LABEL_CACHE).misses
         QMatchMatcher(linguistic=linguistic).match_context(ctx)
         assert ctx.stats.cache(LABEL_CACHE).misses == misses_after_first
+
+
+class TestLabelMemoValues:
+    def test_memo_values_leave_the_cyclic_collector(self):
+        # The label memo holds one entry per distinct label pair (~11.5k
+        # here, ~865k on Protein); as tuples of atomic values they stop
+        # being tracked, so full collections do not walk them.
+        source, target = load_pair("PIR-PDB50", "default")
+        matcher = QMatchMatcher()
+        ctx = matcher.make_context(source, target)
+        matcher.match(source, target, context=ctx)
+        gc.collect()
+        memo = ctx._label_memo
+        assert len(memo) == ctx.stats.cache(LABEL_CACHE).misses > 10_000
+        assert not any(gc.is_tracked(value) for value in memo.values())
+        # Read back, a value is the comparison it was made from.
+        texts = ctx._label_texts
+        for left, right in list(memo)[::500]:
+            assert ctx.label_pair(left, right) == (
+                matcher.linguistic.compare_labels(texts[left], texts[right])
+            )
 
 
 class TestEngineStats:

@@ -6,7 +6,8 @@ pin what sharing must not change: a mutated thesaurus answers like a
 fresh one, threads sharing a lexicon agree with a serial run, a lexicon
 over its cap is replaced between matches with outputs unchanged, and
 the direct greedy for labels of one or two tokens equals the sorting
-reference.
+reference, whether it scans each left token afresh or reads the scan
+back from the right label's best-two entries.
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ class TestSharing:
         left, right = lexicon.token_id("42"), lexicon.token_id("7")
         assert lexicon.token_similarity(left, right) is NUMERIC_MISMATCH
         assert right not in lexicon._token_rows[left]
-        # Two labels, three tokens and the exact "residue" pair (stored
-        # once); "42" x "7" adds nothing.
-        assert len(lexicon) == before + 2 + 2 + 3 + 1
+        # Two labels, three tokens, the exact "residue" pair (stored
+        # once) and one best-two entry per left token; "42" x "7" adds
+        # no row entry.
+        assert len(lexicon) == before + 2 + 2 + 3 + 1 + 2
 
 
 class TestMutationDropsLexicons:
@@ -177,6 +179,11 @@ class TestConcurrency:
         assert all(texts[token_id] == token
                    for token, token_id in lexicon._token_ids.items())
         assert lexicon._pairs == sum(map(len, lexicon._token_rows))
+        # A raced label kept one preparation, so every best-two entry
+        # was counted once, in the dict its label reads.
+        assert lexicon._best_twos == sum(
+            len(info[4]) for info in lexicon.labels.values()
+        )
 
 
 class TestCap:
@@ -201,6 +208,23 @@ class TestCap:
         assert replacement is not first
         assert len(replacement) == 0
         assert result_to_payload(matcher.match(source, target)) == expected
+
+    def test_best_two_entries_count_toward_the_cap(self, monkeypatch):
+        source = registry.load_schema("DCMDItem")
+        target = registry.load_schema("DCMDOrd")
+        matcher = QMatchMatcher(thesaurus=Thesaurus.bundled())
+        expected = result_to_payload(matcher.match(source, target))
+        first = matcher.linguistic.lexicon()
+        assert first._best_twos > 0
+        # Full only through its best-two entries ...
+        monkeypatch.setattr(lexicon_module, "MAX_LEXICON_ENTRIES",
+                            len(first) - first._best_twos)
+        # ... it is replaced before the next match, which answers the
+        # same from a cold lexicon.
+        replacement = matcher.linguistic.lexicon()
+        assert replacement is not first
+        assert result_to_payload(matcher.match(source, target)) == expected
+        assert replacement._best_twos == first._best_twos
 
     def test_lexicon_under_the_cap_is_kept(self):
         matcher = LinguisticMatcher(thesaurus=Thesaurus.bundled())
@@ -237,7 +261,7 @@ class TestShortLabelGreedy:
         for _ in range(20_000):
             left = tuple(rng.choice(ids) for _ in range(rng.randint(1, 2)))
             right = tuple(rng.choice(ids) for _ in range(rng.randint(0, 5)))
-            assert lexicon.align(left, right) == (
+            assert lexicon.align(left, right, {}) == (
                 lexicon.align_sorted(left, right)
             ), ([VOCABULARY[ids.index(t)] for t in left],
                 [VOCABULARY[ids.index(t)] for t in right])
@@ -258,9 +282,33 @@ class TestShortLabelGreedy:
             ((purchase, order), (order, order, purchase)),
         ]
         for left, right in cases:
-            assert lexicon.align(left, right) == (
+            assert lexicon.align(left, right, {}) == (
                 lexicon.align_sorted(left, right)
             ), (left, right)
+
+    def test_best_two_entries_equal_the_sorting_reference(self):
+        # Right labels keep their best-two entries across calls, as a
+        # prepared label does, so later calls read scans earlier calls
+        # stored; each call is also checked against a cold dict.
+        lexicon = differential_thesaurus().lexicon(LinguisticConfig())
+        ids = [lexicon.token_id(token) for token in VOCABULARY]
+        rng = random.Random(29)
+        rights = [tuple(rng.choice(ids) for _ in range(rng.randint(1, 5)))
+                  for _ in range(200)]
+        warm = [{} for _ in rights]
+        for _ in range(20_000):
+            left = tuple(rng.choice(ids) for _ in range(rng.randint(1, 2)))
+            slot = rng.randrange(len(rights))
+            right = rights[slot]
+            expected = lexicon.align_sorted(left, right)
+            assert lexicon.align(left, right, warm[slot]) == expected, (
+                left, right,
+            )
+            assert lexicon.align(left, right, {}) == expected
+        assert sum(map(len, warm)) > len(rights)
+        for right, entries in zip(rights, warm):
+            for left, found in entries.items():
+                assert found == lexicon._best_two(left, right, {})
 
     def test_builtin_label_pairs_equal_the_sorting_reference(self):
         lexicon = Thesaurus.bundled().lexicon(LinguisticConfig())
@@ -270,7 +318,7 @@ class TestShortLabelGreedy:
         compared = 0
         for left in short[::2]:
             for right in labels[::7]:
-                assert lexicon.align(left, right) == (
+                assert lexicon.align(left, right, {}) == (
                     lexicon.align_sorted(left, right)
                 )
                 compared += 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.context import MatchContext
+from repro.engine.context import LABEL_CACHE, MatchContext
 from repro.linguistic.matcher import LinguisticConfig, LinguisticMatcher
 from repro.linguistic.thesaurus import Thesaurus
 from repro.matching.classes import MatchStrength
@@ -109,17 +109,36 @@ class TestSymmetryAndCaching:
     # Label pairs are memoized per match by the context, the one label
     # memo; the matcher itself may outlive a match and keeps none.
 
-    def test_cache_returns_same_object(self, po1_tree, book_tree):
+    # The memo keeps plain values and builds an equal comparison per
+    # read, so these pin one comparison and one hit, not one object.
+
+    @staticmethod
+    def _spied_context(po1_tree, book_tree, monkeypatch):
         ctx = MatchContext(po1_tree, book_tree, linguistic=LinguisticMatcher())
+        calls = []
+        compare = ctx.linguistic.compare_labels
+        monkeypatch.setattr(ctx.linguistic, "compare_labels",
+                            lambda *args: calls.append(args) or compare(*args))
+        return ctx, calls
+
+    def test_cache_returns_same_object(self, po1_tree, book_tree,
+                                       monkeypatch):
+        ctx, calls = self._spied_context(po1_tree, book_tree, monkeypatch)
         first = ctx.label_comparison("A", "B")
         second = ctx.label_comparison("A", "B")
-        assert first is second
+        assert first == second
+        assert len(calls) == 1
+        counts = ctx.stats.cache(LABEL_CACHE)
+        assert (counts.misses, counts.hits) == (1, 1)
 
-    def test_cache_is_symmetric(self, po1_tree, book_tree):
-        ctx = MatchContext(po1_tree, book_tree, linguistic=LinguisticMatcher())
+    def test_cache_is_symmetric(self, po1_tree, book_tree, monkeypatch):
+        ctx, calls = self._spied_context(po1_tree, book_tree, monkeypatch)
         first = ctx.label_comparison("A", "B")
         second = ctx.label_comparison("B", "A")
-        assert first is second
+        assert first == second
+        assert len(calls) == 1
+        counts = ctx.stats.cache(LABEL_CACHE)
+        assert (counts.misses, counts.hits) == (1, 1)
 
 
 class TestConfig:
