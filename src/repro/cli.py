@@ -31,7 +31,7 @@ Subcommands::
     qmatch index compact DIR [--auto]
     qmatch search DIR query.xsd [--k N] [--candidates N] [--no-rerank]
                                 [--scorer cosine|bm25] [--weights W]
-                                [--shards N] [--data FILE]
+                                [--data FILE]
                                 [--require constraints.json]
     qmatch ingest schema.{xsd,sql,json} [--kind xsd|sql|json]
                   [--emit text|xsd|json-schema|sql] [--data FILE ...]
@@ -431,11 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lexical retrieval scorer for POST /search (default: cosine)",
     )
     serve_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="fan the stage-1 index scan over N segment shards "
-             "(default: unsharded)",
-    )
-    serve_parser.add_argument(
         "--max-pending", type=int, default=None, metavar="N",
         help="admission limit: answer 429 + Retry-After once N jobs "
              "are pending or running (default: unbounded)",
@@ -623,11 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser.add_argument(
         "--scorer", choices=("cosine", "bm25"), default="cosine",
         help="lexical retrieval scorer (default: cosine)",
-    )
-    search_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="fan the stage-1 index scan over N segment shards "
-             "(default: unsharded)",
     )
     search_parser.add_argument(
         "--workers", type=int, default=1,
@@ -1154,10 +1144,6 @@ def _command_serve(args) -> int:
         raise ValidationError(
             f"invalid --drain-timeout {args.drain_timeout}: must be >= 0"
         )
-    if args.shards is not None and args.shards < 1:
-        raise ValidationError(
-            f"invalid --shards {args.shards}: must be >= 1"
-        )
     if not 0.0 <= args.trace_sample <= 1.0:
         raise ValidationError(
             f"invalid --trace-sample {args.trace_sample}: must be in [0, 1]"
@@ -1177,7 +1163,6 @@ def _command_serve(args) -> int:
         retries=args.retries,
         corpus_dir=args.corpus,
         scorer=args.scorer,
-        shards=args.shards,
         max_pending=args.max_pending,
         max_jobs=args.max_jobs,
         drain_timeout=args.drain_timeout,
@@ -1434,14 +1419,10 @@ def _command_search(args) -> int:
     )
     if args.workers < 1:
         raise ValidationError(f"invalid --workers {args.workers}: must be >= 1")
-    if args.shards is not None and args.shards < 1:
-        raise ValidationError(
-            f"invalid --shards {args.shards}: must be >= 1"
-        )
     threshold = validate_threshold(args.threshold, field="--threshold")
     searcher = build_searcher(
         args.corpus, cache_dir=args.cache_dir, workers=args.workers,
-        scorer=args.scorer, shards=args.shards,
+        scorer=args.scorer,
     )
     if not args.quiet and searcher.index.stale_for(searcher.corpus):
         print("warning: corpus index is stale (corpus content changed "

@@ -14,11 +14,8 @@ prunes candidate pairs before the expensive hybrid match runs:
   node-label shingles for structural blocking, with tombstoned removals
   and size-tiered compaction;
 - :class:`~repro.corpus.search.CorpusSearcher` -- two-stage top-k
-  search: cheap index retrieval to a candidate shortlist, then a full
-  QMatch rerank of the shortlist through the batch runner;
-- :class:`~repro.corpus.shard.ShardedCorpusSearcher` -- stage-1 scan
-  fan-out over deterministic segment shards, composing with the
-  process-parallel rerank.
+  search: one serial index scan to a candidate shortlist, then a full
+  QMatch rerank of the shortlist through the batch runner.
 
 The CLI front ends are ``qmatch index build/add/info/compact`` and
 ``qmatch search``; the HTTP front end is ``POST /search`` on
@@ -38,7 +35,6 @@ from repro.corpus.segments import (
     SegmentedCorpusIndex,
     SegmentError,
 )
-from repro.corpus.shard import ShardedCorpusSearcher
 
 __all__ = [
     "CorpusEntry",
@@ -52,7 +48,6 @@ __all__ = [
     "Segment",
     "SegmentError",
     "SegmentedCorpusIndex",
-    "ShardedCorpusSearcher",
     "schema_shingles",
     "schema_tokens",
 ]

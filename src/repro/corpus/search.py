@@ -218,15 +218,6 @@ class CorpusSearcher:
     # Stage 1: index retrieval
     # ------------------------------------------------------------------
 
-    def _stage1(self, tokens, signature) -> tuple:
-        """Raw stage-1 signals: ``(lexical_scores, structural_candidates)``.
-
-        The extension seam the sharded searcher overrides to fan the
-        scan.
-        """
-        return self.index.retrieve_scores(tokens, signature,
-                                          scorer=self.scorer)
-
     def retrieve(self, query_tree, stats: Optional[EngineStats] = None,
                  ) -> list[SearchHit]:
         """Every candidate with index evidence, best-first.
@@ -242,7 +233,9 @@ class CorpusSearcher:
             tracer.annotate({"corpus_size": len(self.corpus)})
             tokens = self.index.query_tokens(query_tree)
             signature = self.index.query_signature(query_tree)
-            lexical, structural_candidates = self._stage1(tokens, signature)
+            lexical, structural_candidates = self.index.retrieve_scores(
+                tokens, signature, scorer=self.scorer
+            )
             candidates = set(lexical) | structural_candidates
             hits = []
             for doc_id in candidates:
@@ -265,8 +258,6 @@ class CorpusSearcher:
             hits.sort(key=lambda hit: (-hit.retrieval_score, hit.name,
                                        hit.hash))
             if tracer.enabled:
-                # The index's per-call scan telemetry (approximate under
-                # sharded fan-out; each shard span has exact numbers).
                 scan = self.index.last_scan
                 tracer.annotate({"candidates": len(hits), **{
                     key: value for key, value in scan.items()

@@ -1,4 +1,4 @@
-"""The corpus index: immutable segments, fan-out search, compaction.
+"""The corpus index: immutable segments, serial search, compaction.
 
 Every posting of every schema in one mutable structure, serialized and
 re-loaded as a unit, is the right shape for a hundred schemas and the
@@ -39,26 +39,29 @@ index format::
 
 :class:`~repro.corpus.search.CorpusSearcher` reads the index through
 ``query_tokens``, ``query_signature``, ``retrieve_scores`` and
-``estimate``.  ``retrieve_scores`` fans the lexical scan across
-segments in parallel and supports a candidate-admission budget
-(``max_candidates``) that turns the full postings scan into work
-proportional to the rarest query tokens plus the budget.
+``estimate``.  ``retrieve_scores`` walks the live segments one after
+another on the calling thread (the scan is pure-Python dict work
+under the GIL, so threads would add no speed) and supports a
+candidate-admission budget (``max_candidates``) that turns the full
+postings scan into work proportional to the rarest query tokens plus
+the budget.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import shutil
 import struct
 import sys
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.corpus.indexes import (
+    BM25_B,
+    BM25_K1,
+    LEXICAL_SCORERS,
     IndexConfig,
     MinHashIndex,
     schema_shingles,
@@ -311,7 +314,8 @@ class Segment:
 
         Everything is decoded into locals first and published with
         :attr:`loaded` turning true last, so a search on another thread
-        (sharded scans load lazily in parallel) never sees half a load.
+        (inline-mode service threads share one index) never sees half a
+        load.
         """
         if self.loaded:
             return self
@@ -372,6 +376,31 @@ class Segment:
 
 
 # ----------------------------------------------------------------------
+# BM25 pieces shared by the full scan and budget mode
+# ----------------------------------------------------------------------
+
+def _average_length(stats: dict) -> float:
+    n = stats["n"]
+    return stats["total_length"] / n if n else 0.0
+
+
+def _bm25_length_norm(length: int, avgdl: float) -> float:
+    """BM25's document-length normalization of one document."""
+    return 1.0 - BM25_B + BM25_B * (length / avgdl) if avgdl > 0.0 else 1.0
+
+
+def _max_normalized(sums: dict) -> dict:
+    """Raw BM25 sums divided by their maximum (empty when none is
+    positive)."""
+    if not sums:
+        return {}
+    best = max(sums.values())
+    if best <= 0.0:
+        return {}
+    return {doc_id: value / best for doc_id, value in sums.items()}
+
+
+# ----------------------------------------------------------------------
 # The segmented index
 # ----------------------------------------------------------------------
 
@@ -395,7 +424,6 @@ class SegmentedCorpusIndex:
                  compact_trigger: int = COMPACT_TRIGGER,
                  tier_factor: int = TIER_FACTOR,
                  max_candidates: Optional[int] = None,
-                 fanout_workers: Optional[int] = None,
                  log=NULL_LOGGER):
         self.root = Path(root)
         self.config = config if config is not None else IndexConfig()
@@ -414,7 +442,6 @@ class SegmentedCorpusIndex:
         self.compact_trigger = compact_trigger
         self.tier_factor = tier_factor
         self.max_candidates = max_candidates
-        self.fanout_workers = fanout_workers
         #: Structured event sink (compaction events; disabled default).
         self.log = log
         self.corpus_fingerprint = ""
@@ -429,7 +456,6 @@ class SegmentedCorpusIndex:
         self._stats = None
         self._norms: dict[str, float] = {}
         self._doc_loc: Optional[dict] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
     # Layout / persistence
@@ -920,24 +946,6 @@ class SegmentedCorpusIndex:
     # Retrieval
     # ------------------------------------------------------------------
 
-    def _fanout(self, tasks: list) -> list:
-        """Run per-segment thunks, in parallel past a size threshold."""
-        if len(tasks) <= 1:
-            return [task() for task in tasks]
-        if self._executor is None:
-            workers = self.fanout_workers or min(
-                8, len(self._segments), (os.cpu_count() or 2)
-            )
-            if workers <= 1:
-                return [task() for task in tasks]
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="qmatch-seg"
-            )
-        return [
-            future.result()
-            for future in [self._executor.submit(task) for task in tasks]
-        ]
-
     def _query_weights(self, query_tokens, stats: dict) -> tuple:
         """Cosine query weights in query order plus the norm²."""
         weights = []
@@ -951,74 +959,75 @@ class SegmentedCorpusIndex:
             weights.append((token, q_weight, idf))
         return weights, query_norm_sq
 
-    def _cosine_partial(self, seg_id: str, segment: Segment,
-                        weights: list, stats: dict) -> tuple:
-        """One segment's cosine dot products (per-doc token order =
-        query order).  Returns
-        ``(accumulator, postings_walked)`` -- partials never touch
-        shared telemetry, so they are safe under threaded fan-out."""
-        dead = stats["dead"][seg_id]
-        acc: dict[str, float] = {}
+    def _cosine_dots(self, weights: list, stats: dict) -> tuple:
+        """Every live document's cosine dot product, walked segment by
+        segment (per-doc token order = query order).  Returns
+        ``(dots, postings_walked)``."""
+        dots: dict[str, float] = {}
         walked = 0
-        postings = segment.postings
-        doc_ids = segment.doc_ids
-        for token, q_weight, idf in weights:
-            plist = postings.get(token)
-            if not plist:
-                continue
-            walked += len(plist)
-            for ordinal, tf in plist:
-                if ordinal in dead:
+        for seg_id, segment in self._segments.items():
+            dead = stats["dead"][seg_id]
+            postings = segment.postings
+            doc_ids = segment.doc_ids
+            for token, q_weight, idf in weights:
+                plist = postings.get(token)
+                if not plist:
                     continue
-                doc_id = doc_ids[ordinal]
-                acc[doc_id] = (
-                    acc.get(doc_id, 0.0)
-                    + q_weight * ((1.0 + math.log(tf)) * idf)
-                )
-        return acc, walked
+                walked += len(plist)
+                for ordinal, tf in plist:
+                    if ordinal in dead:
+                        continue
+                    doc_id = doc_ids[ordinal]
+                    dots[doc_id] = (
+                        dots.get(doc_id, 0.0)
+                        + q_weight * ((1.0 + math.log(tf)) * idf)
+                    )
+        return dots, walked
 
-    def _bm25_partial(self, seg_id: str, segment: Segment,
-                      query_tokens, stats: dict) -> tuple:
-        """One segment's raw BM25 sums (normalization happens after the
-        merge, over the global best).  Returns ``(accumulator,
-        postings_walked)``."""
-        from repro.corpus.indexes import BM25_B, BM25_K1
-
-        dead = stats["dead"][seg_id]
+    @staticmethod
+    def _bm25_terms(query_tokens, stats: dict) -> list:
+        """BM25 ``(token, qtf, idf)`` terms in query order, for the
+        query tokens some live document holds."""
         n = stats["n"]
-        avgdl = stats["total_length"] / n if n else 0.0
-        acc: dict[str, float] = {}
-        walked = 0
-        postings = segment.postings
-        doc_ids = segment.doc_ids
+        terms = []
         for token, qtf in query_tokens.items():
-            if qtf <= 0:
-                continue
             df = stats["df"].get(token, 0)
-            if not df:
-                continue
-            plist = postings.get(token)
-            if not plist:
-                continue
-            idf = max(
-                math.log(1.0 + (n - df + 0.5) / (df + 0.5)), 1e-6
-            )
-            walked += len(plist)
-            for ordinal, tf in plist:
-                if ordinal in dead:
+            if qtf > 0 and df:
+                idf = max(
+                    math.log(1.0 + (n - df + 0.5) / (df + 0.5)), 1e-6
+                )
+                terms.append((token, qtf, idf))
+        return terms
+
+    def _bm25_sums(self, terms: list, stats: dict) -> tuple:
+        """Every live document's raw BM25 sum, walked segment by
+        segment.  Returns ``(sums, postings_walked)``."""
+        avgdl = _average_length(stats)
+        sums: dict[str, float] = {}
+        walked = 0
+        for seg_id, segment in self._segments.items():
+            dead = stats["dead"][seg_id]
+            postings = segment.postings
+            doc_ids = segment.doc_ids
+            norms = [
+                _bm25_length_norm(segment.length_of(ordinal), avgdl)
+                for ordinal in range(segment.doc_count)
+            ]
+            for token, qtf, idf in terms:
+                plist = postings.get(token)
+                if not plist:
                     continue
-                dl = segment.length_of(ordinal)
-                norm = (
-                    1.0 - BM25_B + BM25_B * (dl / avgdl)
-                    if avgdl > 0.0 else 1.0
-                )
-                doc_id = doc_ids[ordinal]
-                acc[doc_id] = (
-                    acc.get(doc_id, 0.0)
-                    + qtf * idf * (tf * (BM25_K1 + 1.0))
-                    / (tf + BM25_K1 * norm)
-                )
-        return acc, walked
+                walked += len(plist)
+                for ordinal, tf in plist:
+                    if ordinal in dead:
+                        continue
+                    doc_id = doc_ids[ordinal]
+                    sums[doc_id] = (
+                        sums.get(doc_id, 0.0)
+                        + qtf * idf * (tf * (BM25_K1 + 1.0))
+                        / (tf + BM25_K1 * norms[ordinal])
+                    )
+        return sums, walked
 
     def _admit(self, query_tokens, stats: dict, extra=None) -> tuple:
         """Budget-mode admission: LSH candidates plus documents from
@@ -1059,8 +1068,6 @@ class SegmentedCorpusIndex:
                         stats: dict) -> dict:
         """Exact per-document scores for an admitted set, computed from
         the stored document vectors (never the posting lists)."""
-        from repro.corpus.indexes import BM25_B, BM25_K1
-
         if scorer == "cosine":
             weights, query_norm_sq = self._query_weights(query_tokens, stats)
             if query_norm_sq <= 0.0:
@@ -1083,57 +1090,31 @@ class SegmentedCorpusIndex:
                     if doc_norm > 0.0:
                         scores[doc_id] = dot / (query_norm * doc_norm)
             return scores
-        n = stats["n"]
-        avgdl = stats["total_length"] / n if n else 0.0
-        raw = {}
+        terms = self._bm25_terms(query_tokens, stats)
+        avgdl = _average_length(stats)
+        sums = {}
         for doc_id in admitted:
             located = self._locate(doc_id)
             if located is None:
                 continue
             segment, ordinal = located
             doc_map = segment.map_of(ordinal)
-            dl = segment.length_of(ordinal)
-            norm = (
-                1.0 - BM25_B + BM25_B * (dl / avgdl) if avgdl > 0.0 else 1.0
-            )
+            norm = _bm25_length_norm(segment.length_of(ordinal), avgdl)
             total = 0.0
-            for token, qtf in query_tokens.items():
-                if qtf <= 0:
-                    continue
-                df = stats["df"].get(token, 0)
+            for token, qtf, idf in terms:
                 tf = doc_map.get(token)
-                if not df or not tf:
-                    continue
-                idf = max(
-                    math.log(1.0 + (n - df + 0.5) / (df + 0.5)), 1e-6
-                )
-                total += (
-                    qtf * idf * (tf * (BM25_K1 + 1.0))
-                    / (tf + BM25_K1 * norm)
-                )
+                if tf:
+                    total += (
+                        qtf * idf * (tf * (BM25_K1 + 1.0))
+                        / (tf + BM25_K1 * norm)
+                    )
             if total:
-                raw[doc_id] = total
-        if not raw:
-            return {}
-        best = max(raw.values())
-        if best <= 0.0:
-            return {}
-        return {doc_id: value / best for doc_id, value in raw.items()}
+                sums[doc_id] = total
+        return _max_normalized(sums)
 
     def _lexical_scores(self, query_tokens, scorer: str = "cosine",
-                        segments: Optional[list] = None,
-                        admit_extra=None, normalize: bool = True) -> dict:
-        """Lexical scores across segments with merged-IDF parity.
-
-        ``segments`` restricts the scan (the sharded searcher's lane);
-        global statistics always cover every segment, so a sharded
-        score equals the unsharded score for the same document.
-        ``normalize=False`` returns *raw* BM25 sums (cosine is per-doc
-        normalized either way) -- the sharded merge divides by the
-        global best afterwards, since a shard-local max would skew it.
-        """
-        from repro.corpus.indexes import LEXICAL_SCORERS
-
+                        admit_extra=None) -> dict:
+        """Lexical scores across segments with merged-IDF parity."""
         if scorer not in LEXICAL_SCORERS:
             raise SegmentError(
                 f"unknown scorer {scorer!r}: expected one of "
@@ -1157,63 +1138,33 @@ class SegmentedCorpusIndex:
             scan["docs_scored"] = len(admitted)
             scan["postings_walked"] = walked
             return scores
-        chosen = (
-            list(self._segments.items()) if segments is None
-            else [(segment.seg_id, segment) for segment in segments]
-        )
-        if scorer == "cosine":
-            weights, query_norm_sq = self._query_weights(query_tokens, stats)
-            partials = self._fanout([
-                (lambda s=seg_id, seg=segment:
-                 self._cosine_partial(s, seg, weights, stats))
-                for seg_id, segment in chosen
-            ])
-            accumulator: dict[str, float] = {}
-            for partial, walked in partials:
-                accumulator.update(partial)
-                scan["postings_walked"] += walked
-            scan["docs_scored"] = len(accumulator)
-            if not accumulator or query_norm_sq <= 0.0:
-                return {}
-            query_norm = math.sqrt(query_norm_sq)
-            scores = {}
-            for doc_id, dot in accumulator.items():
-                doc_norm = self._norm(doc_id, stats)
-                if doc_norm > 0.0:
-                    scores[doc_id] = dot / (query_norm * doc_norm)
-            return scores
-        partials = self._fanout([
-            (lambda s=seg_id, seg=segment:
-             self._bm25_partial(s, seg, query_tokens, stats))
-            for seg_id, segment in chosen
-        ])
-        accumulator = {}
-        for partial, walked in partials:
-            accumulator.update(partial)
-            scan["postings_walked"] += walked
-        scan["docs_scored"] = len(accumulator)
-        if not accumulator:
+        if scorer == "bm25":
+            sums, walked = self._bm25_sums(
+                self._bm25_terms(query_tokens, stats), stats
+            )
+            scan["docs_scored"] = len(sums)
+            scan["postings_walked"] = walked
+            return _max_normalized(sums)
+        weights, query_norm_sq = self._query_weights(query_tokens, stats)
+        dots, walked = self._cosine_dots(weights, stats)
+        scan["docs_scored"] = len(dots)
+        scan["postings_walked"] = walked
+        if not dots or query_norm_sq <= 0.0:
             return {}
-        if not normalize:
-            return accumulator
-        best = max(accumulator.values())
-        if best <= 0.0:
-            return {}
-        return {
-            doc_id: score / best for doc_id, score in accumulator.items()
-        }
+        query_norm = math.sqrt(query_norm_sq)
+        scores = {}
+        for doc_id, dot in dots.items():
+            doc_norm = self._norm(doc_id, stats)
+            if doc_norm > 0.0:
+                scores[doc_id] = dot / (query_norm * doc_norm)
+        return scores
 
-    def _structural_candidates(self, signature: tuple,
-                               segments: Optional[list] = None) -> set:
+    def _structural_candidates(self, signature: tuple) -> set:
         """Doc ids sharing at least one LSH band, across segments."""
         stats = self._ensure_stats()
-        chosen = (
-            list(self._segments.items()) if segments is None
-            else [(segment.seg_id, segment) for segment in segments]
-        )
         keys = list(self._hasher.band_keys(signature))
         found: set = set()
-        for seg_id, segment in chosen:
+        for seg_id, segment in self._segments.items():
             dead = stats["dead"][seg_id]
             doc_ids = segment.doc_ids
             for key in keys:
@@ -1234,22 +1185,18 @@ class SegmentedCorpusIndex:
         return agree / self.config.num_perm
 
     def retrieve_scores(self, query_tokens, signature: tuple,
-                        scorer: str = "cosine",
-                        segments: Optional[list] = None,
-                        normalize: bool = True) -> tuple:
+                        scorer: str = "cosine") -> tuple:
         """One-call stage-1 retrieval: ``(lexical_scores, structural_
-        candidates)``.
+        candidates)``, one serial scan over the live segments.
 
         One call for both signals lets budget mode admit the LSH
         candidates into the exactly-scored set.
         """
-        structural = self._structural_candidates(signature,
-                                                 segments=segments)
+        structural = self._structural_candidates(signature)
         lexical = self._lexical_scores(
-            query_tokens, scorer=scorer, segments=segments,
+            query_tokens, scorer=scorer,
             admit_extra=structural if self.max_candidates is not None
             else None,
-            normalize=normalize,
         )
         return lexical, structural
 

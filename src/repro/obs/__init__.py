@@ -25,7 +25,7 @@ Two request-scoped pillars complete the picture:
 - :mod:`repro.obs.spans` -- **pipeline span trees**: one sampled HTTP
   request yields a single stitched tree of monotonic-duration spans
   across the asyncio front end, the worker pool's pipe boundary and
-  the sharded corpus scan, exported as OTLP-shaped JSONL.
+  the corpus search stages, exported as OTLP-shaped JSONL.
 - :mod:`repro.obs.slo` -- **SLO / error-budget tracking** over the
   existing request histograms, surfaced as ``qmatch_slo_*`` gauges
   and ``GET /slo``.

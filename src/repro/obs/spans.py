@@ -4,7 +4,7 @@ PR 4's :mod:`repro.obs.trace` explains *why* a pair matched; this
 module explains *where a request spent its time*.  One sampled HTTP
 request yields a single stitched span tree -- asyncio accept → router
 → admission → pool checkout/queue wait → worker execute → corpus
-retrieve (per-shard children with scan telemetry) → rerank →
+retrieve (with scan telemetry) → rerank →
 constraint evaluation → response write -- even though the middle of
 that pipeline runs in another process.
 
@@ -112,9 +112,7 @@ class SpanTracer:
     Spans are plain dicts (``span_id``/``parent_id``/``name``/
     ``start``/``duration``/``status``/``attributes``) with ``start``
     and ``duration`` in seconds relative to the tracer epoch.  A small
-    stack provides implicit parenting for same-thread nesting;
-    cross-thread children (shard fan-out) pass an explicit
-    ``parent_id`` via :meth:`child` and never touch the stack.
+    stack provides implicit parenting for same-thread nesting.
     """
 
     enabled = True
@@ -159,24 +157,6 @@ class SpanTracer:
             if attributes:
                 _bound_attributes(span["attributes"], attributes)
             self._stack.append(span)
-        return span
-
-    def child(self, name: str, parent_id: Optional[str] = None,
-              attributes: Optional[dict] = None) -> dict:
-        """Open a detached span (explicit parent, never on the stack).
-
-        This is the cross-thread form: the caller reads
-        :meth:`current_id` *before* handing work to another thread and
-        passes it here, so concurrent shard scans cannot race on the
-        nesting stack.
-        """
-        with self._lock:
-            span = self._new_span(
-                name, parent_id if parent_id is not None
-                else self._root_parent,
-            )
-            if attributes:
-                _bound_attributes(span["attributes"], attributes)
         return span
 
     def finish(self, span: Optional[dict], status: Optional[str] = None,
@@ -324,9 +304,6 @@ class _NullSpanTracer:
     prefix = ""
 
     def start(self, name, attributes=None):
-        return None
-
-    def child(self, name, parent_id=None, attributes=None):
         return None
 
     def finish(self, span, status=None, attributes=None):

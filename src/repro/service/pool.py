@@ -88,13 +88,11 @@ class PoolWarmup:
     """
 
     def __init__(self, corpus_dir=None, cache_dir=None,
-                 scorer: str = "cosine", tree_cache: int = DEFAULT_TREE_CACHE,
-                 shards=None):
+                 scorer: str = "cosine", tree_cache: int = DEFAULT_TREE_CACHE):
         self.corpus_dir = str(corpus_dir) if corpus_dir is not None else None
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.scorer = scorer
         self.tree_cache = tree_cache
-        self.shards = shards
 
     def __call__(self) -> dict:
         from repro.linguistic.thesaurus import Thesaurus
@@ -106,7 +104,7 @@ class PoolWarmup:
 
             searcher = build_searcher(
                 self.corpus_dir, cache_dir=self.cache_dir,
-                scorer=self.scorer, shards=self.shards,
+                scorer=self.scorer,
             )
         return {
             "thesaurus": thesaurus,
@@ -247,7 +245,6 @@ class WorkerPool(BatchRunner):
                  corpus_dir=None,
                  cache_dir=None,
                  scorer: str = "cosine",
-                 shards=None,
                  log=NULL_LOGGER,
                  metrics=None,
                  constraint=None,
@@ -269,7 +266,6 @@ class WorkerPool(BatchRunner):
         self.workers = workers
         self.warm = warm if warm is not None else PoolWarmup(
             corpus_dir=corpus_dir, cache_dir=cache_dir, scorer=scorer,
-            shards=shards,
         )
         self.spawn_timeout = spawn_timeout
         # fork inherits the parent's imported library, so a spawn costs

@@ -88,7 +88,6 @@ class MatchService:
                  corpus_dir=None,
                  cache_dir=None,
                  scorer: str = "cosine",
-                 shards: Optional[int] = None,
                  max_pending: Optional[int] = None,
                  max_body_bytes: int = DEFAULT_MAX_BODY,
                  max_jobs: Optional[int] = None,
@@ -140,7 +139,7 @@ class MatchService:
                 timeout=timeout if timeout is not None else DEFAULT_TIMEOUT,
                 retries=retries, retry_backoff=0.05, worker=worker,
                 corpus_dir=corpus_dir, cache_dir=cache_dir, scorer=scorer,
-                shards=shards, log=log, metrics=self.metrics,
+                log=log, metrics=self.metrics,
             )
         else:
             self.runner = BatchRunner(
@@ -495,15 +494,13 @@ class MatchService:
 
 
 def build_searcher(corpus_dir, cache_dir=None, workers: int = 1,
-                   scorer: str = "cosine", log=NULL_LOGGER,
-                   shards: Optional[int] = None):
+                   scorer: str = "cosine", log=NULL_LOGGER):
     """Open a corpus directory (with its segmented index) as a searcher.
 
     Shared by ``qmatch serve --corpus``, ``qmatch search`` and the
     worker pool's resident warm-up.  Opening reads only the segment
     manifest and metas (payloads load lazily on the first search, so
-    open cost is independent of corpus size); ``shards`` > 1 fans the
-    stage-1 scan over that many segment shards.  Raises a clean error
+    open cost is independent of corpus size).  Raises a clean error
     when the corpus or its index is missing; a *stale* index (corpus
     content changed since the last build) is reported by the caller,
     not rejected -- search still works, it just cannot see the
@@ -516,7 +513,6 @@ def build_searcher(corpus_dir, cache_dir=None, workers: int = 1,
         SEGMENTS_DIR,
         SegmentedCorpusIndex,
     )
-    from repro.corpus.shard import ShardedCorpusSearcher
 
     corpus = SchemaCorpus(corpus_dir)
     if not len(corpus):
@@ -532,11 +528,6 @@ def build_searcher(corpus_dir, cache_dir=None, workers: int = 1,
         )
     store = ResultStore(cache_dir) if cache_dir is not None else None
     index = SegmentedCorpusIndex.open(segments_root, log=log)
-    if shards is not None and shards > 1:
-        return ShardedCorpusSearcher(
-            corpus, index, shards=shards, scorer=scorer,
-            workers=workers, store=store, log=log,
-        )
     return CorpusSearcher(
         corpus, index, scorer=scorer, workers=workers, store=store, log=log,
     )
@@ -546,7 +537,6 @@ def serve(host: str = "127.0.0.1", port: int = 8765, workers: int = 2,
           cache_dir=None, verbose: bool = True, mode: str = "pool",
           timeout=None, retries: int = 1,
           corpus_dir=None, scorer: str = "cosine",
-          shards: Optional[int] = None,
           max_pending: Optional[int] = None,
           max_body_bytes: int = DEFAULT_MAX_BODY,
           max_jobs: Optional[int] = None,
@@ -574,7 +564,6 @@ def serve(host: str = "127.0.0.1", port: int = 8765, workers: int = 2,
     if corpus_dir is not None:
         searcher = build_searcher(
             corpus_dir, cache_dir=cache_dir, scorer=scorer, log=log,
-            shards=shards,
         )
         if searcher.index.stale_for(searcher.corpus):
             log.event(
@@ -588,8 +577,7 @@ def serve(host: str = "127.0.0.1", port: int = 8765, workers: int = 2,
     service = MatchService(
         workers=workers, store=store, timeout=timeout, retries=retries,
         mode=mode, searcher=searcher, corpus_dir=corpus_dir,
-        cache_dir=cache_dir, scorer=scorer, shards=shards,
-        max_pending=max_pending,
+        cache_dir=cache_dir, scorer=scorer, max_pending=max_pending,
         max_body_bytes=max_body_bytes, max_jobs=max_jobs,
         trace_sample=trace_sample, trace_seed=trace_seed,
         trace_export=trace_export, slos=slos, log=log,

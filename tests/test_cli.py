@@ -929,8 +929,7 @@ class TestSegmentedIndexCommands:
 
     def test_segmented_search_matches_monolithic(self, corpus_dir, capsys):
         # Every builtin, sealed into two segments: the index ranking is
-        # the golden one recorded from the former monolithic index, and
-        # sharding the scan does not change a byte of it.
+        # the golden one recorded from the former monolithic index.
         from repro.datasets.registry import schema_names
         from tests.corpus_golden import load_fixture
 
@@ -951,21 +950,18 @@ class TestSegmentedIndexCommands:
                      repr(hit["structural_score"])]
                     for hit in payload["hits"]
                 ] == golden[query][scorer]["search"]
-                sharded, _ = self.search_json(corpus_dir, capsys, *args,
-                                              "--shards", "2")
-                assert sharded == payload
 
-    def test_serve_rejects_bad_shards(self, corpus_dir, capsys):
-        assert main(["serve", "--corpus", corpus_dir,
-                     "--shards", "0"]) == 2
-        assert "invalid --shards 0" in capsys.readouterr().err
-
-    def test_search_rejects_bad_shards(self, corpus_dir, capsys):
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    def test_shards_flag_removed(self, corpus_dir, capsys, command):
+        # The stage-1 scan is one serial walk; there is no shard knob.
         main(["index", "build", corpus_dir, "builtin:PO1"])
         capsys.readouterr()
-        assert main(["search", corpus_dir, "builtin:PO1",
-                     "--shards", "0"]) == 2
-        assert "invalid --shards 0" in capsys.readouterr().err
+        argv = (["search", corpus_dir, "builtin:PO1"] if command == "search"
+                else ["serve", "--corpus", corpus_dir])
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
     def test_segmented_search_without_segments_rejected(self, corpus_dir,
                                                         capsys):

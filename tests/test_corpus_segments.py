@@ -9,6 +9,8 @@ documents -- the build those goldens pin.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.corpus import (
@@ -119,8 +121,9 @@ class TestSegment:
         assert segment.load(hasher).postings is first
 
     def test_load_publishes_last(self, tmp_path, monkeypatch):
-        # Sharded scans load segments lazily from several threads: a
-        # segment must not report ``loaded`` while it is half decoded.
+        # Inline-mode service threads share one index and load its
+        # segments lazily: a segment must not report ``loaded`` while
+        # it is half decoded.
         from repro.corpus import segments
 
         Segment.write(tmp_path / "seg", "seg-000001", self.DOCS, num_perm=4)
@@ -292,6 +295,27 @@ class TestMonolithicParity:
     def test_unknown_scorer_rejected(self, seg_index):
         with pytest.raises(SegmentError, match="unknown scorer"):
             seg_index._lexical_scores({"a": 1}, scorer="tfidf")
+
+
+class TestSerialScan:
+    @pytest.mark.parametrize("scorer", ["cosine", "bm25"])
+    def test_full_scan_starts_no_thread(self, full_corpus, multi_seg_index,
+                                        scorer):
+        # Stage 1 walks the segments one after another on the calling
+        # thread; a freshly opened index has started nothing yet.
+        index = SegmentedCorpusIndex.open(multi_seg_index.root)
+        assert index.segment_count > 1 and index.max_candidates is None
+        before = set(threading.enumerate())
+        for entry in full_corpus.entries():
+            tree = full_corpus.load(entry.hash)
+            index.retrieve_scores(index.query_tokens(tree),
+                                  index.query_signature(tree),
+                                  scorer=scorer)
+        assert not set(threading.enumerate()) - before
+        assert not [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith("qmatch-seg")
+        ]
 
 
 class TestLazyLoading:

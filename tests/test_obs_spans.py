@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -78,13 +77,6 @@ class TestSpanTracer:
         # record() never joins the stack
         assert tracer.current_id() == parent["span_id"]
 
-    def test_child_is_detached_with_explicit_parent(self):
-        tracer = SpanTracer("t1")
-        tracer.start("root")
-        child = tracer.child("shard", parent_id="0001")
-        assert child["parent_id"] == "0001"
-        assert tracer.current_id() == "0001"  # stack untouched
-
     def test_annotate_merges_into_open_span(self):
         tracer = SpanTracer("t1")
         span = tracer.start("work", {"a": 1})
@@ -111,34 +103,6 @@ class TestSpanTracer:
         (span,) = tracer.export_spans()
         assert span["status"] == "UNSET"
         assert span["duration"] is not None
-
-    def test_thread_safety_of_detached_children(self):
-        tracer = SpanTracer("t1")
-        root = tracer.start("root")
-        errors = []
-
-        def worker(index):
-            try:
-                span = tracer.child(
-                    "shard", parent_id=root["span_id"],
-                    attributes={"shard": index},
-                )
-                tracer.finish(span)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(16)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        tracer.finish(root)
-        assert not errors
-        spans = tracer.export_spans()
-        assert len(spans) == 17
-        assert len({span["span_id"] for span in spans}) == 17
 
 
 class TestStageClock:
@@ -220,7 +184,6 @@ class TestNullTracer:
         tracer = NULL_SPAN_TRACER
         assert not tracer.enabled
         assert tracer.start("x") is None
-        assert tracer.child("x") is None
         with tracer.span("x") as span:
             assert span is None
         tracer.finish(None)

@@ -76,11 +76,11 @@ def names(spans):
 
 
 @pytest.fixture()
-def sharded_searcher(tmp_path):
+def segmented_searcher(tmp_path):
     from repro.corpus import (
+        CorpusSearcher,
         SchemaCorpus,
         SegmentedCorpusIndex,
-        ShardedCorpusSearcher,
     )
     from repro.datasets import registry
 
@@ -97,7 +97,7 @@ def sharded_searcher(tmp_path):
             for entry in entries[start:start + 2]
         )
     index.corpus_fingerprint = corpus.fingerprint()
-    return ShardedCorpusSearcher(corpus, index, shards=3)
+    return CorpusSearcher(corpus, index)
 
 
 def query_body(limit=3):
@@ -113,10 +113,11 @@ def query_body(limit=3):
 # ----------------------------------------------------------------------
 
 class TestStitchedSpanTree:
-    def test_inline_sharded_search_tree(self, tmp_path, sharded_searcher):
+    def test_inline_segmented_search_tree(self, tmp_path,
+                                          segmented_searcher):
         export = tmp_path / "spans.jsonl"
         service = MatchService(
-            workers=1, mode="inline", searcher=sharded_searcher,
+            workers=1, mode="inline", searcher=segmented_searcher,
             trace_sample=1.0, trace_export=export,
         )
         with AsyncServerThread(service) as running:
@@ -134,17 +135,16 @@ class TestStitchedSpanTree:
         for stage in ("router", "admission", "corpus.retrieve",
                       "corpus.rerank", "job.execute", "response.write"):
             assert stage in spanned, f"missing {stage} in {spanned}"
-        shards = [s for s in spans if s["name"] == "retrieve.shard"]
-        assert len(shards) >= 2
+        # one serial scan over the 3 segments: its telemetry sits on
+        # the retrieve span itself, with no per-segment children
         retrieve = next(
             s for s in spans if s["name"] == "corpus.retrieve"
         )
-        for shard in shards:
-            # per-shard scan telemetry, parented under the retrieve
-            assert shard["parent_id"] == retrieve["span_id"]
-            assert shard["attributes"]["docs_scored"] >= 0
-            assert shard["attributes"]["segments"] >= 1
-            assert "shard" in shard["attributes"]
+        assert retrieve["attributes"]["live_docs"] == 6
+        assert retrieve["attributes"]["docs_scored"] >= 1
+        assert not any(
+            s["parent_id"] == retrieve["span_id"] for s in spans
+        )
         # every span sits within the root's walltime window
         for span in spans:
             assert span["start"] >= root["start"] - 1e-6
@@ -259,11 +259,11 @@ class TestPayloadByteIdentity:
         assert canonical_json(results[0.0]) == canonical_json(results[1.0])
 
     def test_search_results_identical_with_and_without_sampling(
-            self, tmp_path, sharded_searcher):
+            self, tmp_path, segmented_searcher):
         results = {}
         for rate in (0.0, 1.0):
             service = MatchService(
-                workers=1, mode="inline", searcher=sharded_searcher,
+                workers=1, mode="inline", searcher=segmented_searcher,
                 trace_sample=rate,
                 trace_export=tmp_path / f"spans-{rate}.jsonl",
             )
