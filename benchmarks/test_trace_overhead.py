@@ -20,9 +20,9 @@ one scheduler hiccup cannot fail the build.
 import math
 import time
 
-from repro.core.qmatch import QMatchMatcher, grid_matrix
+from repro.core.qmatch import QMatchMatcher
 from repro.datasets import registry
-from repro.matching.result import ScoreMatrix, checked_score
+from repro.matching.result import CATEGORY_CODES, ScoreMatrix, checked_score
 from repro.obs.trace import TraceRecorder
 
 from conftest import write_result
@@ -57,8 +57,8 @@ def _pre_pr_loop(matcher, ctx) -> ScoreMatrix:
                 qom, source.paths[s_index], target.paths[t_index]
             )
             if categories is not None:
-                categories[row + t_index] = category
-    return grid_matrix(ctx, grid, categories)
+                categories[row + t_index] = CATEGORY_CODES[category._value_]
+    return ScoreMatrix(ctx.source, ctx.target, "postorder", grid, categories)
 
 
 def _best_of(fn, rounds=ROUNDS, iterations=ITERATIONS) -> float:

@@ -56,7 +56,7 @@ from repro.core.taxonomy import (
 from repro.linguistic.matcher import LabelComparison, LinguisticMatcher
 from repro.matching.base import Matcher
 from repro.matching.classes import MatchStrength
-from repro.matching.result import SCORE_NOISE, ScoreMatrix, checked_score
+from repro.matching.result import CATEGORY_CODES, SCORE_NOISE, ScoreMatrix, checked_score
 from repro.properties.matcher import PropertyMatcher
 from repro.xsd.model import SchemaTree
 
@@ -159,9 +159,9 @@ class QMatchMatcher(Matcher):
 
         Pairs are addressed by postorder index into the context's
         interned :class:`~repro.engine.context.SideTable` arrays; the
-        QoMs and categories land in flat row-major grids (which is where
-        the children axis reads them back) and are copied into the
-        path-keyed :class:`ScoreMatrix` once, in the same grid order.
+        QoMs and category codes land in flat row-major lists (which is
+        where the children axis reads them back), and the postorder
+        :class:`ScoreMatrix` takes them over as its grids.
 
         A traced run or one with the memo off scores pair by pair
         (:meth:`_score_row`); otherwise :meth:`_score_blocks` does, with
@@ -180,15 +180,13 @@ class QMatchMatcher(Matcher):
             )
         if tracer.enabled or not ctx.cache_enabled:
             grid = [0.0] * (len(source) * len(target))
-            categories = (
-                [None] * len(grid) if self.config.record_categories
-                else None
-            )
+            categories = [-1] * len(grid) if self.config.record_categories else None
             for s_index in range(len(source)):
                 self._score_row(s_index, grid, categories, ctx)
         else:
             grid, categories = self._score_blocks(ctx)
-        matrix = grid_matrix(ctx, grid, categories)
+        matrix = ScoreMatrix(ctx.source, ctx.target, "postorder", grid,
+                             categories)
         stats = ctx.stats
         stats.count("qmatch.pairs", len(matrix))
         recursive = (source.leaves.count(False)
@@ -200,7 +198,7 @@ class QMatchMatcher(Matcher):
 
     def _score_row(self, s_index, grid, categories, ctx):
         """Score source node ``s_index`` against every target node,
-        writing clamped QoMs (and categories) into its grid row."""
+        writing clamped QoMs (and category codes) into its grid row."""
         target = ctx.target_table
         width = len(target)
         row = s_index * width
@@ -221,12 +219,12 @@ class QMatchMatcher(Matcher):
                 qom, s_path, target.paths[t_index]
             )
             if categories is not None:
-                categories[row + t_index] = category
+                categories[row + t_index] = CATEGORY_CODES[category._value_]
 
     def _score_blocks(self, ctx):
         """Score every pair of a memoized, untraced run; returns the
-        row-major QoM grid and category grid (``None`` when categories
-        are not recorded) as lists.
+        row-major QoM grid and category code grid (``None`` when
+        categories are not recorded) as lists.
 
         Leaf x leaf and leaf x interior pairs need no recursion, so
         their QoMs come from one :func:`_combine` over n x m arrays
@@ -285,10 +283,10 @@ class QMatchMatcher(Matcher):
         grid = np.where(clamped < 1.0, clamped, 1.0).tolist()
         categories = None
         if config.record_categories:
-            categories = _CATEGORY_OBJECTS[_BLOCK_CATEGORY[
+            categories = _BLOCK_CATEGORY[
                 mixed_pairs.astype(np.intp), label_codes, prop_codes,
                 same_level.astype(np.intp),
-            ]].ravel().tolist()
+            ].ravel().tolist()
         gate = ((name_codes != MatchStrength.NONE.value)
                 | (props >= config.structural_child_gate)).ravel().tolist()
         pairs = np.flatnonzero(interior)
@@ -314,12 +312,12 @@ class QMatchMatcher(Matcher):
                 source.paths[s_index], target.paths[t_index],
             )
             if categories is not None:
-                categories[index] = classify_subtree(
+                categories[index] = CATEGORY_CODES[classify_subtree(
                     _STRENGTHS[label_code], _STRENGTHS[prop_code],
                     MatchStrength.EXACT if level_score
                     else MatchStrength.NONE,
                     coverage, children_strength,
-                )
+                )._value_]
         if first_bad < qom.size:
             s_index, t_index = divmod(int(first_bad), width)
             checked_score(float(qom[first_bad]), source.paths[s_index],
@@ -437,9 +435,6 @@ class QMatchMatcher(Matcher):
         )
         return qom, category
 
-    def categories(self, matrix: ScoreMatrix):
-        return getattr(matrix, "categories", None)
-
     # ------------------------------------------------------------------
     # The QoM model
     # ------------------------------------------------------------------
@@ -453,7 +448,7 @@ class QMatchMatcher(Matcher):
         ``grid`` (row-major, ``len(ctx.target_table)`` wide) must hold
         the clamped QoM of every child pair already, which postorder
         iteration guarantees; ``categories`` is the parallel grid of
-        :class:`MatchCategory` values, or ``None`` when categories are
+        :class:`MatchCategory` codes, or ``None`` when categories are
         not recorded.  ``trace_out`` (only passed on the traced path)
         receives the per-axis evidence the span recorder serializes;
         the numeric result is identical with or without it.
@@ -564,7 +559,7 @@ class QMatchMatcher(Matcher):
                        matched_pairs=None):
         """Eqs. 3-5: (QoM_C, coverage, matched count, children strength).
 
-        Child QoMs and categories are read from the ``grid`` /
+        Child QoMs and category codes are read from the ``grid`` /
         ``categories`` index grids, and whether a child pair may count
         at all from the ``gate`` index grid.  ``matched_pairs`` (traced
         path only) collects the ``(source index, target index)`` child
@@ -619,9 +614,7 @@ class QMatchMatcher(Matcher):
                     if matched_pairs is not None and best_target is not None:
                         matched_pairs.append((s_child, best_target))
                     if categories is not None and best_target is not None:
-                        if categories[row + best_target] not in (
-                            EXACT_CATEGORIES
-                        ):
+                        if categories[row + best_target] not in EXACT_CODES:
                             children_all_exact = False
                     elif best_qom < 1.0:
                         children_all_exact = False
@@ -680,7 +673,8 @@ class QMatchMatcher(Matcher):
         axis evidence to every correspondence of a result.
 
         The breakdown comes from the same :meth:`_pair_qom` the pair
-        loop runs, reading child QoMs and categories from ``matrix``.
+        loop runs, reading child QoMs and category codes straight from
+        ``matrix``'s grids (which are in the context's postorder).
         """
         s_node = source.find(source_path)
         t_node = target.find(target_path)
@@ -692,26 +686,20 @@ class QMatchMatcher(Matcher):
         if matrix is None:
             matrix = self.match_context(ctx)
         source_table, target_table = ctx.source_table, ctx.target_table
+        if (matrix.source_paths, matrix.target_paths) != (
+                source_table.paths, target_table.paths):
+            raise ValueError("explain needs a QMatch matrix of these schemas")
         s_index = source_table.index[id(s_node)]
         t_index = target_table.index[id(t_node)]
-        matrix_categories = getattr(matrix, "categories", None)
-        grid = _PathGrid(matrix.get_by_path, source_table, target_table)
-        categories = None
-        if matrix_categories is not None:
-            categories = _PathGrid(
-                lambda s_path, t_path: _category(
-                    matrix_categories.get((s_path, t_path))
-                ),
-                source_table, target_table,
-            )
+        codes = matrix.category_codes
         detail: dict = {}
         _, computed_category = self._pair_qom(
-            s_index, t_index, grid, categories, ctx, trace_out=detail
+            s_index, t_index, matrix.scores.ravel(),
+            None if codes is None else codes.ravel(), ctx, trace_out=detail,
         )
-        category_value = (
-            matrix_categories.get((s_node.path, t_node.path))
-            if matrix_categories else None
-        )
+        categories = matrix.categories
+        category_value = (None if categories is None
+                          else categories.get((s_node.path, t_node.path)))
         label = detail["label"]
         props = detail["properties"]
         return AxisBreakdown(
@@ -728,7 +716,7 @@ class QMatchMatcher(Matcher):
             properties_score=props.score,
             properties_strength=props.strength,
             level_score=detail["level_score"],
-            children_score=detail["children_score"],
+            children_score=float(detail["children_score"]),
             coverage=detail["coverage"],
             matched_children=detail["matched_children"],
             total_children=detail["total_children"],
@@ -736,11 +724,9 @@ class QMatchMatcher(Matcher):
         )
 
 
-#: Categories that count as an exact child match (see
-#: :attr:`MatchCategory.is_exact`).
-EXACT_CATEGORIES = frozenset(
-    category for category in MatchCategory if category.is_exact
-)
+#: Codes of the categories that count as an exact child match (see
+#: :attr:`MatchCategory.is_exact`); a matrix's int8 codes match them too.
+EXACT_CODES = frozenset(CATEGORY_CODES[c.value] for c in MatchCategory if c.is_exact)
 
 
 def _combine(weights, label, properties, level, children_weight, children,
@@ -769,11 +755,9 @@ def _combine(weights, label, properties, level, children_weight, children,
 _STRENGTHS = tuple(MatchStrength(code) for code in range(len(MatchStrength)))
 
 def _block_category_table():
-    """The index in ``MatchCategory`` of a block pair's category, by
-    (leaf x interior?, label code, property code, same level?), from
-    ``classify_leaf`` / ``classify_subtree`` -- so the taxonomy keeps
-    one implementation."""
-    categories = list(MatchCategory)
+    """The code of a block pair's category, by (leaf x interior?, label
+    code, property code, same level?), from ``classify_leaf`` /
+    ``classify_subtree`` -- so the taxonomy keeps one implementation."""
     codes = range(len(_STRENGTHS))
     table = np.empty((2, len(codes), len(codes), 2), dtype=np.intp)
     for mixed, label, properties, level in product((0, 1), codes, codes,
@@ -788,32 +772,12 @@ def _block_category_table():
             ) if mixed
             else classify_leaf(label_strength, properties_strength)
         )
-        table[mixed, label, properties, level] = categories.index(category)
+        table[mixed, label, properties, level] = CATEGORY_CODES[category.value]
     return table
 
 
-#: Categories by index, and the block pairs' category table (built once,
-#: at import).
-_CATEGORY_OBJECTS = np.array(list(MatchCategory), dtype=object)
+#: The block pairs' category code table (built once, at import).
 _BLOCK_CATEGORY = _block_category_table()
-
-
-def _category(value) -> Optional[MatchCategory]:
-    return None if value is None else MatchCategory(value)
-
-
-def grid_matrix(ctx, grid, categories=None) -> ScoreMatrix:
-    """A :class:`ScoreMatrix` (plus ``categories``) from the pair loop's
-    row-major QoM and category grids over ``ctx``'s postorder tables."""
-    matrix = ScoreMatrix(ctx.source, ctx.target)
-    keys = matrix.set_grid(ctx.source_table.paths, ctx.target_table.paths,
-                           grid)
-    matrix.categories = (
-        None if categories is None
-        else {key: category._value_
-              for key, category in zip(keys, categories)}
-    )
-    return matrix
 
 
 class _MemoGate:
@@ -837,21 +801,3 @@ class _MemoGate:
             return True
         return ctx.node_properties(s_index, t_index).score >= self.threshold
 
-
-class _PathGrid:
-    """A read-only, row-major index view of a path-keyed lookup: lets
-    :meth:`QMatchMatcher._pair_qom` read a finished matrix's QoMs and
-    categories the way the pair loop reads its grids."""
-
-    __slots__ = ("lookup", "source_paths", "target_paths", "width")
-
-    def __init__(self, lookup, source_table, target_table):
-        self.lookup = lookup
-        self.source_paths = source_table.paths
-        self.target_paths = target_table.paths
-        self.width = len(target_table)
-
-    def __getitem__(self, index):
-        s_index, t_index = divmod(index, self.width)
-        return self.lookup(self.source_paths[s_index],
-                           self.target_paths[t_index])

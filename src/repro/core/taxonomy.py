@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.matching.classes import MatchStrength
+from repro.matching.classes import MatchCategory, MatchStrength
 
 
 class CoverageLevel(enum.Enum):
@@ -40,31 +40,6 @@ class CoverageLevel(enum.Enum):
 
     def __str__(self):
         return self._value_  # the plain attribute behind ``value``
-
-
-class MatchCategory(enum.Enum):
-    """The taxonomy's qualitative match categories, best first."""
-
-    TOTAL_EXACT = "total-exact"
-    TOTAL_RELAXED = "total-relaxed"
-    PARTIAL_EXACT = "partial-exact"
-    PARTIAL_RELAXED = "partial-relaxed"
-    LEAF_EXACT = "leaf-exact"
-    LEAF_RELAXED = "leaf-relaxed"
-    NO_MATCH = "no-match"
-
-    def __str__(self):
-        return self._value_  # the plain attribute behind ``value``
-
-    @property
-    def is_match(self):
-        return self is not MatchCategory.NO_MATCH
-
-    @property
-    def is_exact(self):
-        """Categories that count as an *exact* child match when rolling
-        the children axis up to the parent (Section 2.2)."""
-        return self in (MatchCategory.LEAF_EXACT, MatchCategory.TOTAL_EXACT)
 
 
 def classify_leaf(label: MatchStrength, properties: MatchStrength) -> MatchCategory:

@@ -103,7 +103,7 @@ class CupidMatcher(Matcher):
                 + (1 - config.w_struct) * lsim(s_leaf, t_leaf)
             )
 
-        matrix = ScoreMatrix(source, target)
+        matrix = ScoreMatrix(source, target, "postorder")
         for s_node in s_nodes:
             s_leaves = ctx.leaves(s_node)
             for t_node in t_nodes:

@@ -76,7 +76,7 @@ def cross_validate_threshold(
                 matrix,
                 strategy=matcher.default_strategy,
                 threshold=threshold,
-                categories=matcher.categories(matrix),
+                categories=matrix.categories,
             )
             pairs = {c.as_tuple() for c in correspondences}
             scores[(task.name, threshold)] = evaluate_against_gold(

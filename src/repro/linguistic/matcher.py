@@ -134,10 +134,8 @@ class LinguisticMatcher(Matcher):
         s_order = [source.index[id(node)] for node in ctx.source_preorder]
         t_order = [target.index[id(node)] for node in ctx.target_preorder]
         scores, _ = ctx.node_label_grids()
-        matrix = ScoreMatrix(ctx.source, ctx.target)
-        matrix.set_grid([source.paths[i] for i in s_order],
-                        [target.paths[j] for j in t_order],
-                        scores[np.ix_(s_order, t_order)].ravel().tolist())
+        matrix = ScoreMatrix(ctx.source, ctx.target, "preorder",
+                             scores[np.ix_(s_order, t_order)])
         ctx.stats.count("linguistic.pairs", len(matrix))
         return matrix
 

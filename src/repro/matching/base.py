@@ -95,10 +95,6 @@ class Matcher(abc.ABC):
         """Score every (source node, target node) pair."""
         return self.score_with_context(self.make_context(source, target))
 
-    def categories(self, matrix: ScoreMatrix):
-        """Qualitative taxonomy labels per pair; ``None`` for baselines."""
-        return None
-
     # ------------------------------------------------------------------
     # Memory kept across matches
     # ------------------------------------------------------------------
@@ -164,7 +160,7 @@ class Matcher(abc.ABC):
                 matrix,
                 strategy=strategy,
                 threshold=threshold,
-                categories=self.categories(matrix),
+                categories=matrix.categories,
             )
         return MatchResult(
             algorithm=self.name,

@@ -37,6 +37,33 @@ class MatchStrength(enum.Enum):
         return self is not MatchStrength.NONE
 
 
+class MatchCategory(enum.Enum):
+    """The taxonomy's qualitative match categories, best first:
+    :mod:`repro.core.taxonomy` classifies pairs into them, and a score
+    matrix codes each by its position here."""
+
+    TOTAL_EXACT = "total-exact"
+    TOTAL_RELAXED = "total-relaxed"
+    PARTIAL_EXACT = "partial-exact"
+    PARTIAL_RELAXED = "partial-relaxed"
+    LEAF_EXACT = "leaf-exact"
+    LEAF_RELAXED = "leaf-relaxed"
+    NO_MATCH = "no-match"
+
+    def __str__(self):
+        return self._value_  # the plain attribute behind ``value``
+
+    @property
+    def is_match(self):
+        return self is not MatchCategory.NO_MATCH
+
+    @property
+    def is_exact(self):
+        """Categories that count as an *exact* child match when rolling
+        the children axis up to the parent (Section 2.2)."""
+        return self in (MatchCategory.LEAF_EXACT, MatchCategory.TOTAL_EXACT)
+
+
 def consensus(strengths) -> MatchStrength:
     """Combine per-item strengths into an axis strength.
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from repro.core.qmatch import QMatchMatcher, grid_matrix
-from repro.core.taxonomy import MatchCategory
-from repro.matching.result import ScoreMatrix, checked_score
+import numpy as np
+
+from repro.core.qmatch import QMatchMatcher
+from repro.matching.result import ScoreMatrix
 from repro.xsd.model import SchemaNode, SchemaTree
 
 
@@ -85,9 +86,9 @@ def incremental_qmatch(matcher: QMatchMatcher, old_matrix: ScoreMatrix,
     old_source = old_matrix.source
     changed = changed_source_paths(old_source, new_source)
 
-    old_categories = getattr(old_matrix, "categories", None)
+    old_codes = old_matrix.category_codes
     record = matcher.config.record_categories
-    if record and old_categories is None:
+    if record and old_codes is None:
         raise ValueError(
             "old matrix has no recorded categories but the matcher's "
             "config wants them; rerun the full match once with "
@@ -95,25 +96,23 @@ def incremental_qmatch(matcher: QMatchMatcher, old_matrix: ScoreMatrix,
         )
     ctx = matcher.make_context(new_source, target)
     source_table, target_table = ctx.source_table, ctx.target_table
-    width = len(target_table)
-    grid = [0.0] * (len(source_table) * width)
-    categories = [None] * len(grid) if record else None
+    shape = (len(source_table), len(target_table))
+    scores = np.zeros(shape)
+    codes = np.full(shape, -1, dtype=np.int8) if record else None
+    # The old matrix's column for each of this context's target nodes.
+    columns = [old_matrix.column_index[path] for path in target_table.paths]
     reused = recomputed = 0
     for s_index, s_path in enumerate(source_table.paths):
-        row = s_index * width
         if s_path not in changed:
-            for t_index, t_path in enumerate(target_table.paths):
-                grid[row + t_index] = checked_score(
-                    old_matrix.get_by_path(s_path, t_path), s_path, t_path
-                )
-                if categories is not None:
-                    categories[row + t_index] = MatchCategory(
-                        old_categories[(s_path, t_path)]
-                    )
+            old_row = old_matrix.row_index[s_path]
+            scores[s_index] = old_matrix.scores[old_row, columns]
+            if codes is not None:
+                codes[s_index] = old_codes[old_row, columns]
             reused += 1
             continue
-        matcher._score_row(s_index, grid, categories, ctx)
+        matcher._score_row(s_index, scores.ravel(),
+                           None if codes is None else codes.ravel(), ctx)
         recomputed += 1
-    matrix = grid_matrix(ctx, grid, categories)
+    matrix = ScoreMatrix(ctx.source, ctx.target, "postorder", scores, codes)
     matrix.incremental_stats = {"reused": reused, "recomputed": recomputed}
     return matrix

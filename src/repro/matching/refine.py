@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.matching.result import Correspondence, MatchResult, ScoreMatrix
+import numpy as np
+
+from repro.matching.result import CATEGORY_CODES, Correspondence, MatchResult, ScoreMatrix
 from repro.matching.selection import DEFAULT_THRESHOLD, select_correspondences
 
 
@@ -65,21 +67,33 @@ def refine(result: MatchResult,
         seen_sources.add(source_path)
         seen_targets.add(target_path)
 
-    categories = getattr(matrix, "categories", None)
+    categories = matrix.categories
     forced = [
         Correspondence(
             source_path, target_path,
             matrix.get_by_path(source_path, target_path),
-            category=(categories or {}).get((source_path, target_path)),
+            category=(None if categories is None
+                      else categories.get((source_path, target_path))),
         )
         for source_path, target_path in accepted
     ]
 
-    # Select over the remaining free endpoints with rejected pairs (and
-    # all pairs touching an accepted endpoint) masked out.
-    masked = _MaskedMatrix(matrix, seen_sources, seen_targets, rejected_set)
+    # Rejected pairs and pairs touching an accepted endpoint read as
+    # no-match in a copy of the category grid, so no strategy takes them;
+    # the scores stay whole (hierarchical reads them as parent context).
+    codes = (np.full(matrix.scores.shape, -1, dtype=np.int8)
+             if categories is None else matrix.category_codes.copy())
+    no_match = CATEGORY_CODES["no-match"]
+    rows, columns = matrix.row_index, matrix.column_index
+    codes[[rows[path] for path in seen_sources & rows.keys()]] = no_match
+    codes[:, [columns[path] for path in seen_targets & columns.keys()]] = no_match
+    for cell in filter(None, (matrix.cell(*pair) for pair in rejected_set)):
+        codes[cell] = no_match
+    masked = ScoreMatrix(matrix.source, matrix.target, matrix.order,
+                         matrix.scores, codes)
     remaining = select_correspondences(
-        masked, strategy=strategy, threshold=threshold, categories=categories
+        masked, strategy=strategy, threshold=threshold,
+        categories=masked.categories,
     )
     correspondences = sorted(
         forced + list(remaining),
@@ -92,32 +106,3 @@ def refine(result: MatchResult,
         tree_qom=result.tree_qom,
         strategy=strategy,
     )
-
-
-class _MaskedMatrix:
-    """Read-only ScoreMatrix view hiding constrained pairs.
-
-    Implements the pieces selection strategies use (``items``,
-    ``get_by_path``, ``source``/``target``) by delegation.
-    """
-
-    def __init__(self, matrix: ScoreMatrix, taken_sources, taken_targets,
-                 rejected):
-        self._matrix = matrix
-        self._taken_sources = taken_sources
-        self._taken_targets = taken_targets
-        self._rejected = rejected
-        self.source = matrix.source
-        self.target = matrix.target
-        self.categories = getattr(matrix, "categories", None)
-
-    def items(self):
-        for (s_path, t_path), score in self._matrix.items():
-            if s_path in self._taken_sources or t_path in self._taken_targets:
-                continue
-            if (s_path, t_path) in self._rejected:
-                continue
-            yield (s_path, t_path), score
-
-    def get_by_path(self, source_path, target_path, default=0.0):
-        return self._matrix.get_by_path(source_path, target_path, default)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+import numpy as np
+
+from repro.matching.classes import MatchCategory
 from repro.xsd.model import SchemaNode, SchemaTree
 
 
@@ -45,47 +49,71 @@ def checked_score(score: float, source_path: str, target_path: str) -> float:
 
 
 class ScoreMatrix:
-    """Dense pairwise similarity store keyed by node paths.
+    """Pairwise similarity grid over the two trees' node paths.
 
-    Node identity inside a single tree is its label path; the paper's
-    schemas (and ours) have unique paths because sibling labels are
-    unique.  Scores outside ``[0, 1]`` are rejected at insertion so a
-    malformed QoM model fails loudly.
+    Rows are ``source_paths`` and columns ``target_paths`` (unique, as
+    sibling labels are), both in the node ``order`` ("preorder" or
+    "postorder") the producer names.  ``scores`` is one float64 grid in
+    which **NaN means unset**: :meth:`get` returns its default there, and
+    ``len`` and :meth:`items` skip the cell.  A producer hands over a
+    grid of clamped scores or fills cells through :meth:`set`, which
+    rejects scores outside ``[0, 1]`` so a malformed QoM model fails
+    loudly.  ``categories`` is an optional parallel int8 grid of
+    taxonomy codes (positions in :class:`MatchCategory`; -1 is unset).
     """
 
-    def __init__(self, source: SchemaTree, target: SchemaTree):
-        self.source = source
-        self.target = target
-        self._scores: dict[tuple[str, str], float] = {}
-        #: Optional qualitative taxonomy category per pair, filled by
-        #: matchers that classify (QMatch does).
-        self.categories: dict[tuple[str, str], str] | None = None
+    def __init__(self, source: SchemaTree, target: SchemaTree,
+                 order="preorder", scores=None, categories=None):
+        walk = {"preorder": SchemaNode.iter_preorder, "postorder": SchemaNode.iter_postorder}[order]
+        self.source, self.target, self.order = source, target, order
+        self.source_paths = [node.path for node in walk(source.root)]
+        self.target_paths = [node.path for node in walk(target.root)]
+        self.row_index = {path: i for i, path in enumerate(self.source_paths)}
+        self.column_index = {path: j for j, path in enumerate(self.target_paths)}
+        shape = (len(self.source_paths), len(self.target_paths))
+        self.scores = (np.full(shape, np.nan) if scores is None
+                       else np.asarray(scores, dtype=np.float64).reshape(shape))
+        self.category_codes = (
+            None if categories is None
+            else np.asarray(categories, dtype=np.int8).reshape(shape))
 
     def set(self, source_node: SchemaNode, target_node: SchemaNode, score: float):
         source_path, target_path = source_node.path, target_node.path
-        self._scores[(source_path, target_path)] = checked_score(
-            score, source_path, target_path
-        )
+        row, column = self.row_index[source_path], self.column_index[target_path]
+        self.scores[row, column] = checked_score(score, source_path, target_path)
 
-    def set_grid(self, source_paths, target_paths, scores):
-        """Fill the matrix from a row-major grid of already-validated,
-        clamped scores (``scores[i * len(target_paths) + j]`` belongs to
-        ``(source_paths[i], target_paths[j])``), in that order."""
-        keys = [(s, t) for s in source_paths for t in target_paths]
-        self._scores.update(zip(keys, scores))
-        return keys
+    def cell(self, source_path, target_path) -> Optional[tuple[int, int]]:
+        """``(row, column)`` of a path pair; ``None`` if a path is absent."""
+        row = self.row_index.get(source_path)
+        column = self.column_index.get(target_path)
+        return None if row is None or column is None else (row, column)
 
     def get(self, source_node, target_node, default=0.0) -> float:
-        return self._scores.get((source_node.path, target_node.path), default)
+        return self.get_by_path(source_node.path, target_node.path, default)
 
     def get_by_path(self, source_path, target_path, default=0.0) -> float:
-        return self._scores.get((source_path, target_path), default)
+        cell = self.cell(source_path, target_path)
+        score = np.nan if cell is None else self.scores[cell]
+        return default if score != score else float(score)
 
     def items(self) -> Iterator[tuple[tuple[str, str], float]]:
-        return iter(self._scores.items())
+        """Every set cell as ``((source path, target path), score)``, by row."""
+        is_set = ~np.isnan(self.scores)
+        return zip(self._pairs(is_set), self.scores[is_set].tolist())
+
+    def _pairs(self, mask) -> Iterator[tuple[str, str]]:
+        rows, columns = np.nonzero(mask)
+        s_paths, t_paths = self.source_paths, self.target_paths
+        return ((s_paths[row], t_paths[column])
+                for row, column in zip(rows.tolist(), columns.tolist()))
 
     def __len__(self):
-        return len(self._scores)
+        return int(np.count_nonzero(~np.isnan(self.scores)))
+
+    @property
+    def categories(self) -> Optional[Mapping[tuple[str, str], str]]:
+        """Read-only category value per path pair; ``None`` if not recorded."""
+        return None if self.category_codes is None else CategoryView(self)
 
     def best_for_source(self, source_path) -> Optional[tuple[str, float]]:
         """The highest-scoring target for one source path, or ``None``."""
@@ -93,18 +121,48 @@ class ScoreMatrix:
         return candidates[0] if candidates else None
 
     def top_candidates(self, source_path, k=5) -> list[tuple[str, float]]:
-        """The ``k`` best-scoring targets for one source path.
+        """The ``k`` best-scoring targets for one source path, ties by path.
 
         The debugging view: when a correspondence looks wrong, the
         runner-up list shows how close the alternatives were.
         """
+        row = self.row_index.get(source_path)
+        if row is None:
+            return []
         candidates = [
             (t_path, score)
-            for (s_path, t_path), score in self._scores.items()
-            if s_path == source_path
+            for t_path, score in zip(self.target_paths, self.scores[row].tolist())
+            if score == score  # not unset (NaN)
         ]
         candidates.sort(key=lambda item: (-item[1], item[0]))
         return candidates[:k]
+
+
+#: A category code's taxonomy value; code -1 (unset) reads the last, None.
+CATEGORY_VALUES = tuple(category.value for category in MatchCategory) + (None,)
+
+#: A category's code, keyed by its value.
+CATEGORY_CODES = {value: code for code, value in enumerate(CATEGORY_VALUES[:-1])}
+
+
+@dataclass(eq=False)  # equality is the Mapping's: same items
+class CategoryView(Mapping):
+    """A matrix's category codes as a path-pair mapping; unset cells are absent."""
+
+    matrix: ScoreMatrix
+
+    def __getitem__(self, pair):
+        cell = self.matrix.cell(*pair)
+        code = -1 if cell is None else self.matrix.category_codes[cell]
+        if code < 0:
+            raise KeyError(pair)
+        return CATEGORY_VALUES[code]
+
+    def __iter__(self):
+        return self.matrix._pairs(self.matrix.category_codes >= 0)
+
+    def __len__(self):
+        return int(np.count_nonzero(self.matrix.category_codes >= 0))
 
 
 @dataclass

@@ -22,7 +22,15 @@ All strategies drop pairs below ``threshold`` first.
 
 from __future__ import annotations
 
-from repro.matching.result import Correspondence, ScoreMatrix
+import numpy as np
+
+from repro.matching.result import (
+    CATEGORY_CODES,
+    CATEGORY_VALUES,
+    CategoryView,
+    Correspondence,
+    ScoreMatrix,
+)
 
 #: Default acceptance threshold; matches the QMatch child-match threshold.
 DEFAULT_THRESHOLD = 0.5
@@ -34,85 +42,100 @@ DEFAULT_THRESHOLD = 0.5
 EXCLUDED_CATEGORIES = frozenset({"no-match"})
 
 
-def _thresholded_pairs(matrix: ScoreMatrix, threshold, categories=None):
-    pairs = [
-        (score, s_path, t_path)
-        for (s_path, t_path), score in matrix.items()
-        if score >= threshold
-        and (
-            categories is None
-            or categories.get((s_path, t_path)) not in EXCLUDED_CATEGORIES
-        )
+def _cells(matrix: ScoreMatrix, threshold, categories):
+    """The selectable cells (set, at or above ``threshold``, category
+    not excluded) as row, column and score arrays sorted by descending
+    score, then source path, then target path; and ``categories`` as a
+    code grid over the matrix (all -1, unset, for ``None``)."""
+    if isinstance(categories, CategoryView) and categories.matrix is matrix:
+        codes = matrix.category_codes
+    else:
+        codes = np.full(matrix.scores.shape, -1, dtype=np.int8)
+        for pair, value in (categories or {}).items():
+            cell = matrix.cell(*pair)
+            if cell is not None:
+                codes[cell] = CATEGORY_CODES[value]
+    # An unset (NaN) score compares False.
+    keep = (matrix.scores >= threshold) & ~np.isin(
+        codes, [CATEGORY_CODES[value] for value in EXCLUDED_CATEGORIES])
+    rows, columns = np.nonzero(keep)
+    scores = matrix.scores[rows, columns]
+    # Each path's rank in string order; sorting by ranks sorts by paths.
+    s_rank = np.argsort(np.argsort(matrix.source_paths))
+    t_rank = np.argsort(np.argsort(matrix.target_paths))
+    order = np.lexsort((t_rank[columns], s_rank[rows], -scores))
+    return rows[order], columns[order], scores[order], codes
+
+
+def _first_free(rows, columns, walk) -> list[int]:
+    """The cells, in ``walk`` order, a greedy walk accepts: those whose
+    source and target are both still free when reached."""
+    taken_sources, taken_targets, accepted = set(), set(), []
+    rows, columns = rows.tolist(), columns.tolist()
+    for position in walk:
+        if rows[position] in taken_sources or columns[position] in taken_targets:
+            continue
+        taken_sources.add(rows[position])
+        taken_targets.add(columns[position])
+        accepted.append(position)
+    return accepted
+
+
+def _correspondences(matrix, rows, columns, scores, codes, picked=None):
+    """Correspondences of the ``picked`` cells (default all), in cell
+    order: by descending score, then source path, then target path."""
+    if picked is not None:
+        picked = np.sort(np.array(picked, dtype=np.intp))
+        rows, columns, scores = rows[picked], columns[picked], scores[picked]
+    values = [CATEGORY_VALUES[code] for code in codes[rows, columns].tolist()]
+    return [
+        Correspondence(matrix.source_paths[row], matrix.target_paths[column],
+                       score, category=value)
+        for row, column, score, value in zip(
+            rows.tolist(), columns.tolist(), scores.tolist(), values)
     ]
-    # Deterministic order: score desc, then paths asc.
-    pairs.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return pairs
 
 
 def greedy_one_to_one(matrix: ScoreMatrix, threshold=DEFAULT_THRESHOLD,
                       categories=None) -> list[Correspondence]:
     """Greedy descending-score one-to-one selection."""
-    taken_sources, taken_targets = set(), set()
-    selected = []
-    for score, s_path, t_path in _thresholded_pairs(matrix, threshold, categories):
-        if s_path in taken_sources or t_path in taken_targets:
-            continue
-        taken_sources.add(s_path)
-        taken_targets.add(t_path)
-        selected.append(Correspondence(
-            s_path, t_path, score,
-            category=categories.get((s_path, t_path)) if categories else None,
-        ))
-    return selected
+    rows, columns, scores, codes = _cells(matrix, threshold, categories)
+    return _correspondences(matrix, rows, columns, scores, codes,
+                            _first_free(rows, columns, range(rows.size)))
 
 
 def stable_marriage(matrix: ScoreMatrix, threshold=DEFAULT_THRESHOLD,
                     categories=None) -> list[Correspondence]:
-    """Gale-Shapley stable matching (sources propose)."""
-    preferences: dict[str, list[str]] = {}
-    scores: dict[tuple[str, str], float] = {}
-    target_prefs: dict[str, dict[str, int]] = {}
-    for score, s_path, t_path in _thresholded_pairs(matrix, threshold, categories):
-        preferences.setdefault(s_path, []).append(t_path)
-        scores[(s_path, t_path)] = score
-    for (s_path, t_path), score in scores.items():
-        target_prefs.setdefault(t_path, {})
-    # Rank sources per target by score (higher is better).
-    for t_path, ranking in target_prefs.items():
-        suitors = sorted(
-            (s for (s, t) in scores if t == t_path),
-            key=lambda s: (-scores[(s, t_path)], s),
-        )
-        for rank, s_path in enumerate(suitors):
-            ranking[s_path] = rank
+    """Gale-Shapley stable matching (sources propose).
+
+    Within one target, the cell order (descending score, then source
+    path) is the target's ranking of its suitors, so a cell's position
+    ranks its source: lower is preferred.
+    """
+    rows, columns, scores, codes = _cells(matrix, threshold, categories)
+    row_of, column_of = rows.tolist(), columns.tolist()
+    preferences: dict[int, list[int]] = {}  # source -> its cells, best first
+    for position, row in enumerate(row_of):
+        preferences.setdefault(row, []).append(position)
 
     free = list(preferences)
-    next_proposal = {s: 0 for s in preferences}
-    engaged_to: dict[str, str] = {}  # target -> source
+    next_proposal = dict.fromkeys(preferences, 0)
+    engaged_to: dict[int, int] = {}  # target -> cell
     while free:
-        s_path = free.pop()
-        prefs = preferences[s_path]
-        while next_proposal[s_path] < len(prefs):
-            t_path = prefs[next_proposal[s_path]]
-            next_proposal[s_path] += 1
-            current = engaged_to.get(t_path)
-            if current is None:
-                engaged_to[t_path] = s_path
-                break
-            if target_prefs[t_path][s_path] < target_prefs[t_path][current]:
-                engaged_to[t_path] = s_path
-                free.append(current)
+        source = free.pop()
+        prefs = preferences[source]
+        while next_proposal[source] < len(prefs):
+            position = prefs[next_proposal[source]]
+            next_proposal[source] += 1
+            current = engaged_to.get(column_of[position])
+            if current is None or position < current:
+                engaged_to[column_of[position]] = position
+                if current is not None:
+                    free.append(row_of[current])
                 break
         # else: source stays unmatched.
-    selected = [
-        Correspondence(
-            s_path, t_path, scores[(s_path, t_path)],
-            category=categories.get((s_path, t_path)) if categories else None,
-        )
-        for t_path, s_path in engaged_to.items()
-    ]
-    selected.sort(key=lambda c: (-c.score, c.source_path, c.target_path))
-    return selected
+    return _correspondences(matrix, rows, columns, scores, codes,
+                            list(engaged_to.values()))
 
 
 #: Parent-context weight of the hierarchical strategy.
@@ -130,47 +153,31 @@ def hierarchical_greedy(matrix: ScoreMatrix, threshold=DEFAULT_THRESHOLD,
     for a source ``Author/LastName``), the one whose *parent* aligns
     with the source's parent is the right pick.  Pairs are ranked by
     ``(1 - w) * score + w * parent_pair_score`` (roots use their own
-    score as parent context); the reported correspondence keeps the
-    original score.  Thresholding still applies to the original score.
+    score as parent context, an unset parent pair counts 0); the
+    reported correspondence keeps the original score.  Thresholding
+    still applies to the original score.
     """
     if not 0.0 <= parent_weight < 1.0:
         raise ValueError(f"parent_weight must be in [0, 1), got {parent_weight}")
-    ranked = []
-    for score, s_path, t_path in _thresholded_pairs(matrix, threshold, categories):
-        s_parent = s_path.rpartition("/")[0]
-        t_parent = t_path.rpartition("/")[0]
-        if s_parent and t_parent:
-            context = matrix.get_by_path(s_parent, t_parent)
-        else:
-            context = score
-        adjusted = (1 - parent_weight) * score + parent_weight * context
-        ranked.append((adjusted, score, s_path, t_path))
-    ranked.sort(key=lambda item: (-item[0], -item[1], item[2], item[3]))
-    taken_sources, taken_targets = set(), set()
-    selected = []
-    for adjusted, score, s_path, t_path in ranked:
-        if s_path in taken_sources or t_path in taken_targets:
-            continue
-        taken_sources.add(s_path)
-        taken_targets.add(t_path)
-        selected.append(Correspondence(
-            s_path, t_path, score,
-            category=categories.get((s_path, t_path)) if categories else None,
-        ))
-    selected.sort(key=lambda c: (-c.score, c.source_path, c.target_path))
-    return selected
+    rows, columns, scores, codes = _cells(matrix, threshold, categories)
+    s_parent = np.array([matrix.row_index.get(path.rpartition("/")[0], -1)
+                         for path in matrix.source_paths], dtype=np.intp)[rows]
+    t_parent = np.array([matrix.column_index.get(path.rpartition("/")[0], -1)
+                         for path in matrix.target_paths], dtype=np.intp)[columns]
+    context = np.where((s_parent >= 0) & (t_parent >= 0),
+                       np.nan_to_num(matrix.scores[s_parent, t_parent]),
+                       scores)
+    adjusted = (1 - parent_weight) * scores + parent_weight * context
+    # A stable sort keeps the cell order among equal adjusted scores.
+    walk = np.argsort(-adjusted, kind="stable").tolist()
+    return _correspondences(matrix, rows, columns, scores, codes,
+                            _first_free(rows, columns, walk))
 
 
 def threshold_all_pairs(matrix: ScoreMatrix, threshold=DEFAULT_THRESHOLD,
                         categories=None) -> list[Correspondence]:
     """Every pair at or above threshold (may be many-to-many)."""
-    return [
-        Correspondence(
-            s_path, t_path, score,
-            category=categories.get((s_path, t_path)) if categories else None,
-        )
-        for score, s_path, t_path in _thresholded_pairs(matrix, threshold, categories)
-    ]
+    return _correspondences(matrix, *_cells(matrix, threshold, categories))
 
 
 _STRATEGIES = {

@@ -236,8 +236,7 @@ class StructuralMatcher(Matcher):
             checked_score(float(scores[i, j]), source.paths[i],
                           target.paths[j])  # raises
         scores = np.clip(scores, 0.0, 1.0)
-        matrix = ScoreMatrix(ctx.source, ctx.target)
-        matrix.set_grid(source.paths, target.paths, scores.ravel().tolist())
+        matrix = ScoreMatrix(ctx.source, ctx.target, "postorder", scores)
         ctx.stats.count("structural.pairs", len(matrix))
         return matrix
 

@@ -178,7 +178,7 @@ class TreeEditMatcher(Matcher):
         self.config = config or TreeEditConfig()
 
     def match_context(self, ctx) -> ScoreMatrix:
-        matrix = ScoreMatrix(ctx.source, ctx.target)
+        matrix = ScoreMatrix(ctx.source, ctx.target, "postorder")
         treedist, s_nodes, t_nodes = _zhang_shasha(
             ctx.source.root, ctx.target.root, self.config
         )

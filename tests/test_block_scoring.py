@@ -18,8 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import QMatchConfig
-from repro.core.qmatch import QMatchMatcher, grid_matrix
+from repro.core.qmatch import QMatchMatcher
 from repro.matching.classes import MatchStrength
+from repro.matching.result import ScoreMatrix
 from repro.properties.matcher import PropertyComparison, PropertyMatcher
 from repro.xsd.generator import GeneratorConfig, SchemaGenerator
 from repro.xsd.mutations import MutationConfig, SchemaMutator
@@ -61,7 +62,7 @@ def scalar_matrix(matcher, source, target, cache_enabled=True):
     )
     for s_index in range(len(ctx.source_table)):
         matcher._score_row(s_index, grid, categories, ctx)
-    return grid_matrix(ctx, grid, categories)
+    return ScoreMatrix(ctx.source, ctx.target, "postorder", grid, categories)
 
 
 def outputs(matrix):
