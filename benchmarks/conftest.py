@@ -14,6 +14,8 @@ with ``pytest -s``); EXPERIMENTS.md is assembled from those files.
 from __future__ import annotations
 
 import functools
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,23 @@ def report():
     def _report(name, title, headers, rows):
         write_result(name, title, render_table(headers, rows))
     return _report
+
+
+def best_of_interleaved(fns, rounds: int, iterations: int) -> list:
+    """Best-of means for several variants, measured round-robin.
+
+    Interleaving the rounds (baseline, guard, traced, baseline, ...)
+    cancels monotonic drift -- allocator state, frequency scaling --
+    that sequential phases would attribute entirely to whichever
+    variant ran last.
+    """
+    best = [math.inf] * len(fns)
+    for _ in range(rounds):
+        for index, fn in enumerate(fns):
+            started = time.perf_counter()
+            for _ in range(iterations):
+                fn()
+            best[index] = min(
+                best[index], (time.perf_counter() - started) / iterations,
+            )
+    return best

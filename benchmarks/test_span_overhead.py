@@ -22,8 +22,6 @@ span recording at most 2x.
 """
 
 import json
-import math
-import time
 
 from repro.obs.spans import RequestTracing
 from repro.service.http_api import (
@@ -35,7 +33,7 @@ from repro.service.server import MatchService
 from repro.xsd.builder import TreeBuilder
 from repro.xsd.serializer import to_xsd
 
-from conftest import write_result
+from conftest import best_of_interleaved, write_result
 
 #: Best-of ROUNDS, each round averaging ITERATIONS served requests.
 ROUNDS = 7
@@ -73,26 +71,6 @@ def _serve_once(service, body: bytes) -> None:
     finish_request(service, tracer)
 
 
-def _best_of_interleaved(fns, rounds=ROUNDS, iterations=ITERATIONS):
-    """Best-of means for several variants, measured round-robin.
-
-    Interleaving the rounds (baseline, guard, traced, baseline, ...)
-    cancels monotonic drift -- allocator state, frequency scaling --
-    that sequential phases would attribute entirely to whichever
-    variant ran last.
-    """
-    best = [math.inf] * len(fns)
-    for _ in range(rounds):
-        for index, fn in enumerate(fns):
-            started = time.perf_counter()
-            for _ in range(iterations):
-                fn()
-            best[index] = min(
-                best[index], (time.perf_counter() - started) / iterations,
-            )
-    return best
-
-
 def test_span_guard_overhead(benchmark):
     body = _match_body()
     # One service per variant, all bounded to the same registry size so
@@ -109,11 +87,11 @@ def test_span_guard_overhead(benchmark):
         benchmark.pedantic(
             lambda: _serve_once(services[0], body), rounds=3, iterations=1,
         )
-        baseline_s, guard_s, traced_s = _best_of_interleaved([
+        baseline_s, guard_s, traced_s = best_of_interleaved([
             lambda: _serve_once(services[0], body),
             lambda: _serve_once(services[1], body),
             lambda: _serve_once(services[2], body),
-        ])
+        ], ROUNDS, ITERATIONS)
     finally:
         for service in services:
             service.shutdown()

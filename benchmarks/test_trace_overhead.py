@@ -1,31 +1,34 @@
 """Trace overhead benchmark: the per-pair guard must stay free.
 
 The observability layer injects exactly one branch into the QMatch pair
-loop (``if tracer.enabled``).  This module prices that branch on the
-builtin PO pair three ways:
+loop (``if tracer.enabled`` in ``QMatchMatcher._score_row``).  This
+module prices that branch on the builtin PO pair three ways, each on a
+fresh memo-on context:
 
 - **baseline** -- the scoring loop without the trace branch
   (``_pair_qom`` driven directly over the postorder index grid, no
   guard);
-- **disabled** -- the shipping ``match_context`` with the default
-  ``NULL_TRACER`` (the guard is present but never taken);
-- **traced** -- the same run with a live :class:`TraceRecorder`
-  (every pair records a full span with axis contributions).
+- **disabled** -- the shipping scalar loop (``_score_row`` over every
+  source row) with the default ``NULL_TRACER``: the guard is present
+  but never taken, so it is the only difference from the baseline.
+  (``match_context`` itself would score this context with the guard-free
+  block path, which prices something else.);
+- **traced** -- ``match_context`` with a live :class:`TraceRecorder`
+  (the scalar loop again, every pair recording a full span with axis
+  contributions).
 
 The contract: disabled tracing costs at most 5% over the pre-PR
 baseline, and full tracing at most 2x.  Timings are best-of-N means so
-one scheduler hiccup cannot fail the build.
+one scheduler hiccup cannot fail the build, and each round times the
+three variants in turn so host-speed drift cannot favour one.
 """
-
-import math
-import time
 
 from repro.core.qmatch import QMatchMatcher
 from repro.datasets import registry
 from repro.matching.result import CATEGORY_CODES, ScoreMatrix, checked_score
 from repro.obs.trace import TraceRecorder
 
-from conftest import write_result
+from conftest import best_of_interleaved, write_result
 
 #: Best-of ROUNDS, each round averaging ITERATIONS full matches.
 ROUNDS = 7
@@ -61,14 +64,16 @@ def _pre_pr_loop(matcher, ctx) -> ScoreMatrix:
     return ScoreMatrix(ctx.source, ctx.target, "postorder", grid, categories)
 
 
-def _best_of(fn, rounds=ROUNDS, iterations=ITERATIONS) -> float:
-    best = math.inf
-    for _ in range(rounds):
-        started = time.perf_counter()
-        for _ in range(iterations):
-            fn()
-        best = min(best, (time.perf_counter() - started) / iterations)
-    return best
+def _guarded_loop(matcher, ctx) -> ScoreMatrix:
+    """The shipping scalar pair loop, guard included: what
+    ``match_context`` runs for a traced or memo-off context."""
+    grid = [0.0] * (len(ctx.source_table) * len(ctx.target_table))
+    categories = (
+        [-1] * len(grid) if matcher.config.record_categories else None
+    )
+    for s_index in range(len(ctx.source_table)):
+        matcher._score_row(s_index, grid, categories, ctx)
+    return ScoreMatrix(ctx.source, ctx.target, "postorder", grid, categories)
 
 
 def test_trace_guard_overhead(benchmark):
@@ -83,7 +88,7 @@ def test_trace_guard_overhead(benchmark):
         _pre_pr_loop(matcher, matcher.make_context(source, target))
 
     def disabled():
-        matcher.match_context(matcher.make_context(source, target))
+        _guarded_loop(matcher, matcher.make_context(source, target))
 
     def traced():
         recorder = TraceRecorder(run_id="bench")
@@ -93,9 +98,9 @@ def test_trace_guard_overhead(benchmark):
 
     benchmark.pedantic(disabled, rounds=3, iterations=1)
 
-    baseline_s = _best_of(baseline)
-    disabled_s = _best_of(disabled)
-    traced_s = _best_of(traced)
+    baseline_s, disabled_s, traced_s = best_of_interleaved(
+        (baseline, disabled, traced), ROUNDS, ITERATIONS
+    )
 
     write_result(
         "trace_overhead",
@@ -128,8 +133,11 @@ def test_guarded_loop_matches_pre_pr_scores():
     before = _pre_pr_loop(
         matcher, matcher.make_context(task.source, task.target)
     )
-    after = matcher.match_context(
-        matcher.make_context(task.source, task.target)
-    )
-    assert list(before.items()) == list(after.items())
-    assert before.categories == after.categories
+    for after in (
+        _guarded_loop(matcher, matcher.make_context(task.source,
+                                                    task.target)),
+        matcher.match_context(matcher.make_context(task.source,
+                                                   task.target)),
+    ):
+        assert list(before.items()) == list(after.items())
+        assert before.categories == after.categories

@@ -42,6 +42,9 @@ _MERSENNE = (1 << 61) - 1
 _P = np.uint64(_MERSENNE)
 _LOW32 = np.uint64((1 << 32) - 1)
 _LOW29 = np.uint64((1 << 29) - 1)
+#: Odd multipliers of the LSH band-key mix (splitmix64's constants).
+_MIX_SEED = np.uint64(0x9E3779B97F4A7C15)
+_MIX = np.uint64(0xBF58476D1CE4E5B9)
 
 
 class IndexError_(ValueError):
@@ -196,7 +199,7 @@ class MinHashIndex:
     """MinHash signatures and their LSH band keys.
 
     Stateless apart from the seeded permutations: the segmented index
-    stores the signatures and builds the band buckets per segment.
+    stores the signatures and sorts their band keys per segment.
     """
 
     def __init__(self, num_perm: int = 64, bands: int = 16,
@@ -254,8 +257,20 @@ class MinHashIndex:
         )
         return tuple(_mod_mersenne(total).min(axis=1).tolist())
 
-    def band_keys(self, signature: tuple):
-        """The LSH bucket keys of a signature, one per band."""
-        for band in range(self.bands):
-            start = band * self.rows
-            yield (band, signature[start:start + self.rows])
+    def band_hashes(self, signatures) -> np.ndarray:
+        """The LSH bucket keys of ``(n, num_perm)`` signatures: an
+        ``(n, bands)`` ``uint64`` array, one key per band.
+
+        Equal bands (same band, same rows) get equal keys, so two
+        documents share an LSH bucket only if they share a key.  The
+        mix is not injective: readers confirm a key match against the
+        band's rows.
+        """
+        rows = np.asarray(signatures, dtype=np.uint64).reshape(
+            -1, self.bands, self.rows
+        )
+        keys = np.arange(1, self.bands + 1, dtype=np.uint64) * _MIX_SEED
+        for row in range(self.rows):
+            # uint64 array arithmetic wraps modulo 2^64.
+            keys = (keys ^ rows[:, :, row]) * _MIX
+        return keys

@@ -236,11 +236,11 @@ class CorpusSearcher:
             lexical, structural_candidates = self.index.retrieve_scores(
                 tokens, signature, scorer=self.scorer
             )
-            candidates = set(lexical) | structural_candidates
+            candidates = list(set(lexical) | structural_candidates)
+            estimates = self.index.estimates(signature, candidates)
             hits = []
-            for doc_id in candidates:
+            for doc_id, struct in zip(candidates, estimates):
                 lex = lexical.get(doc_id, 0.0)
-                struct = self.index.estimate(signature, doc_id)
                 try:
                     name = self.corpus.entry(doc_id).name
                 except Exception:

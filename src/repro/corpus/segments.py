@@ -22,7 +22,9 @@ index format::
 - **Postings are packed and lazy.**  Segment payloads serialize with
   ``struct``/``array`` (little-endian, fixed-width) instead of JSON and
   load on the first search, not at open -- ``qmatch index info`` over a
-  100k-schema corpus reads only the small ``meta.json`` headers.
+  100k-schema corpus reads only the small ``meta.json`` headers.  A
+  load decodes them into numpy columns (see :class:`Segment`), never
+  into per-document Python objects.
 - **Removals are tombstones.**  The manifest records removed doc ids
   per segment; searches skip them, and compaction drops them for good.
 - **Compaction is size-tiered.**  ``add`` batches produce many small
@@ -39,10 +41,16 @@ index format::
 
 :class:`~repro.corpus.search.CorpusSearcher` reads the index through
 ``query_tokens``, ``query_signature``, ``retrieve_scores`` and
-``estimate``.  ``retrieve_scores`` walks the live segments one after
-another on the calling thread (the scan is pure-Python dict work
-under the GIL, so threads would add no speed) and supports a
-candidate-admission budget (``max_candidates``) that turns the full
+``estimates``.  ``retrieve_scores`` walks the live segments one after
+another on the calling thread; within a segment every reader is a
+handful of array operations over its columns (the query terms' posting
+runs, the admitted documents' rows, the sorted LSH band keys), so the
+per-query Python work is per segment and per query term, not per
+document.  Scores stay the floats of the per-posting formula: values
+are computed with its float operations and each document adds them
+term by term in query order (``tests/test_retrieval_equivalence.py``
+pins this against the frozen per-document scorers).  A
+candidate-admission budget (``max_candidates``) turns the full
 postings scan into work proportional to the rarest query tokens plus
 the budget.
 """
@@ -54,9 +62,12 @@ import math
 import shutil
 import struct
 import sys
+import threading
 from array import array
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
+
+import numpy as np
 
 from repro.corpus.indexes import (
     BM25_B,
@@ -120,6 +131,27 @@ def _unpack_u32_array(blob: bytes) -> array:
     return packed
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs ``starts[i] .. starts[i] + counts[i] - 1`` concatenated
+    into one index array."""
+    ends = counts.cumsum()
+    return (starts - (ends - counts)).repeat(counts) + np.arange(
+        ends[-1] if len(ends) else 0
+    )
+
+
+class PostingColumns(NamedTuple):
+    """A postings payload as compressed rows (CSR), one row per doc."""
+
+    #: Token strings by segment-local token id (payload table order).
+    vocab: tuple
+    #: ``(n_docs + 1,)``: doc ``d``'s entries are ``indptr[d]:indptr[d+1]``.
+    indptr: np.ndarray
+    #: Per entry, in each document's stored (extraction) order.
+    tokens: np.ndarray
+    tfs: np.ndarray
+
+
 def pack_postings(doc_items: list) -> bytes:
     """Pack per-document ordered ``(token, tf)`` vectors.
 
@@ -156,32 +188,50 @@ def pack_postings(doc_items: list) -> bytes:
     return bytes(out)
 
 
-def unpack_postings(blob: bytes) -> list:
-    """Inverse of :func:`pack_postings`: per-doc ordered (token, tf) lists."""
+def unpack_postings(blob: bytes) -> PostingColumns:
+    """Inverse of :func:`pack_postings`, as columns: each document's
+    ``(token id, tf)`` entries in stored order."""
     if blob[:4] != _POSTINGS_MAGIC:
         raise SegmentError("postings payload has a bad magic header")
     offset = 4
     n_docs, n_tokens = struct.unpack_from("<II", blob, offset)
     offset += 8
-    tokens = []
+    vocab = []
     for _ in range(n_tokens):
         (length,) = struct.unpack_from("<H", blob, offset)
         offset += 2
-        tokens.append(blob[offset:offset + length].decode("utf-8"))
+        vocab.append(blob[offset:offset + length].decode("utf-8"))
         offset += length
-    docs = []
-    for _ in range(n_docs):
-        (n_items,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        flat = _unpack_u32_array(blob[offset:offset + 8 * n_items])
-        offset += 8 * n_items
-        docs.append([
-            (tokens[flat[2 * i]], flat[2 * i + 1]) for i in range(n_items)
-        ])
-    return docs
+    if (len(blob) - offset) % 4:
+        raise SegmentError("postings payload does not match its doc count")
+    words = _unpack_u32_array(blob[offset:])
+    # Each document is a count word followed by its (token, tf) pairs;
+    # only the count words need a walk.
+    counts = np.empty(n_docs, dtype=np.int64)
+    heads = np.empty(n_docs, dtype=np.int64)
+    position = 0
+    for doc in range(n_docs):
+        if position >= len(words):
+            raise SegmentError("postings payload is truncated")
+        heads[doc] = position
+        counts[doc] = words[position]
+        position += 1 + 2 * words[position]
+    if position != len(words):
+        raise SegmentError("postings payload does not match its doc count")
+    entry_words = np.ones(len(words), dtype=bool)
+    entry_words[heads] = False
+    pairs = np.frombuffer(words, dtype=np.uint32)[entry_words].reshape(-1, 2)
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return PostingColumns(
+        vocab=tuple(vocab),
+        indptr=indptr,
+        tokens=pairs[:, 0].astype(np.int64),
+        tfs=pairs[:, 1].astype(np.int64),
+    )
 
 
-def pack_signatures(signatures: list, num_perm: int) -> bytes:
+def pack_signatures(signatures, num_perm: int) -> bytes:
     """Pack MinHash signatures as a flat little-endian ``u64`` array."""
     out = bytearray()
     out += _MINHASH_MAGIC
@@ -200,18 +250,15 @@ def pack_signatures(signatures: list, num_perm: int) -> bytes:
 
 
 def unpack_signatures(blob: bytes) -> tuple:
-    """Inverse of :func:`pack_signatures`: ``(signatures, num_perm)``."""
+    """Inverse of :func:`pack_signatures`: ``(signatures, num_perm)``,
+    the signatures as one ``(n_docs, num_perm)`` ``uint64`` matrix."""
     if blob[:4] != _MINHASH_MAGIC:
         raise SegmentError("minhash payload has a bad magic header")
     n_docs, num_perm = struct.unpack_from("<IH", blob, 4)
-    flat = array("Q")
-    flat.frombytes(blob[10:10 + 8 * n_docs * num_perm])
-    if sys.byteorder != "little":
-        flat.byteswap()
-    signatures = [
-        tuple(flat[i * num_perm:(i + 1) * num_perm]) for i in range(n_docs)
-    ]
-    return signatures, num_perm
+    if len(blob) != 10 + 8 * n_docs * num_perm:
+        raise SegmentError("minhash payload does not match its doc count")
+    flat = np.frombuffer(blob, dtype="<u8", offset=10)
+    return flat.astype(np.uint64).reshape(n_docs, num_perm), num_perm
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +269,21 @@ class Segment:
     """One sealed segment: metadata eagerly, packed payloads lazily.
 
     Constructing a :class:`Segment` reads only ``meta.json`` (doc ids
-    and sizes); :meth:`load` materializes postings, per-doc token maps,
-    lengths, signatures and LSH buckets on the first search that needs
-    them.  ``bytes_loaded`` reports how many packed payload bytes this
-    segment has actually pulled into memory (the
+    and sizes); :meth:`load` decodes the payloads into numpy columns on
+    the first search that needs them:
+
+    - the documents as compressed rows: ``indptr``, segment-local
+      ``tokens`` and ``tfs`` per entry in stored order, ``weights``
+      (``1 + log(tf)``) and ``lengths`` (summed tfs);
+    - the inverse postings, one run per token id: ``post_ptr``, and per
+      entry ``post_docs``, ``post_tfs`` and ``post_weights`` (documents
+      ascending within a run);
+    - the ``(n_docs, num_perm)`` ``uint64`` ``signatures`` and their LSH
+      bucket keys, sorted (``band_keys``) with the document of each
+      (``band_docs``).
+
+    ``bytes_loaded`` reports how many packed payload bytes this segment
+    has actually pulled into memory (the
     ``qmatch_corpus_postings_loaded_bytes`` gauge).
     """
 
@@ -254,12 +312,8 @@ class Segment:
         self.payload_bytes = int(meta.get("payload_bytes", 0))
         self.bytes_loaded = 0
         self._doc_id_set: Optional[frozenset] = None
-        self._doc_items = None
-        self._doc_maps = None
-        self._lengths = None
-        self._postings = None
-        self._signatures = None
-        self._buckets = None
+        #: Set last by :meth:`load`; ``None`` while the segment is cold.
+        self.indptr: Optional[np.ndarray] = None
 
     # -- construction ---------------------------------------------------
 
@@ -307,10 +361,10 @@ class Segment:
 
     @property
     def loaded(self) -> bool:
-        return self._doc_items is not None
+        return self.indptr is not None
 
     def load(self, hasher: MinHashIndex) -> "Segment":
-        """Materialize the packed payloads (idempotent).
+        """Decode the packed payloads into columns (idempotent).
 
         Everything is decoded into locals first and published with
         :attr:`loaded` turning true last, so a search on another thread
@@ -321,54 +375,58 @@ class Segment:
             return self
         postings_blob = (self.root / SEGMENT_POSTINGS_NAME).read_bytes()
         minhash_blob = (self.root / SEGMENT_MINHASH_NAME).read_bytes()
-        doc_items = unpack_postings(postings_blob)
-        if len(doc_items) != len(self.doc_ids):
+        vocab, indptr, tokens, tfs = unpack_postings(postings_blob)
+        n_docs = len(indptr) - 1
+        if n_docs != len(self.doc_ids):
             raise SegmentError(
                 f"segment {self.seg_id}: postings cover "
-                f"{len(doc_items)} docs, meta lists {len(self.doc_ids)}"
+                f"{n_docs} docs, meta lists {len(self.doc_ids)}"
             )
         signatures, num_perm = unpack_signatures(minhash_blob)
-        if num_perm != self.num_perm or len(signatures) != len(self.doc_ids):
+        if num_perm != self.num_perm or len(signatures) != n_docs:
             raise SegmentError(
                 f"segment {self.seg_id}: minhash payload does not match meta"
             )
-        postings: dict[str, list] = {}
-        for ordinal, items in enumerate(doc_items):
-            for token, tf in items:
-                postings.setdefault(token, []).append((ordinal, tf))
-        buckets: dict[tuple, list] = {}
-        for ordinal, signature in enumerate(signatures):
-            for key in hasher.band_keys(signature):
-                buckets.setdefault(key, []).append(ordinal)
-        self._signatures = signatures
-        self._doc_maps = [dict(items) for items in doc_items]
-        self._lengths = [sum(tf for _, tf in items) for items in doc_items]
-        self._postings = postings
-        self._buckets = buckets
+        # 1 + log(tf) with math.log, once per distinct tf: np.log may
+        # differ from it in the last bit, and the goldens pin these.
+        distinct, which = np.unique(tfs, return_inverse=True)
+        weights = np.array(
+            [1.0 + math.log(tf) for tf in distinct.tolist()], dtype=float
+        )[which]
+        runs = np.argsort(tokens, kind="stable")
+        post_ptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tokens, minlength=len(vocab)),
+                  out=post_ptr[1:])
+        entry_docs = np.repeat(np.arange(n_docs), np.diff(indptr))
+        summed = np.concatenate(([0], np.cumsum(tfs)))
+        band_keys = hasher.band_hashes(signatures).ravel()
+        band_order = np.argsort(band_keys, kind="stable")
+        self.vocab = vocab
+        self.token_ids = {token: lid for lid, token in enumerate(vocab)}
+        self.doc_id_array = np.array(self.doc_ids, dtype=object)
+        self.tokens = tokens
+        self.tfs = tfs
+        self.weights = weights
+        self.lengths = summed[indptr[1:]] - summed[indptr[:-1]]
+        self.post_ptr = post_ptr
+        self.post_docs = entry_docs[runs]
+        self.post_tfs = tfs[runs]
+        self.post_weights = weights[runs]
+        self.signatures = signatures
+        self.band_keys = band_keys[band_order]
+        self.band_docs = band_order // hasher.bands
         self.bytes_loaded = len(postings_blob) + len(minhash_blob)
-        self._doc_items = doc_items
+        self.indptr = indptr
         return self
 
     def items_of(self, ordinal: int) -> list:
         """The ordered (token, tf) vector of one document."""
-        return self._doc_items[ordinal]
-
-    def map_of(self, ordinal: int) -> dict:
-        return self._doc_maps[ordinal]
-
-    def length_of(self, ordinal: int) -> int:
-        return self._lengths[ordinal]
-
-    def signature_of(self, ordinal: int) -> tuple:
-        return self._signatures[ordinal]
-
-    @property
-    def postings(self) -> dict:
-        return self._postings
-
-    @property
-    def buckets(self) -> dict:
-        return self._buckets
+        start, stop = self.indptr[ordinal], self.indptr[ordinal + 1]
+        return [
+            (self.vocab[token], tf) for token, tf in zip(
+                self.tokens[start:stop].tolist(), self.tfs[start:stop].tolist()
+            )
+        ]
 
     def __repr__(self):
         state = "loaded" if self.loaded else "lazy"
@@ -384,20 +442,28 @@ def _average_length(stats: dict) -> float:
     return stats["total_length"] / n if n else 0.0
 
 
-def _bm25_length_norm(length: int, avgdl: float) -> float:
-    """BM25's document-length normalization of one document."""
-    return 1.0 - BM25_B + BM25_B * (length / avgdl) if avgdl > 0.0 else 1.0
+def _bm25_length_norms(lengths: np.ndarray, avgdl: float) -> np.ndarray:
+    """BM25's document-length normalization of each document."""
+    if avgdl > 0.0:
+        return 1.0 - BM25_B + BM25_B * (lengths / avgdl)
+    return np.ones(len(lengths))
 
 
-def _max_normalized(sums: dict) -> dict:
-    """Raw BM25 sums divided by their maximum (empty when none is
-    positive)."""
-    if not sums:
-        return {}
-    best = max(sums.values())
-    if best <= 0.0:
-        return {}
-    return {doc_id: value / best for doc_id, value in sums.items()}
+class _LiveSegment:
+    """One segment as the merged statistics see it: which of its
+    documents are live, its token ids in the index-wide vocabulary,
+    and the per-document caches those statistics determine."""
+
+    __slots__ = ("segment", "live", "global_ids", "norms", "bm25_norms")
+
+    def __init__(self, segment: Segment, live: np.ndarray,
+                 global_ids: np.ndarray, bm25_norms: np.ndarray):
+        self.segment = segment
+        self.live = live
+        self.global_ids = global_ids
+        #: Cosine document norms, NaN until first needed.
+        self.norms = np.full(segment.doc_count, np.nan)
+        self.bm25_norms = bm25_norms
 
 
 # ----------------------------------------------------------------------
@@ -454,8 +520,12 @@ class SegmentedCorpusIndex:
         #: entries walked) -- what the scale benchmark asserts on.
         self.last_scan: dict = {}
         self._stats = None
-        self._norms: dict[str, float] = {}
-        self._doc_loc: Optional[dict] = None
+        self._doc_rows_cache: Optional[tuple] = None
+        #: Index-wide token ids, so merged df and idf are arrays.
+        self._vocab: dict[str, int] = {}
+        self._vocab_lock = threading.Lock()
+        #: seg id -> its local token ids mapped into ``_vocab``.
+        self._segment_token_ids: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Layout / persistence
@@ -758,7 +828,7 @@ class SegmentedCorpusIndex:
                 rows.append((
                     doc_id,
                     segment.items_of(ordinal),
-                    segment.signature_of(ordinal),
+                    segment.signatures[ordinal].tolist(),
                 ))
         return rows
 
@@ -854,180 +924,223 @@ class SegmentedCorpusIndex:
 
     def _invalidate(self):
         self._stats = None
-        self._norms = {}
-        self._doc_loc = None
+        self._doc_rows_cache = None
 
-    def _dead_ordinals(self, seg_id: str, segment: Segment) -> frozenset:
+    def _global_ids(self, seg_id: str, segment: Segment) -> np.ndarray:
+        """The segment's token ids in the index-wide vocabulary,
+        registered once per segment (the vocabulary only grows)."""
+        ids = self._segment_token_ids.get(seg_id)
+        if ids is None:
+            with self._vocab_lock:
+                vocab = self._vocab
+                ids = np.array(
+                    [vocab.setdefault(token, len(vocab))
+                     for token in segment.vocab],
+                    dtype=np.int64,
+                )
+            self._segment_token_ids[seg_id] = ids
+        return ids
+
+    def _live_mask(self, seg_id: str, segment: Segment) -> np.ndarray:
+        live = np.ones(segment.doc_count, dtype=bool)
         dead = self._tombstones.get(seg_id)
-        if not dead:
-            return frozenset()
-        return frozenset(
-            ordinal for ordinal, doc_id in enumerate(segment.doc_ids)
-            if doc_id in dead
-        )
+        if dead:
+            live[[
+                ordinal for ordinal, doc_id in enumerate(segment.doc_ids)
+                if doc_id in dead
+            ]] = False
+        return live
 
     def _ensure_stats(self) -> dict:
         """Load every segment (first search) and merge document
         frequencies, lengths and counts across them.
 
         ``df``/``n`` merged this way are exactly what a single segment
-        over the same live documents would hold, so :meth:`_idf` gives
-        the same IDF floats for every segment layout.
+        over the same live documents would hold, so the idf of every
+        token is the same float for every segment layout.
         """
         if self._stats is not None:
             return self._stats
         n = 0
         total_length = 0
-        df: dict[str, int] = {}
-        dead_by_seg: dict[str, frozenset] = {}
+        loaded = []
         for seg_id, segment in self._segments.items():
             segment.load(self._hasher)
-            dead = self._dead_ordinals(seg_id, segment)
-            dead_by_seg[seg_id] = dead
-            n += segment.doc_count - len(dead)
-            for ordinal in range(segment.doc_count):
-                if ordinal not in dead:
-                    total_length += segment.length_of(ordinal)
-            for token, plist in segment.postings.items():
-                if dead:
-                    count = sum(
-                        1 for ordinal, _ in plist if ordinal not in dead
-                    )
-                else:
-                    count = len(plist)
-                if count:
-                    df[token] = df.get(token, 0) + count
-        self._stats = {
-            "n": n,
-            "df": df,
-            "total_length": total_length,
-            "dead": dead_by_seg,
+            live = self._live_mask(seg_id, segment)
+            n += int(np.count_nonzero(live))
+            total_length += int(segment.lengths[live].sum())
+            loaded.append((seg_id, segment, live,
+                           self._global_ids(seg_id, segment)))
+        self._segment_token_ids = {
+            seg_id: ids for seg_id, _, _, ids in loaded
         }
-        return self._stats
+        df = np.zeros(len(self._vocab), dtype=np.int64)
+        for _, segment, live, ids in loaded:
+            if live.all():
+                df[ids] += np.diff(segment.post_ptr)
+            else:
+                df[ids] += np.bincount(
+                    segment.tokens[np.repeat(live, np.diff(segment.indptr))],
+                    minlength=len(segment.vocab),
+                )
+        # Smoothed idf, with math.log once per distinct df.
+        distinct, which = np.unique(df, return_inverse=True)
+        idf = np.array([
+            math.log((1 + n) / (1 + count)) + 1.0
+            for count in distinct.tolist()
+        ], dtype=float)[which]
+        stats = {"n": n, "df": df, "idf": idf, "total_length": total_length}
+        avgdl = _average_length(stats)
+        stats["segments"] = [
+            _LiveSegment(segment, live, ids,
+                         _bm25_length_norms(segment.lengths, avgdl))
+            for _, segment, live, ids in loaded
+        ]
+        self._stats = stats
+        return stats
+
+    def _df(self, token: str, stats: dict) -> int:
+        """Merged document frequency of one token (0 when unseen)."""
+        gid = self._vocab.get(token)
+        df = stats["df"]
+        return int(df[gid]) if gid is not None and gid < len(df) else 0
 
     def _idf(self, token: str, stats: dict) -> float:
         # Smoothed inverse document frequency over the merged df.
-        df = stats["df"].get(token, 0)
-        return math.log((1 + stats["n"]) / (1 + df)) + 1.0
+        return math.log((1 + stats["n"]) / (1 + self._df(token, stats))) + 1.0
 
-    def _locate(self, doc_id: str) -> Optional[tuple]:
-        """The (segment, ordinal) of one live document."""
-        if self._doc_loc is None:
-            stats = self._ensure_stats()
-            loc = {}
-            for seg_id, segment in self._segments.items():
-                dead = stats["dead"][seg_id]
-                for ordinal, did in enumerate(segment.doc_ids):
-                    if ordinal not in dead:
-                        loc[did] = (segment, ordinal)
-            self._doc_loc = loc
-        return self._doc_loc.get(doc_id)
+    def _doc_rows(self) -> tuple:
+        """``(live segments, {doc_id: row})`` over every live document,
+        where ``row`` packs the position of its live segment (high 32
+        bits) and its ordinal there (low 32 bits) into one int."""
+        cached = self._doc_rows_cache
+        if cached is None:
+            parts = self._ensure_stats()["segments"]
+            rows = {}
+            for position, part in enumerate(parts):
+                doc_ids = part.segment.doc_ids
+                for ordinal in np.flatnonzero(part.live).tolist():
+                    rows[doc_ids[ordinal]] = (position << 32) | ordinal
+            cached = self._doc_rows_cache = (parts, rows)
+        return cached
 
-    def _norm(self, doc_id: str, stats: dict) -> float:
-        """Document norm with merged IDF, in stored token order."""
-        norm = self._norms.get(doc_id)
-        if norm is not None:
-            return norm
-        located = self._locate(doc_id)
-        if located is None:
-            return 0.0
-        segment, ordinal = located
-        items = segment.items_of(ordinal)
-        if not items:
-            return 0.0
-        norm = math.sqrt(sum(
-            ((1.0 + math.log(tf)) * self._idf(token, stats)) ** 2
-            for token, tf in items
-        ))
-        self._norms[doc_id] = norm
-        return norm
+    def _doc_norms(self, part: _LiveSegment, ordinals: np.ndarray,
+                   stats: dict) -> np.ndarray:
+        """Cosine norms of some of a segment's documents, each computed
+        on first need with the merged idf and cached."""
+        norms = part.norms
+        missing = ordinals[np.isnan(norms[ordinals])]
+        if len(missing):
+            segment = part.segment
+            starts = segment.indptr[missing]
+            counts = segment.indptr[missing + 1] - starts
+            entries = _ranges(starts, counts)
+            products = (
+                segment.weights[entries]
+                * stats["idf"][part.global_ids[segment.tokens[entries]]]
+            ).tolist()
+            stop = 0
+            for ordinal, count in zip(missing.tolist(), counts.tolist()):
+                start, stop = stop, stop + count
+                # The builtin sum over the stored token order: Python
+                # 3.12 made it compensated, and each regime's goldens
+                # pin its floats (np.sum would add pairwise).
+                norms[ordinal] = math.sqrt(
+                    sum(value ** 2 for value in products[start:stop])
+                )
+        return norms[ordinals]
 
     # ------------------------------------------------------------------
     # Retrieval
     # ------------------------------------------------------------------
+    #
+    # Lexical scores are sums of per-(document, query term) values.
+    # Each value is computed with the float operations of the scalar
+    # formula, and each document adds its values term by term in query
+    # order starting from 0.0 -- so every score is the float the
+    # per-posting loop over Python dicts gave, bit for bit.
 
-    def _query_weights(self, query_tokens, stats: dict) -> tuple:
-        """Cosine query weights in query order plus the norm²."""
-        weights = []
-        query_norm_sq = 0.0
-        for token, qtf in query_tokens.items():
-            if qtf <= 0:
-                continue
-            idf = self._idf(token, stats)
-            q_weight = (1.0 + math.log(qtf)) * idf
-            query_norm_sq += q_weight ** 2
-            weights.append((token, q_weight, idf))
-        return weights, query_norm_sq
-
-    def _cosine_dots(self, weights: list, stats: dict) -> tuple:
-        """Every live document's cosine dot product, walked segment by
-        segment (per-doc token order = query order).  Returns
-        ``(dots, postings_walked)``."""
-        dots: dict[str, float] = {}
-        walked = 0
-        for seg_id, segment in self._segments.items():
-            dead = stats["dead"][seg_id]
-            postings = segment.postings
-            doc_ids = segment.doc_ids
-            for token, q_weight, idf in weights:
-                plist = postings.get(token)
-                if not plist:
-                    continue
-                walked += len(plist)
-                for ordinal, tf in plist:
-                    if ordinal in dead:
-                        continue
-                    doc_id = doc_ids[ordinal]
-                    dots[doc_id] = (
-                        dots.get(doc_id, 0.0)
-                        + q_weight * ((1.0 + math.log(tf)) * idf)
+    def _query_terms(self, query_tokens, scorer: str, stats: dict) -> tuple:
+        """``(tokens, scales, idfs, query_norm_sq)`` of the scoring terms
+        in query order.  A cosine term's value in a document is ``scale
+        * ((1 + log tf) * idf)`` and the query norm² comes along; a BM25
+        term's is ``scale * (tf * (k1 + 1)) / (tf + k1 * length norm)``
+        with ``scale = qtf * idf`` and no query norm."""
+        terms = []
+        query_norm_sq = None
+        if scorer == "bm25":
+            n = stats["n"]
+            for token, qtf in query_tokens.items():
+                df = self._df(token, stats)
+                if qtf > 0 and df:
+                    idf = max(
+                        math.log(1.0 + (n - df + 0.5) / (df + 0.5)), 1e-6
                     )
-        return dots, walked
+                    terms.append((token, qtf * idf, idf))
+        else:
+            query_norm_sq = 0.0
+            for token, qtf in query_tokens.items():
+                if qtf <= 0:
+                    continue
+                idf = self._idf(token, stats)
+                q_weight = (1.0 + math.log(qtf)) * idf
+                query_norm_sq += q_weight ** 2
+                terms.append((token, q_weight, idf))
+        scales = np.array([scale for _, scale, _ in terms], dtype=float)
+        idfs = np.array([idf for _, _, idf in terms], dtype=float)
+        return [token for token, _, _ in terms], scales, idfs, query_norm_sq
 
     @staticmethod
-    def _bm25_terms(query_tokens, stats: dict) -> list:
-        """BM25 ``(token, qtf, idf)`` terms in query order, for the
-        query tokens some live document holds."""
-        n = stats["n"]
-        terms = []
-        for token, qtf in query_tokens.items():
-            df = stats["df"].get(token, 0)
-            if qtf > 0 and df:
-                idf = max(
-                    math.log(1.0 + (n - df + 0.5) / (df + 0.5)), 1e-6
-                )
-                terms.append((token, qtf, idf))
-        return terms
+    def _term_values(scorer: str, scales: np.ndarray, idfs: np.ndarray,
+                     term: np.ndarray, tfs: np.ndarray, weights: np.ndarray,
+                     length_norms: Optional[np.ndarray]) -> np.ndarray:
+        """Per entry (``term``, ``tfs``, ``weights`` and, for BM25, its
+        document's ``length_norms`` aligned) the query term's
+        contribution to the document's score."""
+        if scorer == "cosine":
+            return scales[term] * (weights * idfs[term])
+        return (
+            scales[term] * (tfs * (BM25_K1 + 1.0))
+            / (tfs + BM25_K1 * length_norms)
+        )
 
-    def _bm25_sums(self, terms: list, stats: dict) -> tuple:
-        """Every live document's raw BM25 sum, walked segment by
-        segment.  Returns ``(sums, postings_walked)``."""
-        avgdl = _average_length(stats)
-        sums: dict[str, float] = {}
+    def _scan(self, scorer: str, query: tuple, stats: dict) -> tuple:
+        """Every live document's raw score from the query terms'
+        posting runs, segment by segment.  Returns ``([(part,
+        ordinals, raw scores)], postings_walked)``."""
+        tokens, scales, idfs, _ = query
+        found = []
         walked = 0
-        for seg_id, segment in self._segments.items():
-            dead = stats["dead"][seg_id]
-            postings = segment.postings
-            doc_ids = segment.doc_ids
-            norms = [
-                _bm25_length_norm(segment.length_of(ordinal), avgdl)
-                for ordinal in range(segment.doc_count)
+        for part in stats["segments"]:
+            segment = part.segment
+            token_ids = segment.token_ids
+            held = [
+                (token_ids[token], position)
+                for position, token in enumerate(tokens) if token in token_ids
             ]
-            for token, qtf, idf in terms:
-                plist = postings.get(token)
-                if not plist:
-                    continue
-                walked += len(plist)
-                for ordinal, tf in plist:
-                    if ordinal in dead:
-                        continue
-                    doc_id = doc_ids[ordinal]
-                    sums[doc_id] = (
-                        sums.get(doc_id, 0.0)
-                        + qtf * idf * (tf * (BM25_K1 + 1.0))
-                        / (tf + BM25_K1 * norms[ordinal])
-                    )
-        return sums, walked
+            if not held:
+                continue
+            local_ids, positions = np.array(held, dtype=np.int64).T
+            starts = segment.post_ptr[local_ids]
+            counts = segment.post_ptr[local_ids + 1] - starts
+            entries = _ranges(starts, counts)
+            walked += len(entries)
+            docs = segment.post_docs[entries]
+            values = self._term_values(
+                scorer, scales, idfs, positions.repeat(counts),
+                segment.post_tfs[entries], segment.post_weights[entries],
+                part.bm25_norms[docs] if scorer == "bm25" else None,
+            )
+            # bincount adds each document's values in entry order, and
+            # the entries run term by term in query order.
+            totals = np.bincount(
+                docs, weights=values, minlength=segment.doc_count
+            )
+            # Every value is positive: a positive total marks exactly
+            # the documents holding a query term.
+            ordinals = ((totals > 0.0) & part.live).nonzero()[0]
+            found.append((part, ordinals, totals[ordinals]))
+        return found, walked
 
     def _admit(self, query_tokens, stats: dict, extra=None) -> tuple:
         """Budget-mode admission: LSH candidates plus documents from
@@ -1036,81 +1149,126 @@ class SegmentedCorpusIndex:
         Tokens are consumed whole (ascending merged df, then token
         order) so admission is deterministic; the admitted set is then
         scored exactly, so a budgeted score equals the full-scan score
-        for every admitted document.  Returns ``(admitted,
-        postings_walked)``.
+        for every admitted document.  ``extra`` holds admitted ordinals
+        per live segment (unique, live).  Returns ``(admitted ordinals
+        per live segment, admitted count, postings_walked)``.
         """
         budget = self.max_candidates
-        admitted = set(extra or ())
+        parts = stats["segments"]
+        # Per live segment: the live documents not admitted yet.
+        waiting = [part.live.copy() for part in parts]
+        count = 0
+        for unadmitted, ordinals in zip(waiting, extra or ()):
+            unadmitted[ordinals] = False
+            count += len(ordinals)
         walked = 0
-        by_rarity = sorted(
-            (
-                (stats["df"].get(token, 0), token)
-                for token, qtf in query_tokens.items()
-                if qtf > 0 and stats["df"].get(token, 0)
-            ),
-        )
-        for _, token in by_rarity:
-            if len(admitted) >= budget:
+        by_rarity = []
+        for token, qtf in query_tokens.items():
+            df = self._df(token, stats)
+            if qtf > 0 and df:
+                by_rarity.append((df, token))
+        for _, token in sorted(by_rarity):
+            if count >= budget:
                 break
-            for seg_id, segment in self._segments.items():
-                plist = segment.postings.get(token)
-                if not plist:
+            for part, unadmitted in zip(parts, waiting):
+                segment = part.segment
+                lid = segment.token_ids.get(token)
+                if lid is None:
                     continue
-                dead = stats["dead"][seg_id]
-                walked += len(plist)
-                doc_ids = segment.doc_ids
-                for ordinal, _ in plist:
-                    if ordinal not in dead:
-                        admitted.add(doc_ids[ordinal])
-        return admitted, walked
+                docs = segment.post_docs[
+                    segment.post_ptr[lid]:segment.post_ptr[lid + 1]
+                ]
+                walked += len(docs)
+                fresh = docs[unadmitted[docs]]
+                unadmitted[fresh] = False
+                count += len(fresh)
+        admitted = [
+            (part.live & ~unadmitted).nonzero()[0]
+            for part, unadmitted in zip(parts, waiting)
+        ]
+        return admitted, count, walked
 
-    def _score_admitted(self, admitted: set, query_tokens, scorer: str,
-                        stats: dict) -> dict:
-        """Exact per-document scores for an admitted set, computed from
-        the stored document vectors (never the posting lists)."""
-        if scorer == "cosine":
-            weights, query_norm_sq = self._query_weights(query_tokens, stats)
-            if query_norm_sq <= 0.0:
+    def _score_admitted(self, scorer: str, query: tuple, admitted: list,
+                        stats: dict) -> list:
+        """Raw scores of the admitted documents, computed from their
+        stored rows (never the posting lists).  Returns ``[(part,
+        ordinals, raw scores)]``."""
+        tokens, scales, idfs, _ = query
+        parts = [
+            (part, ordinals)
+            for part, ordinals in zip(stats["segments"], admitted)
+            if len(ordinals)
+        ]
+        if not tokens or not parts:
+            return []
+        # Index-wide token id -> query term position (-1: not a term).
+        term_of = np.full(len(stats["df"]), -1, dtype=np.int64)
+        for position, token in enumerate(tokens):
+            gid = self._vocab.get(token)
+            if gid is not None and gid < len(term_of):
+                term_of[gid] = position
+        # The admitted rows of every segment, one after another.
+        counts, gids, tfs, weights, length_norms = [], [], [], [], []
+        for part, ordinals in parts:
+            segment = part.segment
+            starts = segment.indptr[ordinals]
+            counts.append(segment.indptr[ordinals + 1] - starts)
+            entries = _ranges(starts, counts[-1])
+            gids.append(part.global_ids[segment.tokens[entries]])
+            tfs.append(segment.tfs[entries])
+            weights.append(segment.weights[entries])
+            length_norms.append(part.bm25_norms[ordinals])
+        counts = np.concatenate(counts)
+        row = np.arange(len(counts)).repeat(counts)
+        term = term_of[np.concatenate(gids)]
+        held = term >= 0
+        row, term = row[held], term[held]
+        grid = np.zeros((len(tokens), len(counts)))
+        grid[term, row] = self._term_values(
+            scorer, scales, idfs, term, np.concatenate(tfs)[held],
+            np.concatenate(weights)[held],
+            np.concatenate(length_norms)[row] if scorer == "bm25" else None,
+        )
+        # Term by term in query order; accumulate adds sequentially.
+        totals = np.add.accumulate(grid, axis=0)[-1]
+        found = []
+        stop = 0
+        for part, ordinals in parts:
+            start, stop = stop, stop + len(ordinals)
+            raw = totals[start:stop]
+            held = raw != 0.0
+            found.append((part, ordinals[held], raw[held]))
+        return found
+
+    def _final_scores(self, scorer: str, found: list,
+                      query_norm_sq: Optional[float], stats: dict) -> dict:
+        """``{doc_id: score}`` from raw scores: cosine divides by the
+        query and document norms, BM25 by its maximum."""
+        scores: dict = {}
+        if scorer == "bm25":
+            best = max(
+                (float(raw.max()) for _, _, raw in found if len(raw)),
+                default=0.0,
+            )
+            if best <= 0.0:
                 return {}
-            query_norm = math.sqrt(query_norm_sq)
-            scores = {}
-            for doc_id in admitted:
-                located = self._locate(doc_id)
-                if located is None:
-                    continue
-                segment, ordinal = located
-                doc_map = segment.map_of(ordinal)
-                dot = 0.0
-                for token, q_weight, idf in weights:
-                    tf = doc_map.get(token)
-                    if tf:
-                        dot += q_weight * ((1.0 + math.log(tf)) * idf)
-                if dot:
-                    doc_norm = self._norm(doc_id, stats)
-                    if doc_norm > 0.0:
-                        scores[doc_id] = dot / (query_norm * doc_norm)
+            for part, ordinals, raw in found:
+                scores.update(zip(
+                    part.segment.doc_id_array[ordinals].tolist(),
+                    (raw / best).tolist(),
+                ))
             return scores
-        terms = self._bm25_terms(query_tokens, stats)
-        avgdl = _average_length(stats)
-        sums = {}
-        for doc_id in admitted:
-            located = self._locate(doc_id)
-            if located is None:
-                continue
-            segment, ordinal = located
-            doc_map = segment.map_of(ordinal)
-            norm = _bm25_length_norm(segment.length_of(ordinal), avgdl)
-            total = 0.0
-            for token, qtf, idf in terms:
-                tf = doc_map.get(token)
-                if tf:
-                    total += (
-                        qtf * idf * (tf * (BM25_K1 + 1.0))
-                        / (tf + BM25_K1 * norm)
-                    )
-            if total:
-                sums[doc_id] = total
-        return _max_normalized(sums)
+        if query_norm_sq <= 0.0:
+            return {}
+        query_norm = math.sqrt(query_norm_sq)
+        for part, ordinals, dots in found:
+            # A document holding a query term has a norm of at least 1.
+            norms = self._doc_norms(part, ordinals, stats)
+            scores.update(zip(
+                part.segment.doc_id_array[ordinals].tolist(),
+                (dots / (query_norm * norms)).tolist(),
+            ))
+        return scores
 
     def _lexical_scores(self, query_tokens, scorer: str = "cosine",
                         admit_extra=None) -> dict:
@@ -1128,61 +1286,65 @@ class SegmentedCorpusIndex:
         self.last_scan = scan
         if stats["n"] == 0:
             return {}
-        if self.max_candidates is not None:
-            admitted, walked = self._admit(
+        query = self._query_terms(query_tokens, scorer, stats)
+        if self.max_candidates is None:
+            found, walked = self._scan(scorer, query, stats)
+            scored = sum(len(ordinals) for _, ordinals, _ in found)
+        else:
+            admitted, scored, walked = self._admit(
                 query_tokens, stats, extra=admit_extra
             )
-            scores = self._score_admitted(
-                admitted, query_tokens, scorer, stats
-            )
-            scan["docs_scored"] = len(admitted)
-            scan["postings_walked"] = walked
-            return scores
-        if scorer == "bm25":
-            sums, walked = self._bm25_sums(
-                self._bm25_terms(query_tokens, stats), stats
-            )
-            scan["docs_scored"] = len(sums)
-            scan["postings_walked"] = walked
-            return _max_normalized(sums)
-        weights, query_norm_sq = self._query_weights(query_tokens, stats)
-        dots, walked = self._cosine_dots(weights, stats)
-        scan["docs_scored"] = len(dots)
+            found = self._score_admitted(scorer, query, admitted, stats)
+        scan["docs_scored"] = scored
         scan["postings_walked"] = walked
-        if not dots or query_norm_sq <= 0.0:
-            return {}
-        query_norm = math.sqrt(query_norm_sq)
-        scores = {}
-        for doc_id, dot in dots.items():
-            doc_norm = self._norm(doc_id, stats)
-            if doc_norm > 0.0:
-                scores[doc_id] = dot / (query_norm * doc_norm)
-        return scores
+        return self._final_scores(scorer, found, query[3], stats)
 
-    def _structural_candidates(self, signature: tuple) -> set:
-        """Doc ids sharing at least one LSH band, across segments."""
-        stats = self._ensure_stats()
-        keys = list(self._hasher.band_keys(signature))
-        found: set = set()
-        for seg_id, segment in self._segments.items():
-            dead = stats["dead"][seg_id]
-            doc_ids = segment.doc_ids
-            for key in keys:
-                for ordinal in segment.buckets.get(key, ()):
-                    if ordinal not in dead:
-                        found.add(doc_ids[ordinal])
+    def _structural_ordinals(self, signature: tuple, stats: dict) -> list:
+        """Per live segment, the live documents sharing at least one
+        LSH band with ``signature``."""
+        hasher = self._hasher
+        query = np.asarray(signature, dtype=np.uint64)
+        keys = hasher.band_hashes(query)[0]
+        query_bands = query.reshape(hasher.bands, hasher.rows)
+        found = []
+        for part in stats["segments"]:
+            segment = part.segment
+            lo = segment.band_keys.searchsorted(keys, side="left")
+            counts = segment.band_keys.searchsorted(keys, side="right") - lo
+            if not counts.any():
+                found.append(np.empty(0, dtype=np.int64))
+                continue
+            docs = segment.band_docs[_ranges(lo, counts)]
+            band = np.arange(hasher.bands).repeat(counts)
+            # A key match is a candidate; the band's own rows decide.
+            rows = segment.signatures.reshape(
+                -1, hasher.bands, hasher.rows
+            )[docs, band]
+            ordinals = np.unique(
+                docs[(rows == query_bands[band]).all(axis=1)]
+            )
+            found.append(ordinals[part.live[ordinals]])
         return found
 
-    def estimate(self, signature: tuple, doc_id: str) -> float:
-        """Estimated Jaccard similarity against one stored document: the
-        fraction of MinHash positions the two signatures agree on."""
-        located = self._locate(doc_id)
-        if located is None:
-            return 0.0
-        segment, ordinal = located
-        stored = segment.signature_of(ordinal)
-        agree = sum(1 for a, b in zip(signature, stored) if a == b)
-        return agree / self.config.num_perm
+    def estimates(self, signature: tuple, doc_ids) -> list:
+        """Estimated Jaccard similarity against each stored document
+        (0.0 for one not live): the fraction of MinHash positions the
+        two signatures agree on."""
+        parts, known = self._doc_rows()
+        rows = np.array([known.get(doc_id, -1) for doc_id in doc_ids],
+                        dtype=np.int64)
+        out = np.zeros(len(rows))
+        live = rows >= 0
+        positions = rows >> 32
+        query = np.asarray(signature, dtype=np.uint64)
+        for position in np.unique(positions[live]).tolist():
+            mine = live & (positions == position)
+            ordinals = rows[mine] & 0xFFFFFFFF
+            agree = np.count_nonzero(
+                parts[position].segment.signatures[ordinals] == query, axis=1
+            )
+            out[mine] = agree / self.config.num_perm
+        return out.tolist()
 
     def retrieve_scores(self, query_tokens, signature: tuple,
                         scorer: str = "cosine") -> tuple:
@@ -1192,13 +1354,17 @@ class SegmentedCorpusIndex:
         One call for both signals lets budget mode admit the LSH
         candidates into the exactly-scored set.
         """
-        structural = self._structural_candidates(signature)
+        stats = self._ensure_stats()
+        structural = self._structural_ordinals(signature, stats)
         lexical = self._lexical_scores(
             query_tokens, scorer=scorer,
             admit_extra=structural if self.max_candidates is not None
             else None,
         )
-        return lexical, structural
+        candidates: set = set()
+        for part, ordinals in zip(stats["segments"], structural):
+            candidates.update(part.segment.doc_id_array[ordinals].tolist())
+        return lexical, candidates
 
     def __repr__(self):
         return (

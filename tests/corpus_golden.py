@@ -146,9 +146,11 @@ def builtins_snapshot(corpus, index) -> dict:
             case.setdefault("candidates", sorted(
                 names[doc_id] for doc_id in candidates
             ))
+            ordered = sorted(candidates, key=names.get)
             case.setdefault("estimates", {
-                names[doc_id]: repr(index.estimate(signature, doc_id))
-                for doc_id in sorted(candidates, key=names.get)
+                names[doc_id]: repr(estimate) for doc_id, estimate in zip(
+                    ordered, index.estimates(signature, ordered)
+                )
             })
             case[scorer] = {
                 "lexical": {

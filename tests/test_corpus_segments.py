@@ -9,8 +9,10 @@ documents -- the build those goldens pin.
 
 from __future__ import annotations
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.corpus import (
@@ -34,6 +36,17 @@ from repro.xsd.generator import SchemaGenerator, synthetic_corpus_configs
 from tests.corpus_golden import load_fixture
 
 
+def doc_items(columns) -> list:
+    """Per-document ordered ``(token, tf)`` lists of postings columns."""
+    vocab, indptr, tokens, tfs = columns
+    return [
+        [(vocab[token], tf) for token, tf in zip(
+            tokens[start:stop].tolist(), tfs[start:stop].tolist()
+        )]
+        for start, stop in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    ]
+
+
 def synth_trees(count, n_nodes=8, max_depth=2):
     """Small deterministic trees for shape-sensitive segment tests."""
     return [
@@ -55,11 +68,19 @@ class TestPacking:
             [],
             [("alpha", 7)],
         ]
-        assert unpack_postings(pack_postings(docs)) == docs
+        columns = unpack_postings(pack_postings(docs))
+        assert doc_items(columns) == docs
+        assert columns.vocab == ("beta", "alpha", "gamma")
+        assert columns.indptr.tolist() == [0, 3, 3, 4]
 
     def test_postings_handle_non_ascii_tokens(self):
         docs = [[("protéine", 2), ("感情", 1)]]
-        assert unpack_postings(pack_postings(docs)) == docs
+        assert doc_items(unpack_postings(pack_postings(docs))) == docs
+
+    def test_postings_truncation_rejected(self):
+        packed = pack_postings([[("alpha", 1), ("beta", 2)]])
+        with pytest.raises(SegmentError, match="postings payload"):
+            unpack_postings(packed[:-8])
 
     def test_postings_bad_magic_rejected(self):
         with pytest.raises(SegmentError, match="magic"):
@@ -68,7 +89,10 @@ class TestPacking:
     def test_signatures_round_trip(self):
         signatures = [(1, 2, 3, 2 ** 61 - 2), (0, 0, 0, 0)]
         packed = pack_signatures(signatures, num_perm=4)
-        assert unpack_signatures(packed) == (signatures, 4)
+        matrix, num_perm = unpack_signatures(packed)
+        assert num_perm == 4
+        assert matrix.dtype == np.uint64 and matrix.shape == (2, 4)
+        assert [tuple(row) for row in matrix.tolist()] == signatures
 
     def test_signatures_length_mismatch_rejected(self):
         with pytest.raises(SegmentError, match="num_perm"):
@@ -108,17 +132,21 @@ class TestSegment:
         assert segment.loaded
         assert segment.bytes_loaded == segment.payload_bytes
         assert segment.items_of(0) == [("alpha", 2), ("beta", 1)]
-        assert segment.map_of(1) == {"beta": 5}
-        assert segment.length_of(0) == 3
-        assert segment.signature_of(1) == (5, 6, 7, 8)
-        assert segment.postings["beta"] == [(0, 1), (1, 5)]
+        assert segment.items_of(1) == [("beta", 5)]
+        assert segment.lengths.tolist() == [3, 5]
+        assert segment.signatures[1].tolist() == [5, 6, 7, 8]
+        # The inverse postings: one run per token, documents ascending.
+        beta = segment.token_ids["beta"]
+        run = slice(segment.post_ptr[beta], segment.post_ptr[beta + 1])
+        assert segment.post_docs[run].tolist() == [0, 1]
+        assert segment.post_tfs[run].tolist() == [1, 5]
 
     def test_load_is_idempotent(self, tmp_path):
         Segment.write(tmp_path / "seg", "seg-000001", self.DOCS, num_perm=4)
         segment = Segment(tmp_path / "seg")
         hasher = MinHashIndex(num_perm=4, bands=2)
-        first = segment.load(hasher).postings
-        assert segment.load(hasher).postings is first
+        first = segment.load(hasher).post_docs
+        assert segment.load(hasher).post_docs is first
 
     def test_load_publishes_last(self, tmp_path, monkeypatch):
         # Inline-mode service threads share one index and load its
@@ -132,13 +160,13 @@ class TestSegment:
         real_unpack = segments.unpack_signatures
 
         def unpack_and_peek(blob):
-            seen.append((segment.loaded, segment.postings))
+            seen.append((segment.loaded, segment.indptr))
             return real_unpack(blob)
 
         monkeypatch.setattr(segments, "unpack_signatures", unpack_and_peek)
         segment.load(MinHashIndex(num_perm=4, bands=2))
         assert seen == [(False, None)]
-        assert segment.loaded and segment.postings is not None
+        assert segment.loaded and segment.indptr is not None
 
     def test_missing_meta_rejected(self, tmp_path):
         with pytest.raises(SegmentError, match=SEGMENT_META_NAME):
@@ -251,11 +279,12 @@ class TestMonolithicParity:
                 full_corpus.load(entry.hash)
             )
             expected = golden[entry.name]["estimates"]
+            estimates = multi_seg_index.estimates(
+                signature, [full_corpus.entry(name).hash for name in expected]
+            )
             assert {
-                name: repr(multi_seg_index.estimate(
-                    signature, full_corpus.entry(name).hash
-                ))
-                for name in expected
+                name: repr(estimate)
+                for name, estimate in zip(expected, estimates)
             } == expected
 
     @pytest.mark.parametrize("scorer", ["cosine", "bm25"])
@@ -316,6 +345,54 @@ class TestSerialScan:
             thread.name for thread in threading.enumerate()
             if thread.name.startswith("qmatch-seg")
         ]
+
+
+class TestConcurrentFirstSearch:
+    def test_threads_loading_one_index_agree(self, full_corpus,
+                                             multi_seg_index):
+        # Inline-mode service threads share one index: concurrent first
+        # searches load its segments and register their tokens in the
+        # index-wide vocabulary at once, and must score exactly as one
+        # thread does.
+        trees = [full_corpus.load(entry.hash)
+                 for entry in full_corpus.entries()]
+
+        def retrieve(index, tree, scorer):
+            lexical, candidates = index.retrieve_scores(
+                index.query_tokens(tree), index.query_signature(tree),
+                scorer=scorer,
+            )
+            return named_scores(full_corpus, lexical), candidates
+
+        expected = {
+            (tree.name, scorer): retrieve(multi_seg_index, tree, scorer)
+            for tree in trees for scorer in ("cosine", "bm25")
+        }
+        index = SegmentedCorpusIndex.open(multi_seg_index.root)
+        results, errors = {}, []
+
+        def worker(tree, scorer):
+            try:
+                results[tree.name, scorer] = retrieve(index, tree, scorer)
+            except Exception as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(tree, scorer))
+            for tree in trees for scorer in ("cosine", "bm25")
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert results == expected
 
 
 class TestLazyLoading:
@@ -618,7 +695,9 @@ class TestCompaction:
 # ----------------------------------------------------------------------
 
 class TestBudgetMode:
-    def test_budgeted_scores_are_exact_subset(self, full_corpus, seg_index):
+    @pytest.mark.parametrize("scorer", ["cosine", "bm25"])
+    def test_budgeted_scores_are_exact_subset(self, full_corpus, seg_index,
+                                              scorer):
         budgeted = SegmentedCorpusIndex.open(
             full_corpus.root / SEGMENTS_DIR, max_candidates=6
         )
@@ -626,8 +705,9 @@ class TestBudgetMode:
             tree = full_corpus.load(name)
             tokens = seg_index.query_tokens(tree)
             signature = seg_index.query_signature(tree)
-            full = seg_index._lexical_scores(tokens)
-            lexical, _ = budgeted.retrieve_scores(tokens, signature)
+            full = seg_index._lexical_scores(tokens, scorer=scorer)
+            lexical, _ = budgeted.retrieve_scores(tokens, signature,
+                                                  scorer=scorer)
             assert lexical
             # Admission may prune candidates, but never perturbs the
             # score of anything admitted.

@@ -24,7 +24,16 @@ from repro.engine.context import (
 from repro.linguistic.matcher import LinguisticMatcher
 from repro.properties.matcher import PropertyMatcher
 from repro.xsd.serializer import to_xsd
-from tests.qmatch_golden import load_pair
+from tests.qmatch_golden import PAIRS, load_pair
+
+#: (compare_labels, PropertyMatcher.compare) calls of a default match.
+CALLS = {
+    "PO": (90, 72),
+    "Book": (98, 80),
+    "DCMD": (1878, 1376),
+    "Inventory": (345, 221),
+    "PIR-PDB50": (11550, 5320),
+}
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +80,20 @@ class TestWorkCounters:
         # DCMD's figures, as recorded before the pair loop moved onto
         # the interned tables.
         assert (len(label_calls), len(property_calls)) == (1878, 1376)
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_calls_equal_cache_misses(self, pair, monkeypatch):
+        # A default match calls the label and property services exactly
+        # once per memo miss, so the engine's miss counts measure the
+        # work perfbench's wrapped call counts measure.
+        source, target = load_pair(pair, "default")
+        label_calls = _count_calls(monkeypatch, LinguisticMatcher,
+                                   "compare_labels")
+        property_calls = _count_calls(monkeypatch, PropertyMatcher, "compare")
+        stats = QMatchMatcher().match(source, target).stats
+        assert len(label_calls) == stats.cache(LABEL_CACHE).misses
+        assert len(property_calls) == stats.cache(PROPERTY_CACHE).misses
+        assert (len(label_calls), len(property_calls)) == CALLS[pair]
 
     @pytest.mark.parametrize("pair,block,recursive", [
         ("DCMD", 1972, 42),
