@@ -22,12 +22,11 @@ scaling contract on a corpus derived byte-for-byte from one master seed
   against that exact answer is reported (and asserted >= 0.8 for
   cosine).
 
-Defaults to a 2k corpus so the CI smoke stays under a minute; the
+Defaults to a 2k corpus; CI runs ``QMATCH_SEGSCALE_N=5000``, and the
 committed ``results/segmented_scale*.txt`` come from
-``QMATCH_SEGSCALE_N=4000``.  At 5,000 schemas and above (100k
-included) ``SchemaGenerator`` currently rejects one of the master
-corpus's schemas as invalid (a duplicate sibling name), so those sizes
-do not run.
+``QMATCH_SEGSCALE_N=4000``.  The generator keeps sibling names unique,
+so the master corpus generates at every size checked: 5k, 8k, 10k, 25k
+and 100k.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The observability layer injects exactly one branch into the QMatch pair
 loop (``if tracer.enabled`` in ``QMatchMatcher._score_row``).  This
 module prices that branch on the builtin PO pair three ways, each on a
-fresh memo-on context:
+fresh context:
 
 - **baseline** -- the scoring loop without the trace branch
   (``_pair_qom`` driven directly over the postorder index grid, no
@@ -66,7 +66,7 @@ def _pre_pr_loop(matcher, ctx) -> ScoreMatrix:
 
 def _guarded_loop(matcher, ctx) -> ScoreMatrix:
     """The shipping scalar pair loop, guard included: what
-    ``match_context`` runs for a traced or memo-off context."""
+    ``match_context`` runs for a traced context."""
     grid = [0.0] * (len(ctx.source_table) * len(ctx.target_table))
     categories = (
         [-1] * len(grid) if matcher.config.record_categories else None

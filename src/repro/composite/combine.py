@@ -112,7 +112,7 @@ class CompositeMatcher(Matcher):
         matrices = []
         for matcher in self.matchers:
             with ctx.stats.stage(f"composite:{matcher.name}"):
-                matrices.append(matcher.score_with_context(ctx))
+                matrices.append(matcher.match_context(ctx))
         combined = ScoreMatrix(ctx.source, ctx.target)
         t_nodes = ctx.target_preorder
         for s_node in ctx.source_preorder:

@@ -22,15 +22,6 @@ class NameMatcher(Matcher):
     def __init__(self, linguistic=None):
         self.linguistic = linguistic or LinguisticMatcher()
 
-    def make_context(self, source, target, stats=None, cache_enabled=True,
-                     tracer=None):
-        from repro.engine.context import MatchContext
-
-        return MatchContext(
-            source, target, linguistic=self.linguistic,
-            stats=stats, cache_enabled=cache_enabled, tracer=tracer,
-        )
-
     def match_context(self, ctx) -> ScoreMatrix:
         matrix = ScoreMatrix(ctx.source, ctx.target)
         t_nodes = ctx.target_preorder
@@ -58,15 +49,6 @@ class NamePathMatcher(Matcher):
 
     def __init__(self, linguistic=None):
         self.linguistic = linguistic or LinguisticMatcher()
-
-    def make_context(self, source, target, stats=None, cache_enabled=True,
-                     tracer=None):
-        from repro.engine.context import MatchContext
-
-        return MatchContext(
-            source, target, linguistic=self.linguistic,
-            stats=stats, cache_enabled=cache_enabled, tracer=tracer,
-        )
 
     def match_context(self, ctx) -> ScoreMatrix:
         matrix = ScoreMatrix(ctx.source, ctx.target)

@@ -26,12 +26,12 @@ total cost is the O(n*m) the paper claims.
 
 Only interior x interior pairs need the recursion: Eq. 2 fixes the
 children axis at 1.0 for leaf x leaf pairs and footnote 1 zeroes its
-weight for leaf x interior pairs.  The untraced, memoized run therefore
-scores every pair as numpy blocks gathered from the context's label and
+weight for leaf x interior pairs.  An untraced run therefore scores
+every pair as numpy blocks gathered from the context's label and
 property grids and walks only the interior pairs in Python; traced runs,
-runs with the memo off, ``explain`` and incremental re-matching take the
-scalar per-pair path, which stays the reference.  Both paths add the
-axes in one expression, :func:`_combine`, so their floats are identical.
+``explain`` and incremental re-matching take the scalar per-pair path,
+which stays the reference.  Both paths add the axes in one expression,
+:func:`_combine`, so their floats are identical.
 
 Alongside the numeric matrix, the matcher classifies every pair with the
 Section 2 taxonomy (leaf-exact ... partial-relaxed), which is reported
@@ -140,20 +140,6 @@ class QMatchMatcher(Matcher):
             "documentation_discount": config.documentation_discount,
         }
 
-    def make_context(self, source, target, stats=None, cache_enabled=True,
-                     tracer=None):
-        """Inject this matcher's configured services into the context."""
-        from repro.engine.context import MatchContext
-
-        return MatchContext(
-            source, target,
-            linguistic=self.linguistic,
-            property_matcher=self.property_matcher,
-            stats=stats,
-            cache_enabled=cache_enabled,
-            tracer=tracer,
-        )
-
     def match_context(self, ctx) -> ScoreMatrix:
         """Score the full postorder x postorder pair grid.
 
@@ -163,9 +149,9 @@ class QMatchMatcher(Matcher):
         where the children axis reads them back), and the postorder
         :class:`ScoreMatrix` takes them over as its grids.
 
-        A traced run or one with the memo off scores pair by pair
-        (:meth:`_score_row`); otherwise :meth:`_score_blocks` does, with
-        the same floats and categories.
+        A traced run scores pair by pair (:meth:`_score_row`); an
+        untraced one by :meth:`_score_blocks`, with the same floats and
+        categories.
         """
         source, target = ctx.source_table, ctx.target_table
         tracer = ctx.tracer
@@ -178,7 +164,6 @@ class QMatchMatcher(Matcher):
                 threshold=self.config.threshold,
                 config=self.config_signature(),
             )
-        if tracer.enabled or not ctx.cache_enabled:
             grid = [0.0] * (len(source) * len(target))
             categories = [-1] * len(grid) if self.config.record_categories else None
             for s_index in range(len(source)):
@@ -222,7 +207,7 @@ class QMatchMatcher(Matcher):
                 categories[row + t_index] = CATEGORY_CODES[category._value_]
 
     def _score_blocks(self, ctx):
-        """Score every pair of a memoized, untraced run; returns the
+        """Score every pair of an untraced run; returns the
         row-major QoM grid and category code grid (``None`` when
         categories are not recorded) as lists.
 
@@ -354,19 +339,17 @@ class QMatchMatcher(Matcher):
         weights = self.config.weights
         uses_instance = weights.uses_instance
         source, target = ctx.source_table, ctx.target_table
-        not_cached = "miss" if ctx.cache_enabled else "off"
         label_cache = (
-            "hit" if ctx.node_label_cached(s_index, t_index) else not_cached
+            "hit" if ctx.node_label_cached(s_index, t_index) else "miss"
         )
         property_cache = (
-            "hit" if ctx.node_properties_cached(s_index, t_index)
-            else not_cached
+            "hit" if ctx.node_properties_cached(s_index, t_index) else "miss"
         )
         if uses_instance:
             instance_cache = (
                 "hit" if ctx.instance_cached(source.nodes[s_index],
                                              target.nodes[t_index])
-                else not_cached
+                else "miss"
             )
         detail: dict = {}
         qom, category = self._pair_qom(

@@ -71,15 +71,6 @@ class CupidMatcher(Matcher):
         self.config = config or CupidConfig()
         self.linguistic = linguistic or LinguisticMatcher()
 
-    def make_context(self, source, target, stats=None, cache_enabled=True,
-                     tracer=None):
-        from repro.engine.context import MatchContext
-
-        return MatchContext(
-            source, target, linguistic=self.linguistic,
-            stats=stats, cache_enabled=cache_enabled, tracer=tracer,
-        )
-
     def match_context(self, ctx) -> ScoreMatrix:
         config = self.config
         source, target = ctx.source, ctx.target

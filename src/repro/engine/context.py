@@ -38,10 +38,9 @@ standalone builds its own context (injecting its configured services via
 :meth:`Matcher.make_context`), while a composite or harness run builds
 one context and shares it across all constituent matchers.
 
-``cache_enabled=False`` turns the pairwise memo off (every lookup
-recomputes through the underlying services); the property-based
-equivalence tests use it to prove cached and cold runs are
-bit-identical.
+The memos are always on: a memoized comparison is the one the service
+returns for that input, which the tests check cell by cell against cold
+service instances.
 """
 
 from __future__ import annotations
@@ -156,7 +155,6 @@ class MatchContext:
         linguistic: Optional[LinguisticMatcher] = None,
         property_matcher: Optional[PropertyMatcher] = None,
         stats: Optional[EngineStats] = None,
-        cache_enabled: bool = True,
         tracer=None,
     ):
         self.source = source
@@ -164,7 +162,6 @@ class MatchContext:
         self.linguistic = linguistic or LinguisticMatcher()
         self.property_matcher = property_matcher or PropertyMatcher()
         self.stats = stats if stats is not None else EngineStats()
-        self.cache_enabled = cache_enabled
         #: Decision-trace recorder (see :mod:`repro.obs.trace`).  The
         #: default :data:`NULL_TRACER` is falsy-``enabled``, so matchers
         #: pay exactly one branch per pair when tracing is off.
@@ -198,7 +195,7 @@ class MatchContext:
         self._label_stats: Optional[CacheStats] = None
         self._property_stats: Optional[CacheStats] = None
         self._instance_stats: Optional[CacheStats] = None
-        # The node grids, built once per context (memoized runs only).
+        # The node grids, built once per context.
         self._label_grids: Optional[tuple] = None
         self._property_grids: Optional[tuple] = None
         self._lexicon: Optional[Lexicon] = None
@@ -293,10 +290,6 @@ class MatchContext:
             self._leaf_lists[id(node)] = cached
         return cached
 
-    def depth(self, node: SchemaNode) -> int:
-        """Nesting depth of ``node`` (the model caches this per node)."""
-        return node.level
-
     @property
     def lexicon(self) -> Lexicon:
         """The linguistic matcher's token lexicon, fetched on first use
@@ -305,29 +298,6 @@ class MatchContext:
         if lexicon is None:
             lexicon = self._lexicon = self.linguistic.lexicon()
         return lexicon
-
-    def prepared_tokens(self, label: str) -> list[str]:
-        """Tokenized, stop-word-filtered form of ``label``.
-
-        Read from the lexicon's per-label cache, so a label is tokenized
-        at most once per lexicon.
-        """
-        return self.lexicon.prepared_tokens(label)
-
-    def warm(self) -> "MatchContext":
-        """Eagerly precompute all per-node state (the context build step
-        the tentpole describes).  Optional: everything also fills in
-        lazily on first use."""
-        with self.stats.stage("context.warm"):
-            for node in self.source_postorder:
-                self.prepared_tokens(node.name)
-            for node in self.target_postorder:
-                self.prepared_tokens(node.name)
-            self.leaves(self.source.root)
-            self.leaves(self.target.root)
-            if self._source_table is None:
-                self._build_tables()
-        return self
 
     # ------------------------------------------------------------------
     # Memoized pairwise scores
@@ -350,13 +320,7 @@ class MatchContext:
 
     def _label_value(self, left: int, right: int) -> tuple:
         """The label memo's value of two interned label ids, compared
-        on a miss and counted as a hit or a miss (with the memo off,
-        compared afresh and not counted)."""
-        if not self.cache_enabled:
-            texts = self._label_texts
-            return _memo_value(self.linguistic.compare_labels(
-                texts[left], texts[right], self.lexicon,
-            ))
+        on a miss and counted as a hit or a miss."""
         counts = self._label_stats
         if counts is None:
             counts = self._label_stats = self.stats.cache(LABEL_CACHE)
@@ -391,7 +355,7 @@ class MatchContext:
         """Whether the label memo already holds two nodes' names, by
         postorder index (trace provenance: checked *before* the
         comparison runs)."""
-        return self.cache_enabled and _unordered(
+        return _unordered(
             self._source_table.label_ids[source_index],
             self._target_table.label_ids[target_index],
         ) in self._label_memo
@@ -400,7 +364,7 @@ class MatchContext:
                                target_index: int) -> bool:
         """Whether the property memo already holds two nodes' signature
         pair, by postorder index."""
-        return self.cache_enabled and (
+        return (
             self._source_table.signature_ids[source_index],
             self._target_table.signature_ids[target_index],
         ) in self._property_memo
@@ -415,8 +379,6 @@ class MatchContext:
         these heavily, so the memo collapses the O(n*m) property work to
         the number of distinct signature pairs.
         """
-        if not self.cache_enabled:
-            return self.property_matcher.compare(source, target)
         return self._property_pair(
             self.signature_id(source), self.signature_id(target),
             source, target,
@@ -426,11 +388,6 @@ class MatchContext:
                         target_index: int) -> PropertyComparison:
         """:meth:`property_comparison` of two nodes, by postorder index."""
         source_table, target_table = self._source_table, self._target_table
-        if not self.cache_enabled:
-            return self.property_matcher.compare(
-                source_table.nodes[source_index],
-                target_table.nodes[target_index],
-            )
         return self._property_pair(
             source_table.signature_ids[source_index],
             target_table.signature_ids[target_index],
@@ -479,15 +436,12 @@ class MatchContext:
         pair counts as a hit when its cell was already filled and as a
         miss when it fills it, so a fresh context's hits and misses add
         up to n * m.  The grids are kept for the context's lifetime; a
-        second call counts n * m hits.  With the memo off every node
-        pair is compared afresh and nothing is counted or kept.
+        second call counts n * m hits.
         """
         if self._label_grids is not None:
             self._label_stats.hits += self.pair_count
             return self._label_grids
         source, target = self.source_table, self.target_table
-        if not self.cache_enabled:
-            return self._label_table(source.label_ids, target.label_ids)[:2]
         counts = self._label_stats
         if counts is None:
             counts = self._label_stats = self.stats.cache(LABEL_CACHE)
@@ -506,33 +460,25 @@ class MatchContext:
     def _label_table(self, left_ids, right_ids):
         """(scores, strength codes, memo misses) over ``left_ids`` x
         ``right_ids``, comparing each unordered pair once through the
-        label memo (or every cell, with the memo off)."""
+        label memo."""
         compare = self.linguistic.compare_labels
         lexicon = self.lexicon
         texts = self._label_texts
+        memo = self._label_memo
         scores, codes = [], []
         misses = 0
-        if self.cache_enabled:
-            memo = self._label_memo
-            for left in left_ids:
-                left_text = texts[left]
-                for right in right_ids:
-                    key = (left, right) if left <= right else (right, left)
-                    cached = memo.get(key)
-                    if cached is None:
-                        misses += 1
-                        cached = memo[key] = _memo_value(
-                            compare(left_text, texts[right], lexicon)
-                        )
-                    scores.append(cached[0])
-                    codes.append(cached[1])
-        else:
-            for left in left_ids:
-                left_text = texts[left]
-                for right in right_ids:
-                    cached = compare(left_text, texts[right], lexicon)
-                    scores.append(cached.score)
-                    codes.append(cached.strength._value_)
+        for left in left_ids:
+            left_text = texts[left]
+            for right in right_ids:
+                key = (left, right) if left <= right else (right, left)
+                cached = memo.get(key)
+                if cached is None:
+                    misses += 1
+                    cached = memo[key] = _memo_value(
+                        compare(left_text, texts[right], lexicon)
+                    )
+                scores.append(cached[0])
+                codes.append(cached[1])
         shape = (len(left_ids), len(right_ids))
         return (np.array(scores, dtype=np.float64).reshape(shape),
                 np.array(codes, dtype=np.int8).reshape(shape), misses)
@@ -544,8 +490,7 @@ class MatchContext:
         Filled like :meth:`node_label_grids`, from a dense table over
         (distinct source signature x distinct target signature) that
         compares each signature pair once through the property memo;
-        hits and misses are counted per node pair the same way.  Needs
-        the memo on.
+        hits and misses are counted per node pair the same way.
         """
         if self._property_grids is not None:
             self._property_stats.hits += self.pair_count
@@ -587,10 +532,7 @@ class MatchContext:
     def instance_cached(self, source: SchemaNode,
                         target: SchemaNode) -> bool:
         """Whether the instance memo already holds this node pair."""
-        return (
-            self.cache_enabled
-            and (id(source), id(target)) in self._instance_memo
-        )
+        return (id(source), id(target)) in self._instance_memo
 
     def instance_score(self, source: SchemaNode,
                        target: SchemaNode) -> float:
@@ -606,11 +548,6 @@ class MatchContext:
         """
         from repro.ingest.profile import PROFILE_PROPERTY, profile_similarity
 
-        if not self.cache_enabled:
-            return profile_similarity(
-                source.properties.get(PROFILE_PROPERTY),
-                target.properties.get(PROFILE_PROPERTY),
-            )
         counts = self._instance_stats
         if counts is None:
             counts = self._instance_stats = self.stats.cache(INSTANCE_CACHE)
@@ -632,6 +569,5 @@ class MatchContext:
     def __repr__(self):
         return (
             f"<MatchContext {self.source.name!r} x {self.target.name!r} "
-            f"cache={'on' if self.cache_enabled else 'off'} "
             f"labels={len(self._label_memo)} props={len(self._property_memo)}>"
         )

@@ -119,14 +119,10 @@ class LinguisticMatcher(Matcher):
     # Matcher protocol
     # ------------------------------------------------------------------
 
-    def make_context(self, source, target, stats=None, cache_enabled=True,
-                     tracer=None):
-        from repro.engine.context import MatchContext
-
-        return MatchContext(
-            source, target, linguistic=self,
-            stats=stats, cache_enabled=cache_enabled, tracer=tracer,
-        )
+    @property
+    def linguistic(self):
+        """The label service of this matcher's contexts: itself."""
+        return self
 
     def match_context(self, ctx) -> ScoreMatrix:
         source, target = ctx.source_table, ctx.target_table

@@ -23,11 +23,10 @@ from repro.xsd.model import SchemaTree
 class Matcher(abc.ABC):
     """Common shape of every match algorithm in the library.
 
-    Subclasses implement :meth:`match_context` (preferred -- it gets the
-    shared engine context) or legacy :meth:`score_matrix`;
-    :meth:`match` adds the shared correspondence-selection step so the
-    evaluation harness, the benchmarks and the CLI can drive any matcher
-    identically.
+    Subclasses implement :meth:`match_context`, which gets the shared
+    engine context; :meth:`match` adds the shared
+    correspondence-selection step so the evaluation harness, the
+    benchmarks and the CLI can drive any matcher identically.
     """
 
     #: Short algorithm name used in reports ("linguistic", "qmatch", ...).
@@ -39,53 +38,36 @@ class Matcher(abc.ABC):
     #: of its contribution, and must not leak into the baselines).
     default_strategy = "greedy"
 
+    #: The label and property services a standalone run's context uses;
+    #: ``None`` leaves the context its default instances.  A matcher
+    #: built on a configured service (a custom thesaurus, a tuned
+    #: property config) sets it, so the context's memos serve *its*
+    #: comparisons.
+    linguistic = None
+    property_matcher = None
+
     # ------------------------------------------------------------------
     # Engine protocol
     # ------------------------------------------------------------------
 
     def make_context(self, source: SchemaTree, target: SchemaTree,
-                     stats=None, cache_enabled: bool = True, tracer=None):
-        """Build the :class:`MatchContext` a standalone run uses.
+                     tracer=None):
+        """Build the :class:`MatchContext` a standalone run uses, on this
+        matcher's :attr:`linguistic` and :attr:`property_matcher`.
 
-        Matchers carrying configured services (a custom thesaurus, a
-        tuned property config) override this to inject them, so the
-        context's shared caches serve *their* comparisons.  ``tracer``
-        (a :class:`repro.obs.trace.TraceRecorder`) turns on per-pair
-        decision tracing for matchers that support it.
+        ``tracer`` (a :class:`repro.obs.trace.TraceRecorder`) turns on
+        per-pair decision tracing for matchers that support it.
         """
         from repro.engine.context import MatchContext
 
         return MatchContext(
-            source, target, stats=stats, cache_enabled=cache_enabled,
-            tracer=tracer,
+            source, target, linguistic=self.linguistic,
+            property_matcher=self.property_matcher, tracer=tracer,
         )
 
+    @abc.abstractmethod
     def match_context(self, context) -> ScoreMatrix:
-        """Score every pair using the shared ``context``.
-
-        The engine-native entry point; every in-library matcher
-        implements it.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither match_context "
-            "nor score_matrix"
-        )
-
-    def score_with_context(self, context) -> ScoreMatrix:
-        """Score through ``context``, tolerating legacy subclasses.
-
-        A subclass that predates the engine and only overrides
-        :meth:`score_matrix` is driven through that; everything else
-        goes through :meth:`match_context`.
-        """
-        if type(self).match_context is Matcher.match_context:
-            if type(self).score_matrix is Matcher.score_matrix:
-                raise NotImplementedError(
-                    f"{type(self).__name__} implements neither "
-                    "match_context nor score_matrix"
-                )
-            return self.score_matrix(context.source, context.target)
-        return self.match_context(context)
+        """Score every pair using the shared ``context``."""
 
     # ------------------------------------------------------------------
     # Classic two-tree protocol
@@ -93,7 +75,7 @@ class Matcher(abc.ABC):
 
     def score_matrix(self, source: SchemaTree, target: SchemaTree) -> ScoreMatrix:
         """Score every (source node, target node) pair."""
-        return self.score_with_context(self.make_context(source, target))
+        return self.match_context(self.make_context(source, target))
 
     # ------------------------------------------------------------------
     # Memory kept across matches
@@ -146,14 +128,14 @@ class Matcher(abc.ABC):
 
         ``strategy=None`` (the default) uses the matcher's own
         :attr:`default_strategy`.  ``context`` may carry a prebuilt
-        (possibly shared, possibly warm) :class:`MatchContext`; when
-        omitted a fresh one is created.  The context's
-        :class:`EngineStats` lands on :attr:`MatchResult.stats`.
+        (possibly shared) :class:`MatchContext`; when omitted a fresh one
+        is created.  The context's :class:`EngineStats` lands on
+        :attr:`MatchResult.stats`.
         """
         ctx = context if context is not None else self.make_context(source, target)
         stats = ctx.stats
         with stats.stage(f"score:{self.name}"):
-            matrix = self.score_with_context(ctx)
+            matrix = self.match_context(ctx)
         strategy = strategy or self.default_strategy
         with stats.stage(f"select:{self.name}"):
             correspondences = select_correspondences(

@@ -222,15 +222,6 @@ class PropertiesMatcher(Matcher):
     def resident_entries(self) -> int:
         return self.property_matcher.resident_entries()
 
-    def make_context(self, source, target, stats=None, cache_enabled=True,
-                     tracer=None):
-        from repro.engine.context import MatchContext
-
-        return MatchContext(
-            source, target, property_matcher=self.property_matcher,
-            stats=stats, cache_enabled=cache_enabled, tracer=tracer,
-        )
-
     def match_context(self, ctx):
         from repro.matching.result import ScoreMatrix
 

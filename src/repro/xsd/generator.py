@@ -111,7 +111,7 @@ class SchemaGenerator:
         # Spine: guarantees one path of exactly max_depth edges.
         spine_parent = root
         for _ in range(config.max_depth):
-            node = self._make_node(allow_attribute=False)
+            node = self._make_node(spine_parent, allow_attribute=False)
             spine_parent.add_child(node)
             spine_parent = node
             budget -= 1
@@ -129,7 +129,7 @@ class SchemaGenerator:
             )
             for _ in range(batch):
                 allow_attr = parent.level + 1 <= config.max_depth
-                child = self._make_node(allow_attribute=allow_attr)
+                child = self._make_node(parent, allow_attribute=allow_attr)
                 parent.add_child(child)
                 budget -= 1
                 if (
@@ -148,13 +148,13 @@ class SchemaGenerator:
 
     # ------------------------------------------------------------------
 
-    def _make_node(self, allow_attribute=True) -> SchemaNode:
+    def _make_node(self, parent, allow_attribute=True) -> SchemaNode:
         config = self.config
         is_attribute = (
             allow_attribute
             and self._rng.random() < config.attribute_probability
         )
-        name = self._fresh_name()
+        name = self._fresh_name(parent)
         if is_attribute:
             return SchemaNode(
                 name,
@@ -172,17 +172,25 @@ class SchemaGenerator:
             max_occurs=max_occurs,
         )
 
-    def _fresh_name(self) -> str:
+    def _fresh_name(self, parent) -> str:
+        """A name for a new child of ``parent``, unique among its
+        siblings."""
         config = self.config
         word = self._rng.choice(config.vocabulary)
         if self._rng.random() < config.compound_name_probability:
             second = self._rng.choice(config.vocabulary)
             word = word + second.capitalize()
         count = self._name_counts.get(word, 0)
+        name = f"{word}{count + 1}" if count else word
+        # A vocabulary word may already end in a suffix (``entryInfo2``
+        # next to ``entryInfo``), so a name can still repeat a sibling's:
+        # take the word's next free suffix, drawing nothing from the RNG.
+        siblings = {child.name for child in parent.children}
+        while name in siblings:
+            count += 1
+            name = f"{word}{count + 1}"
         self._name_counts[word] = count + 1
-        if count:
-            return f"{word}{count + 1}"
-        return word
+        return name
 
     def _assign_leaf_types(self, root):
         for node in root.iter_preorder():

@@ -41,7 +41,7 @@ FIXTURE_DIR = (
 PAIRS = ("PO", "Book", "DCMD", "Inventory", "PIR-PDB50")
 
 #: Score-shaping configurations every pair is frozen under.
-CONFIGS = ("default", "all_pairs", "documentation", "instance", "cache_off")
+CONFIGS = ("default", "all_pairs", "documentation", "instance")
 
 #: Cases with more node pairs than these store a digest of their matrix
 #: rows (respectively their trace) instead of the full text.
@@ -187,9 +187,7 @@ def snapshot(pair, config):
 
     source, target = load_pair(pair, config)
     matcher = QMatchMatcher(config=make_config(config))
-    cache_enabled = config != "cache_off"
-    context = matcher.make_context(source, target,
-                                   cache_enabled=cache_enabled)
+    context = matcher.make_context(source, target)
     result = matcher.match(source, target, context=context)
     caches = [
         [name, cache.hits, cache.misses]
@@ -208,8 +206,7 @@ def snapshot(pair, config):
     tracer = TraceRecorder(run_id="golden")
     traced = matcher.match(
         source, target,
-        context=matcher.make_context(source, target, tracer=tracer,
-                                     cache_enabled=cache_enabled),
+        context=matcher.make_context(source, target, tracer=tracer),
     )
     categories = result.matrix.categories
     rows = [

@@ -1,14 +1,14 @@
 """The block path scores exactly like the scalar reference loop.
 
-An untraced, memoized QMatch run scores leaf x leaf and leaf x interior
-pairs as numpy blocks and walks only the interior x interior pairs in
-Python (``QMatchMatcher._score_blocks``).  The scalar per-pair loop
-(``_score_row``) stays the reference: it runs traced runs, runs with the
-memo off, ``explain`` and incremental re-matching.  These tests pin that
-the two produce the same matrix (in order, compared by ``repr``), the
-same categories and the same ``tree_qom`` on generated, mutated schema
-pairs under every golden configuration, and that a QoM outside [0, 1]
-fails on the block path with the scalar path's message.
+An untraced QMatch run scores leaf x leaf and leaf x interior pairs as
+numpy blocks and walks only the interior x interior pairs in Python
+(``QMatchMatcher._score_blocks``).  The scalar per-pair loop
+(``_score_row``) stays the reference: it runs traced runs, ``explain``
+and incremental re-matching.  These tests pin that the two produce the
+same matrix (in order, compared by ``repr``), the same categories and
+the same ``tree_qom`` on generated, mutated schema pairs under every
+golden configuration, and that a QoM outside [0, 1] fails on the block
+path with the scalar path's message.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ def schema_pairs(draw):
     return source, target
 
 
-def scalar_matrix(matcher, source, target, cache_enabled=True):
+def scalar_matrix(matcher, source, target):
     """The reference: ``_score_row`` over every row of a fresh context."""
-    ctx = matcher.make_context(source, target, cache_enabled=cache_enabled)
+    ctx = matcher.make_context(source, target)
     width = len(ctx.target_table)
     grid = [0.0] * (len(ctx.source_table) * width)
     categories = (
@@ -78,9 +78,8 @@ def _row_by_row(*args):
     raise AssertionError("the block path scored a row pair by pair")
 
 
-def assert_block_equals_scalar(matcher, source, target, cache_off=False):
-    scalar = scalar_matrix(matcher, source, target,
-                           cache_enabled=not cache_off)
+def assert_block_equals_scalar(matcher, source, target):
+    scalar = scalar_matrix(matcher, source, target)
     matcher._score_row = _row_by_row
     try:
         block = matcher.match_context(matcher.make_context(source, target))
@@ -107,8 +106,7 @@ class TestBlockEqualsScalar:
         source, target = pair
         prepare(source, target, config)
         matcher = QMatchMatcher(config=make_config(config))
-        assert_block_equals_scalar(matcher, source, target,
-                                   cache_off=config == "cache_off")
+        assert_block_equals_scalar(matcher, source, target)
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -125,14 +123,13 @@ class TestBlockEqualsScalar:
     def test_protein_sample(self, config):
         source, target = load_pair("PIR-PDB50", config)
         matcher = QMatchMatcher(config=make_config(config))
-        assert_block_equals_scalar(matcher, source, target,
-                                   cache_off=config == "cache_off")
+        assert_block_equals_scalar(matcher, source, target)
 
 
 class _BrokenProperties(PropertyMatcher):
     """Scores the pairs whose (source type, target type) is in
     ``broken`` far outside [0, 1]: a malformed model, keyed on the
-    signatures, so the memo and a cold run agree."""
+    types, which equal signatures share."""
 
     def __init__(self, broken):
         super().__init__()
@@ -158,15 +155,15 @@ class TestOutOfRange:
     def test_block_path_raises_the_scalar_message(self, broken, first_bad):
         source, target = load_pair("PO", "default")
 
-        def error(cache_enabled):
+        def error(score):
             matcher = QMatchMatcher(property_matcher=_BrokenProperties(broken))
             with pytest.raises(ValueError) as raised:
-                matcher.match_context(matcher.make_context(
-                    source, target, cache_enabled=cache_enabled,
-                ))
+                score(matcher)
             return str(raised.value)
 
-        message = error(cache_enabled=True)
-        assert message == error(cache_enabled=False)
+        message = error(lambda matcher: matcher.match_context(
+            matcher.make_context(source, target)))
+        assert message == error(
+            lambda matcher: scalar_matrix(matcher, source, target))
         assert first_bad in message
         assert "is outside [0, 1]" in message

@@ -1,9 +1,11 @@
 """Tests for the engine layer: MatchContext caching and EngineStats.
 
-The load-bearing guarantee is cache *transparency*: a matcher run
-against a caching context must produce bit-identical scores to the same
-matcher with caching disabled -- checked property-based over random
-schema trees and exhaustively over the bundled paper datasets.
+The load-bearing guarantee is cache *transparency*: every comparison the
+context's memos serve equals what a cold service instance computes for
+that node pair, and a matcher scores bit-identically through a context
+other matchers already filled as through its own -- checked
+property-based over random schema trees and exhaustively over the
+bundled paper datasets.
 """
 
 import gc
@@ -18,6 +20,7 @@ from repro.datasets import registry as datasets
 from repro.engine.context import LABEL_CACHE, PROPERTY_CACHE, MatchContext
 from repro.engine.stats import EngineStats
 from repro.linguistic.matcher import LinguisticMatcher
+from repro.properties.matcher import PropertyMatcher
 from repro.xsd.builder import element, tree
 from repro.xsd.generator import GeneratorConfig, SchemaGenerator
 from tests.qmatch_golden import load_pair
@@ -34,17 +37,39 @@ def schema_trees(draw, max_nodes=30):
     return SchemaGenerator(config).generate()
 
 
-def assert_identical_matrices(matcher, source, target):
-    """Cached and uncached runs must agree bit for bit."""
-    cached = matcher.match_context(
-        matcher.make_context(source, target, cache_enabled=True)
-    )
-    uncached = matcher.match_context(
-        matcher.make_context(source, target, cache_enabled=False)
-    )
-    for s_node in source.root.iter_preorder():
-        for t_node in target.root.iter_preorder():
-            assert cached.get(s_node, t_node) == uncached.get(s_node, t_node)
+MATCHERS = (LinguisticMatcher, CupidMatcher, QMatchMatcher)
+
+
+def assert_grids_match_cold_services(source, target):
+    """Every cell of the node grids is what a fresh service instance
+    computes for that node pair."""
+    ctx = MatchContext(source, target)
+    names, name_codes = ctx.node_label_grids()
+    props, prop_codes = ctx.node_property_grids()
+    for i, s_node in enumerate(ctx.source_table.nodes):
+        for j, t_node in enumerate(ctx.target_table.nodes):
+            label = LinguisticMatcher().compare_labels(s_node.name,
+                                                       t_node.name)
+            assert (names[i, j], name_codes[i, j]) == (
+                label.score, label.strength.value
+            )
+            prop = PropertyMatcher().compare(s_node, t_node)
+            assert (props[i, j], prop_codes[i, j]) == (
+                prop.score, prop.strength.value
+            )
+
+
+def assert_same_through_shared_context(matcher_factory, source, target):
+    """``matcher_factory()`` scores bit-identically through its own
+    context and through one the other matchers filled first."""
+    matcher = matcher_factory()
+    own = matcher.match_context(matcher.make_context(source, target))
+    shared = MatchContext(source, target)
+    for other in MATCHERS:
+        if other is not matcher_factory:
+            other().match_context(shared)
+    through_shared = matcher_factory().match_context(shared)
+    assert repr(list(through_shared.items())) == repr(list(own.items()))
 
 
 class TestCacheTransparency:
@@ -52,15 +77,20 @@ class TestCacheTransparency:
               suppress_health_check=[HealthCheck.too_slow])
     @given(source=schema_trees(), target=schema_trees())
     def test_qmatch_scores_identical_property_based(self, source, target):
-        assert_identical_matrices(QMatchMatcher(), source, target)
+        assert_grids_match_cold_services(source, target)
+        assert_same_through_shared_context(QMatchMatcher, source, target)
 
     @pytest.mark.parametrize("task_name", ["PO", "Book", "DCMD", "Inventory"])
-    @pytest.mark.parametrize(
-        "matcher_factory", [QMatchMatcher, CupidMatcher, LinguisticMatcher]
-    )
+    def test_grids_match_cold_services_on_datasets(self, task_name):
+        task = datasets.task(task_name)
+        assert_grids_match_cold_services(task.source, task.target)
+
+    @pytest.mark.parametrize("task_name", ["PO", "Book", "DCMD", "Inventory"])
+    @pytest.mark.parametrize("matcher_factory", MATCHERS)
     def test_scores_identical_on_datasets(self, task_name, matcher_factory):
         task = datasets.task(task_name)
-        assert_identical_matrices(matcher_factory(), task.source, task.target)
+        assert_same_through_shared_context(matcher_factory, task.source,
+                                           task.target)
 
 
 class TestMatchContext:
@@ -142,21 +172,6 @@ class TestMatchContext:
         ctx.property_comparison(s_node, t_node)
         ctx.property_comparison(s_node, t_node)
         assert ctx.stats.cache(PROPERTY_CACHE).hits >= 1
-
-    def test_cache_disabled_records_nothing(self, pair):
-        source, target = pair
-        ctx = MatchContext(source, target, cache_enabled=False,
-                           stats=EngineStats())
-        ctx.label_comparison("OrderNo", "OrderNo")
-        ctx.label_comparison("OrderNo", "OrderNo")
-        assert ctx.stats.cache(LABEL_CACHE).hits == 0
-
-    def test_warm_precomputes_node_state(self, pair):
-        source, target = pair
-        ctx = MatchContext(source, target)
-        ctx.warm()
-        assert "context.warm" in ctx.stats.stages
-        assert len(ctx.leaves(source.root)) == 3
 
     def test_shared_context_across_matchers(self, pair):
         # The second matcher's label lookups land in the first's cache.

@@ -194,18 +194,6 @@ class TestQMatchIntegration:
         }
         assert property_states == {"hit", "miss"}
 
-    def test_cache_provenance_off_without_caching(self):
-        matcher = make_matcher("qmatch")
-        source, target = po1(), po2()
-        recorder = TraceRecorder()
-        context = matcher.make_context(
-            source, target, cache_enabled=False, tracer=recorder,
-        )
-        matcher.match(source, target, context=context)
-        assert {
-            span["axes"]["label"]["cache"] for span in recorder.spans
-        } == {"off"}
-
     def test_tracing_does_not_change_scores(self):
         matcher = make_matcher("qmatch")
         source, target = po1(), po2()

@@ -14,6 +14,13 @@ import pytest
 from tests.qmatch_golden import CONFIGS, PAIRS, load_fixture, snapshot
 
 
+@pytest.mark.parametrize("pair", PAIRS)
+def test_fixture_holds_exactly_the_configs(pair):
+    # A config dropped from CONFIGS must leave the fixtures too, or its
+    # snapshot lingers unread.
+    assert tuple(load_fixture(pair)) == CONFIGS
+
+
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("pair", PAIRS)
 def test_matches_golden_snapshot(pair, config):

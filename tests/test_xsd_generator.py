@@ -144,6 +144,22 @@ class TestCorpusScaleDerivation:
         }
         assert len(few) <= 64
 
+    def test_suffixed_words_stay_unique_among_siblings(self):
+        # "id" twice is named "id", "id2" -- which the word "id2" is too.
+        tree = generate(n_nodes=40, max_depth=1, vocabulary=("id", "id2"),
+                        compound_name_probability=0.0)
+        names = [child.name for child in tree.root.children]
+        assert len(names) == 39 == len(set(names))
+
+    def test_every_schema_of_a_5000_corpus_generates(self):
+        # The pool at this size holds suffixed words ("entryInfo2"); five
+        # of these schemas once gave two siblings the same name.
+        for config in synthetic_corpus_configs(5000):
+            tree = SchemaGenerator(config).generate()
+            for node in tree.root.iter_preorder():
+                names = [child.name for child in node.children]
+                assert len(names) == len(set(names)), node.path
+
 
 class TestConfigValidation:
     def test_too_few_nodes_for_depth(self):
