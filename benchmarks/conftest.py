@@ -23,6 +23,8 @@ import pytest
 import repro
 from repro.datasets import registry
 from repro.evaluation.harness import render_table
+from repro.linguistic.thesaurus import Thesaurus
+from repro.properties.matcher import drop_property_tables
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -35,6 +37,14 @@ FIGURE4_PAIRS = (
     ("DCMD", 91),
     ("Protein", 3984),
 )
+
+
+def cold_start():
+    """Drop the tables matchers share across matches -- the default
+    thesaurus's token lexicons and the property table -- so the next
+    match starts cold, as a lone ``repro.match`` in a new process does."""
+    Thesaurus.default().drop_lexicons()
+    drop_property_tables()
 
 
 @functools.lru_cache(maxsize=None)

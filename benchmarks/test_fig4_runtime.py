@@ -28,9 +28,8 @@ import pytest
 import repro
 from repro.datasets import registry
 
-from conftest import ALGORITHMS, FIGURE4_PAIRS, write_result
+from conftest import ALGORITHMS, FIGURE4_PAIRS, cold_start, write_result
 from repro.evaluation.harness import render_table
-from repro.linguistic.thesaurus import Thesaurus
 
 #: (task, algorithm) -> measured seconds, filled as benchmarks run.
 MEASURED = {}
@@ -58,14 +57,15 @@ def test_fig4_runtime(benchmark, task_name, total_elements, algorithm):
     # spend most of a run in the same cold label-table fill, so their
     # times are medians of many rounds, not means of a few.
     rounds = 1 if total_elements > 100 else SMALL_PAIR_ROUNDS
-    # Every matcher on the default thesaurus shares its token lexicon,
-    # so one algorithm's run would warm the next one's; each timed round
-    # starts from a cold lexicon, as a lone ``repro.match`` does.
+    # Matchers share the default thesaurus's token lexicon and the
+    # property table, so one algorithm's run would warm the next one's;
+    # each timed round starts from cold tables, as a lone
+    # ``repro.match`` does.
     benchmark.pedantic(
         repro.match,
         args=(task.source, task.target),
         kwargs={"algorithm": algorithm},
-        setup=Thesaurus.default().drop_lexicons,
+        setup=cold_start,
         rounds=rounds,
         iterations=1,
     )
@@ -97,7 +97,7 @@ def _alternating_medians(task, task_name, rounds):
     times = {(task_name, algorithm): [] for algorithm in ALGORITHMS}
     for _ in range(rounds):
         for algorithm in ALGORITHMS:
-            Thesaurus.default().drop_lexicons()
+            cold_start()
             started = time.perf_counter()
             repro.match(task.source, task.target, algorithm=algorithm)
             times[(task_name, algorithm)].append(time.perf_counter() - started)

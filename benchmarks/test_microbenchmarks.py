@@ -9,13 +9,13 @@ multiply straight into Figure 4.
 
 import pytest
 
+from conftest import cold_start
 from repro.linguistic.matcher import LinguisticMatcher
 from repro.linguistic.string_metrics import (
     blended_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
 )
-from repro.linguistic.thesaurus import Thesaurus
 from repro.linguistic.tokenizer import tokenize
 from repro.properties.matcher import PropertyMatcher
 from repro.xsd.generator import GeneratorConfig, SchemaGenerator
@@ -65,9 +65,8 @@ def test_bench_label_comparison_cold(benchmark):
             for left in LABELS for right in LABELS
         ]
     # Matchers share their thesaurus's token lexicon; each round starts
-    # from a cold one.
-    benchmark.pedantic(compare_all, setup=Thesaurus.default().drop_lexicons,
-                       rounds=5, iterations=1)
+    # from cold tables.
+    benchmark.pedantic(compare_all, setup=cold_start, rounds=5, iterations=1)
 
 
 def test_bench_label_comparison_warm(benchmark):

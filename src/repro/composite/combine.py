@@ -99,9 +99,6 @@ class CompositeMatcher(Matcher):
             "composite(" + "+".join(m.name for m in self.matchers) + ")"
         )
 
-    def resident_entries(self) -> int:
-        return sum(matcher.resident_entries() for matcher in self.matchers)
-
     def match_context(self, ctx) -> ScoreMatrix:
         """Run every constituent under the *shared* context.
 

@@ -53,10 +53,12 @@ class NamePathMatcher(Matcher):
     def match_context(self, ctx) -> ScoreMatrix:
         matrix = ScoreMatrix(ctx.source, ctx.target)
         t_nodes = ctx.target_preorder
+        # ``SchemaNode.path`` walks to the root, so each side's labels
+        # are built once per match, not once per pair.
+        t_labels = [t_node.path.replace("/", " ") for t_node in t_nodes]
         for s_node in ctx.source_preorder:
             s_path_label = s_node.path.replace("/", " ")
-            for t_node in t_nodes:
-                t_path_label = t_node.path.replace("/", " ")
+            for t_node, t_path_label in zip(t_nodes, t_labels):
                 matrix.set(
                     s_node, t_node,
                     ctx.label_score(s_path_label, t_path_label),

@@ -119,9 +119,6 @@ class QMatchMatcher(Matcher):
         self.linguistic = linguistic or LinguisticMatcher(thesaurus=thesaurus)
         self.property_matcher = property_matcher or PropertyMatcher()
 
-    def resident_entries(self) -> int:
-        return self.property_matcher.resident_entries()
-
     # ------------------------------------------------------------------
     # Matcher protocol
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.obs.log import NULL_LOGGER
 from repro.obs.spans import current_tracer
 from repro.service.jobs import MatchJobSpec
 from repro.service.pool import WorkerPool
-from repro.service.runner import BatchRunner, ResidentMatchers
+from repro.service.runner import BatchRunner
 from repro.service.store import ResultStore, content_hash
 
 #: Default number of hits a search returns.
@@ -209,10 +209,6 @@ class CorpusSearcher:
         self.workers = workers
         self.store = store
         self.log = log
-        #: Resident state of the inline rerank: one matcher per
-        #: configuration, kept across searches.  No tree cache: parsing
-        #: is ~3% of a search, too little to hold corpus trees for.
-        self._rerank_state = {"matchers": ResidentMatchers()}
 
     # ------------------------------------------------------------------
     # Stage 1: index retrieval
@@ -301,8 +297,7 @@ class CorpusSearcher:
             tracer.annotate({"examined": len(shortlist)})
             if self.workers == 1:
                 report = BatchRunner(
-                    store=self.store, retries=0, state=self._rerank_state,
-                    log=log,
+                    store=self.store, retries=0, log=log,
                 ).run(specs)
             else:
                 with WorkerPool(

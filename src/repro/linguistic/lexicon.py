@@ -8,7 +8,8 @@ never on which match asked first.  So that work lives in one
 :class:`Lexicon` per ``(thesaurus, config)``, owned by the thesaurus
 (:meth:`~repro.linguistic.thesaurus.Thesaurus.lexicon`) and shared by
 every matcher built on it: ``repro.match``, Cupid, the composites and
-every resident matcher of a pool worker warm one table.
+every job of a pool worker warm one table.  (The property matcher's
+comparisons follow the same rule: :mod:`repro.properties.matcher`.)
 
 A lexicon is bounded: once it holds more than :data:`MAX_LEXICON_ENTRIES`
 entries, the thesaurus hands the next match a fresh one, and a thesaurus

@@ -105,8 +105,8 @@ class LinguisticMatcher(Matcher):
         self.thesaurus = thesaurus if thesaurus is not None else Thesaurus.default()
         self.config = config or LinguisticConfig()
         # Label pairs are memoized per match in ``MatchContext``, not
-        # here: a matcher may stay resident across jobs, and a label
-        # memo kept here would grow with every job's n*m label pairs.
+        # here: a label memo kept across matches would grow with every
+        # match's n*m label pairs.
         # The per-label and per-token-pair work underneath lives in the
         # thesaurus's lexicon for this config, shared by every matcher
         # on that thesaurus (:mod:`repro.linguistic.lexicon`).

@@ -78,21 +78,6 @@ class Matcher(abc.ABC):
         return self.match_context(self.make_context(source, target))
 
     # ------------------------------------------------------------------
-    # Memory kept across matches
-    # ------------------------------------------------------------------
-
-    def resident_entries(self) -> int:
-        """Entries in the memos this instance keeps from one match to
-        the next.
-
-        A matcher kept across jobs
-        (:class:`~repro.service.runner.ResidentMatchers`) is dropped once
-        this passes a fixed cap.  Matchers that memoize on the instance
-        override it to count every such memo; the rest hold none.
-        """
-        return 0
-
-    # ------------------------------------------------------------------
     # Configuration identity
     # ------------------------------------------------------------------
 

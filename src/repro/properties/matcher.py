@@ -12,10 +12,20 @@ Implements Section 2.1's properties-axis rules:
 Besides the classification, the matcher produces a numeric axis score
 (QoM_P): a weighted mean of per-property scores where an exact property
 contributes 1.0, a relaxed one its partial credit, a failed one 0.
+
+Matchers with equal scoring inputs (the compared properties, their
+weights and the relaxed credit) share one comparison table and one type
+table, as matchers on one thesaurus share its token lexicon.  An entry
+is a pure function of its key, never of which match asked first, so
+threads that race to write one write the same value and only the swap
+of the table takes a lock.  A table past :data:`MAX_PROPERTY_ENTRIES`
+entries, or one for other scoring inputs, is replaced when the next
+matcher is built; a running match keeps reading its own.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -34,6 +44,44 @@ DEFAULT_PROPERTY_WEIGHTS = MappingProxyType({
     "max_occurs": 0.15,
     "kind": 0.10,
 })
+
+#: Entries (comparisons by factored key plus type-name pairs) the shared
+#: property table holds before the next matcher built replaces it.  The
+#: full Protein pair leaves ~820; uploaded schemas with their own type
+#: names grow it further.  tracemalloc (Python 3.11) puts an entry at
+#: ~280 B, so a full table holds ~14 MB.
+MAX_PROPERTY_ENTRIES = 50_000
+
+# The shared table: (scoring inputs, comparisons by factored key, type
+# outcomes by type-name pair).
+_tables = None
+_tables_lock = threading.Lock()
+
+
+def _current_tables(inputs) -> tuple:
+    """The shared comparison and type tables for ``inputs``, replacing
+    the slot's pair when it is empty, full or for other inputs."""
+    global _tables
+    tables = _tables
+    if _stale(tables, inputs):
+        with _tables_lock:
+            tables = _tables
+            if _stale(tables, inputs):
+                tables = _tables = (inputs, {}, {})
+    return tables[1], tables[2]
+
+
+def _stale(tables, inputs) -> bool:
+    return (tables is None or tables[0] != inputs
+            or len(tables[1]) + len(tables[2]) > MAX_PROPERTY_ENTRIES)
+
+
+def drop_property_tables():
+    """Forget the shared property table, so the next matcher built
+    compares every property pair afresh (a cold start)."""
+    global _tables
+    with _tables_lock:
+        _tables = None
 
 
 @dataclass(frozen=True)
@@ -79,15 +127,12 @@ class PropertyMatcher:
     kind).  Results are cached on exactly that factored key rather than
     on the pair of full signatures: sibling ``order`` makes nearly every
     signature unique, but only whether two orders are *equal* matters.
+    The caches are the shared tables of the matcher's scoring inputs
+    (see the module docstring), fetched when the matcher is built.
     """
 
     def __init__(self, config=None):
         self.config = config or PropertyConfig()
-        # (source type, target type, order ==, min_occurs ==,
-        #  max_occurs ==, kind is) -> PropertyComparison.
-        self._cache: dict = {}
-        # (type strength, type similarity) per type-name pair.
-        self._type_cache: dict = {}
         # The compared properties in scoring order, their weights and
         # the weight total -- fixed by the config, so summed once here
         # (in the same order the per-comparison sum used).
@@ -101,10 +146,12 @@ class PropertyMatcher:
         self._total_weight = sum(self._weights)
         if self._total_weight <= 0:
             raise ValueError("property weights sum to zero for compared properties")
-
-    def resident_entries(self) -> int:
-        """Entries in the comparison and type memos."""
-        return len(self._cache) + len(self._type_cache)
+        # (source type, target type, order ==, min_occurs ==,
+        #  max_occurs ==, kind is) -> PropertyComparison, and
+        # (type strength, type similarity) per type-name pair.
+        self._cache, self._type_cache = _current_tables(
+            (self._compared, self._weights, self.config.relaxed_credit)
+        )
 
     @staticmethod
     def signature(node: SchemaNode):
@@ -115,9 +162,6 @@ class PropertyMatcher:
             properties.get("min_occurs", 1), properties.get("max_occurs", 1),
             node.kind,
         )
-
-    # Backwards-compatible alias (pre-engine name).
-    _signature = signature
 
     def compare(self, source: SchemaNode, target: SchemaNode) -> PropertyComparison:
         """Compare ``source`` and ``target`` along the properties axis."""
@@ -218,9 +262,6 @@ class PropertiesMatcher(Matcher):
 
     def __init__(self, property_matcher=None, config=None):
         self.property_matcher = property_matcher or PropertyMatcher(config=config)
-
-    def resident_entries(self) -> int:
-        return self.property_matcher.resident_entries()
 
     def match_context(self, ctx):
         from repro.matching.result import ScoreMatrix

@@ -16,8 +16,9 @@ process over a corpus.  This subpackage is the serving layer on top of
   bodies in process;
 - :mod:`repro.service.pool` -- :class:`WorkerPool`, the
   :class:`BatchRunner` whose attempts run in persistent pre-warmed
-  worker processes (resident thesaurus, parsed-tree cache, resident
-  corpus searcher) behind ``qmatch serve`` and ``qmatch batch``;
+  worker processes (resident thesaurus and shared match tables,
+  parsed-tree cache, resident corpus searcher) behind ``qmatch serve``
+  and ``qmatch batch``;
 - :mod:`repro.service.http_api` -- the HTTP JSON router (routes,
   admission control, body limits, metrics);
 - :mod:`repro.service.server` -- :class:`MatchService`;

@@ -11,13 +11,12 @@ runner's.  Each worker is **pre-warmed** before the pool reports ready:
   hash, so repeated requests over the same schemas skip XSD parsing
   entirely (matching never mutates trees -- per-match memos live in
   ``MatchContext`` -- which is what makes the cache safe);
-- one matcher per ``(algorithm, weights)`` stays resident across jobs
-  (:class:`~repro.service.runner.ResidentMatchers`, bounded in
-  configurations and memo entries);
+- every job builds its own matcher, and the tables matchers share by
+  configuration (the thesaurus's token lexicon and the property table,
+  each bounded) stay warm across the worker's jobs;
 - with a corpus configured, the :class:`~repro.corpus.search.CorpusSearcher`
   (corpus + inverted/MinHash indexes) loads once per worker and serves
-  ``POST /search`` without ever re-reading the index from disk.  Its
-  rerank's matcher map is the worker's map, so a process holds one.
+  ``POST /search`` without ever re-reading the index from disk.
 
 Jobs travel over a duplex pipe: the parent checks an idle worker out
 of a queue, sends the :class:`~repro.service.jobs.MatchJobSpec`, and
@@ -60,7 +59,6 @@ from repro.service.jobs import MatchJobSpec
 from repro.service.runner import (
     DEFAULT_TIMEOUT,
     BatchRunner,
-    ResidentMatchers,
     execute_job,
 )
 from repro.service.store import ResultStore
@@ -111,12 +109,6 @@ class PoolWarmup:
             "trees": OrderedDict(),
             "tree_cache": self.tree_cache,
             "searcher": searcher,
-            # One matcher map per process: /match jobs share the
-            # rerank's when there is a searcher.
-            "matchers": (
-                ResidentMatchers() if searcher is None
-                else searcher._rerank_state["matchers"]
-            ),
         }
 
 

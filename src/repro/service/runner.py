@@ -30,7 +30,8 @@ the two backends do differently:
   parallel search reranks run on it.
 
 Both call the same job body, ``worker(spec, state)`` (by default
-:func:`execute_job`), so retry/timeout semantics, cache behaviour and
+:func:`execute_job`; ``state`` is ``None`` in process and the worker's
+warm state in a pool), so retry/timeout semantics, cache behaviour and
 result bytes are identical across backends -- asserted by the
 byte-identity tests.
 
@@ -46,9 +47,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -91,99 +90,6 @@ def job_fingerprint(spec: MatchJobSpec) -> str:
     return fingerprint
 
 
-#: Matcher configurations one map keeps resident.  A searcher reranks
-#: with the one ``(algorithm, weights)`` it was built with; the limit
-#: bounds any map that is handed jobs of many configurations.
-MAX_RESIDENT_MATCHERS = 4
-
-#: Memo entries (:meth:`~repro.matching.base.Matcher.resident_entries`:
-#: property comparisons and type pairs) one map keeps across all its
-#: matchers.  Token pairs, tokens and labels are not matcher entries:
-#: they live in the thesaurus's shared lexicon, bounded on its own
-#: (:data:`repro.linguistic.lexicon.MAX_LEXICON_ENTRIES`).  Measured
-#: with tracemalloc on Python 3.11, a property comparison costs ~450 B,
-#: so the map holds at most ~22 MB.
-MAX_RESIDENT_ENTRIES = 50_000
-
-
-class ResidentMatchers:
-    """Matchers kept across jobs, one per ``(algorithm, weights)``.
-
-    A matcher's property tables depend only on the types it has scored,
-    never on which job asked first, so a warm matcher produces the same
-    bytes as a fresh one (its token tables live in the shared lexicon
-    of its thesaurus, which holds to the same rule).  A job *checks its
-    matcher out* (two threads never share one) and checks it back in
-    only when the match completed.  The map is least-recently-used: it
-    holds at most :data:`MAX_RESIDENT_MATCHERS` configurations and
-    :data:`MAX_RESIDENT_ENTRIES` memo entries between them, and a
-    matcher over that alone is dropped at check-in (its configuration's
-    next job starts fresh).
-    """
-
-    def __init__(self):
-        # key -> (matcher, its resident entries at check-in).
-        self._matchers: OrderedDict = OrderedDict()
-        self._entries = 0
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._matchers)
-
-    def resident_entries(self) -> int:
-        """Memo entries of the matchers held (not checked out)."""
-        return self._entries
-
-    def _pop(self, key):
-        held = self._matchers.pop(key, None)
-        if held is None:
-            return None
-        self._entries -= held[1]
-        return held[0]
-
-    def checkout(self, spec: MatchJobSpec):
-        with self._lock:
-            matcher = self._pop((spec.algorithm, spec.weights))
-        if matcher is None:
-            matcher = DEFAULT_REGISTRY.create(
-                spec.algorithm, **spec.matcher_kwargs()
-            )
-        return matcher
-
-    def checkin(self, spec: MatchJobSpec, matcher):
-        entries = matcher.resident_entries()
-        if entries > MAX_RESIDENT_ENTRIES:
-            return
-        key = (spec.algorithm, spec.weights)
-        with self._lock:
-            # A concurrent job of the same configuration may have put
-            # its own matcher back first; the later one replaces it.
-            self._pop(key)
-            self._matchers[key] = (matcher, entries)
-            self._entries += entries
-            while (len(self._matchers) > MAX_RESIDENT_MATCHERS
-                   or self._entries > MAX_RESIDENT_ENTRIES):
-                self._pop(next(iter(self._matchers)))
-
-
-@contextmanager
-def job_matcher(spec: MatchJobSpec, state: Optional[dict] = None):
-    """The matcher one job runs with.
-
-    Without ``state`` (or with a state holding no ``"matchers"`` map) a
-    fresh matcher; otherwise the state's resident matcher for the
-    spec's configuration, checked out for the ``with`` block and put
-    back only when the block completes without raising.
-    """
-    matchers = state.get("matchers") if state is not None else None
-    if matchers is None:
-        yield DEFAULT_REGISTRY.create(spec.algorithm, **spec.matcher_kwargs())
-        return
-    matcher = matchers.checkout(spec)
-    yield matcher
-    matchers.checkin(spec, matcher)
-
-
 def _resident_tree(state: Optional[dict], xsd_text: str, content_hash: str,
                    name: Optional[str]):
     """Parse ``xsd_text``, through the state's LRU tree cache if it has
@@ -214,12 +120,13 @@ def execute_job(spec: MatchJobSpec, state: Optional[dict] = None) -> dict:
     deterministic: no timestamps, no timings inside the payload -- a
     warm-cache rerun must be byte-identical.
 
-    ``state`` is the resident state of a caller that runs many jobs: a
-    pool worker's :class:`~repro.service.pool.PoolWarmup` dict, whose
-    ``"trees"`` LRU serves schema parsing, or a searcher's rerank
-    state.  Both hold ``"matchers"`` (:class:`ResidentMatchers`), which
-    serve the matcher.  The payload is byte-identical with or without
-    it.
+    ``state`` is a pool worker's resident state
+    (:class:`~repro.service.pool.PoolWarmup`), whose ``"trees"`` LRU
+    serves schema parsing; the payload is byte-identical with or
+    without it.  Every job builds its own matcher: what matchers keep
+    across jobs lives in tables shared by configuration (the token
+    lexicon and the property table), which hold only pure functions of
+    their keys.
 
     With ``spec.trace`` set, a :class:`~repro.obs.trace.TraceRecorder`
     rides through the match and comes back as ``envelope["trace"]``
@@ -247,21 +154,21 @@ def execute_job(spec: MatchJobSpec, state: Optional[dict] = None) -> dict:
         if spec.target_profiles:
             target = target.copy()
             attach_profiles(target, spec.target_profiles)
-    with job_matcher(spec, state) as matcher:
-        tracer = None
-        if spec.trace:
-            tracer = TraceRecorder(run_id=trace_run_id(
-                spec.source_hash, spec.target_hash,
-                matcher.fingerprint(spec.threshold, spec.strategy),
-            ))
-        context = matcher.make_context(source, target, tracer=tracer)
-        result = matcher.match(
-            source, target, threshold=spec.threshold,
-            strategy=spec.strategy, context=context,
-        )
-        payload = result_to_payload(result)
-        attach_result_axes(payload, result, matcher, source, target,
-                           context=context)
+    matcher = DEFAULT_REGISTRY.create(spec.algorithm, **spec.matcher_kwargs())
+    tracer = None
+    if spec.trace:
+        tracer = TraceRecorder(run_id=trace_run_id(
+            spec.source_hash, spec.target_hash,
+            matcher.fingerprint(spec.threshold, spec.strategy),
+        ))
+    context = matcher.make_context(source, target, tracer=tracer)
+    result = matcher.match(
+        source, target, threshold=spec.threshold,
+        strategy=spec.strategy, context=context,
+    )
+    payload = result_to_payload(result)
+    attach_result_axes(payload, result, matcher, source, target,
+                       context=context)
     payload["source_hash"] = spec.source_hash
     payload["target_hash"] = spec.target_hash
     stats = result.stats.as_dict() if result.stats is not None else {}
@@ -417,14 +324,13 @@ class BatchRunner:
                  retry_backoff: float = 0.1,
                  worker: Callable[[MatchJobSpec, Optional[dict]], dict]
                  = execute_job,
-                 state: Optional[dict] = None,
                  log=NULL_LOGGER,
                  metrics=None,
                  constraint=None):
         """``worker`` is the job body ``(spec, state) -> envelope`` --
-        injectable so tests can simulate failures, crashes and hangs --
-        and ``state`` the resident state this runner hands it (see
-        :func:`execute_job`).  ``retries`` is the number of *extra*
+        injectable so tests can simulate failures, crashes and hangs;
+        this runner hands it no state (see :func:`execute_job`).
+        ``retries`` is the number of *extra*
         attempts after the first; ``retry_backoff`` seconds double per
         retry.  ``timeout`` is the per-job deadline a backend that can
         enforce one applies.  ``log`` is an
@@ -443,7 +349,6 @@ class BatchRunner:
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.worker = worker
-        self.state = state
         self.log = log
         self.metrics = metrics
         self.constraint = constraint
@@ -676,7 +581,7 @@ class BatchRunner:
 
     def _execute_inline(self, spec: MatchJobSpec):
         try:
-            return "ok", self.worker(spec, self.state)
+            return "ok", self.worker(spec, None)
         except Exception as exc:  # noqa: BLE001 -- job boundary
             return "error", {
                 "type": type(exc).__name__, "message": str(exc),

@@ -53,7 +53,7 @@ def assert_grids_match_cold_services(source, target):
             assert (names[i, j], name_codes[i, j]) == (
                 label.score, label.strength.value
             )
-            prop = PropertyMatcher().compare(s_node, t_node)
+            prop = PropertyMatcher()._compare_uncached(s_node, t_node)
             assert (props[i, j], prop_codes[i, j]) == (
                 prop.score, prop.strength.value
             )

@@ -22,7 +22,11 @@ from repro.core.qmatch import QMatchMatcher
 from repro.datasets import registry
 from repro.linguistic.matcher import LinguisticMatcher
 from repro.linguistic.thesaurus import Thesaurus
-from repro.properties.matcher import PropertyConfig, PropertyMatcher
+from repro.properties.matcher import (
+    PropertyConfig,
+    PropertyMatcher,
+    drop_property_tables,
+)
 from repro.xsd.model import UNBOUNDED, NodeKind, SchemaNode, SchemaTree
 
 TYPES = (None, "string", "integer", "decimal", "date", "anyURI", "token",
@@ -70,6 +74,8 @@ class TestFactoredPropertyKey:
            offset=st.integers(min_value=1, max_value=5))
     def test_warm_compare_equals_cold(self, compare_order, pairs, offset):
         config = PropertyConfig(compare_order=compare_order)
+        # Matchers share one property table; count from an empty one.
+        drop_property_tables()
         warm = PropertyMatcher(config)
         # Fill the memo through different pairs with the same factored
         # keys: both orders moved by one offset keep their equality bit.
@@ -107,6 +113,7 @@ class TestFactoredPropertyKey:
         sample = SchemaTree(clone(root), name="PDB-sample")
         assert sample.size == 50
 
+        drop_property_tables()
         matcher = QMatchMatcher()
         matcher.match(pir, sample)
         keys = {factored_key(s, t) for s in pir for t in sample}

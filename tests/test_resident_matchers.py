@@ -1,12 +1,12 @@
-"""A matcher kept resident across jobs answers exactly like a fresh one.
+"""Tables kept across jobs answer exactly like cold ones.
 
-The corpus searcher's inline rerank and every pool worker keep one
-matcher per ``(algorithm, weights)`` across jobs
-(:class:`repro.service.runner.ResidentMatchers`), one map per process.
-These tests pin that a job's payload, trace and stats never depend on
-which jobs ran before it, that the resident map stays bounded, that a
-pool worker holds exactly one map, and that concurrent searches on one
-searcher agree with a serial run.
+Every job builds its own matcher, but matchers share two tables across
+jobs: the thesaurus's token lexicon and the property table
+(:mod:`repro.properties.matcher`), each keyed by configuration and
+bounded.  These tests pin that a job's payload, trace and stats never
+depend on which jobs warmed those tables before it, that the property
+table stays bounded, and that jobs and searches on threads sharing one
+table agree with a serial run.
 """
 
 from __future__ import annotations
@@ -27,10 +27,15 @@ from repro.datasets import registry
 from repro.engine.registry import DEFAULT_REGISTRY
 from repro.linguistic.matcher import LinguisticMatcher
 from repro.linguistic.thesaurus import Thesaurus
-from repro.service import runner
+from repro.properties import matcher as property_module
+from repro.properties.matcher import (
+    PropertyConfig,
+    PropertyMatcher,
+    drop_property_tables,
+)
 from repro.service.jobs import MatchJobSpec
 from repro.service.pool import PoolWarmup
-from repro.service.runner import ResidentMatchers, execute_job, job_matcher
+from repro.service.runner import execute_job
 from repro.xsd.generator import (
     GeneratorConfig,
     SchemaGenerator,
@@ -104,8 +109,8 @@ def job_specs() -> list:
     synthetic pairs, for every registered algorithm (and a second
     qmatch weight vector), and the two DCMD schemas (38 and 53 nodes,
     the largest vocabulary) under qmatch.  Grouped by configuration, so
-    each resident matcher warms up over many jobs before later
-    configurations evict it."""
+    each configuration's jobs read tables its own earlier jobs warmed,
+    after other configurations' jobs warmed them too."""
     schemas = [
         registry.load_schema(name) for name in SMALL_BUILTINS
         if not name.startswith("DCMD")
@@ -139,29 +144,56 @@ def comparable(envelope: dict) -> str:
 
 
 def cold_envelopes(specs) -> list:
-    """``comparable`` envelopes of fresh jobs, each run from a cold
-    token lexicon (matchers share the default thesaurus's lexicon)."""
+    """``comparable`` envelopes of jobs each run from a cold token
+    lexicon and a cold property table."""
     envelopes = []
     for spec in specs:
         Thesaurus.default().drop_lexicons()
+        drop_property_tables()
         envelopes.append(comparable(execute_job(spec)))
     return envelopes
+
+
+def table_entries(matcher: PropertyMatcher) -> int:
+    """Entries in the shared property table ``matcher`` reads."""
+    return len(matcher._cache) + len(matcher._type_cache)
 
 
 class TestResidentEqualsFresh:
     def test_every_payload_equals_a_fresh_job(self):
         specs = job_specs()
-        fresh = cold_envelopes(specs)
-        state = {"matchers": ResidentMatchers()}
+        cold = cold_envelopes(specs)
         mismatched = []
-        # The resident jobs run in a row, on a lexicon every earlier
-        # job warmed.
-        for spec, expected in zip(specs, fresh):
-            resident = comparable(execute_job(spec, state))
-            assert len(state["matchers"]) <= runner.MAX_RESIDENT_MATCHERS
-            if resident != expected:
+        # The warm jobs run in a row, on tables every earlier job
+        # warmed.
+        for spec, expected in zip(specs, cold):
+            if comparable(execute_job(spec)) != expected:
                 mismatched.append(spec.label)
         assert not mismatched, mismatched[:5]
+
+
+class TestSharedPropertyTable:
+    def test_equal_scoring_inputs_share_one_table(self):
+        drop_property_tables()
+        first = PropertyMatcher()
+        assert PropertyMatcher(PropertyConfig())._cache is first._cache
+        assert PropertyMatcher()._type_cache is first._type_cache
+
+    def test_other_scoring_inputs_replace_the_table(self):
+        po1, po2 = registry.load_schema("PO1"), registry.load_schema("PO2")
+        pairs = [(s, t) for s in po1 for t in po2]
+        drop_property_tables()
+        default = PropertyMatcher()
+        warm = [default.compare(s, t) for s, t in pairs]
+        generous = PropertyMatcher(PropertyConfig(relaxed_credit=0.9))
+        assert generous._cache is not default._cache
+        assert table_entries(generous) == 0
+        generous.compare(*pairs[0])
+        # One slot: the default config's next matcher starts afresh,
+        # and it scores like the warm one.
+        again = PropertyMatcher()
+        assert again._cache is not default._cache
+        assert [again.compare(s, t) for s, t in pairs] == warm
 
 
 NAMED_TYPE_XSD = """\
@@ -199,118 +231,81 @@ def named_type_spec(algorithm: str, index: int) -> MatchJobSpec:
 
 
 class TestResidentBounds:
-    def spec(self, algorithm="qmatch", weights=None):
-        po1, po2 = registry.load_schema("PO1"), registry.load_schema("PO2")
-        return MatchJobSpec(
-            source_xsd=to_xsd(po1), target_xsd=to_xsd(po2),
-            algorithm=algorithm, weights=weights,
-        )
-
-    def test_state_reuses_its_matcher(self):
-        spec = self.spec()
-        state = {"matchers": ResidentMatchers()}
-        with job_matcher(spec, state) as first:
-            pass
-        with job_matcher(spec, state) as second:
-            pass
-        assert first is second
-        with job_matcher(spec) as fresh:
-            pass
-        assert fresh is not first
-
-    def test_over_full_matcher_is_replaced(self, monkeypatch):
-        spec = self.spec()
-        state = {"matchers": ResidentMatchers()}
-        execute_job(spec, state)
-        with job_matcher(spec, state) as matcher:
-            pass
-        entries = matcher.resident_entries()
-        assert entries > 0
-        monkeypatch.setattr(runner, "MAX_RESIDENT_ENTRIES", entries - 1)
-        # Checked out whole, but dropped on check-in: over the cap.
-        with job_matcher(spec, state) as again:
-            assert again is matcher
-        assert len(state["matchers"]) == 0
-        with job_matcher(spec, state) as replacement:
-            assert replacement is not matcher
-
-    def test_map_never_exceeds_its_configuration_limit(self, monkeypatch):
-        monkeypatch.setattr(runner, "MAX_RESIDENT_MATCHERS", 2)
-        state = {"matchers": ResidentMatchers()}
-        specs = [
-            self.spec(weights=weights) for weights in (
-                (0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.1, 0.2),
-                (0.1, 0.2, 0.3, 0.4),
-            )
-        ]
-        held = []
-        for spec in specs:
-            with job_matcher(spec, state) as matcher:
-                held.append(matcher)
-            assert len(state["matchers"]) <= 2
-        # The least recently used configuration was evicted ...
-        with job_matcher(specs[0], state) as matcher:
-            assert matcher is not held[0]
-        # ... and the most recent one is still resident.
-        with job_matcher(specs[2], state) as matcher:
-            assert matcher is held[2]
-
-    def test_map_never_exceeds_its_entry_limit(self, monkeypatch):
-        specs = [
-            self.spec(weights=weights) for weights in (
-                (0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.1, 0.2),
-                (0.1, 0.2, 0.3, 0.4),
-            )
-        ]
-        state = {"matchers": ResidentMatchers()}
-        execute_job(specs[0], state)
-        one = state["matchers"].resident_entries()
-        assert one > 0
-        monkeypatch.setattr(runner, "MAX_RESIDENT_ENTRIES", 2 * one)
-        for spec in specs[1:]:
-            execute_job(spec, state)
-            assert state["matchers"].resident_entries() <= 2 * one
-        # Every configuration fills the same ``one`` entries on this
-        # pair, so the third check-in evicted the first matcher.
-        assert state["matchers"].resident_entries() == 2 * one
-        assert len(state["matchers"]) == 2
-        with job_matcher(specs[0], state) as matcher:
-            assert matcher.resident_entries() == 0
-
     @pytest.mark.parametrize("algorithm", ["properties", "qmatch"])
     def test_named_types_count_toward_the_cap(self, algorithm, monkeypatch):
         # Uploaded schemas with their own complex-type names grow the
-        # property memo, which is keyed on type names; the cap must see
+        # property table, which is keyed on type names; the cap must see
         # that growth, or a long-lived worker grows without limit.
-        state = {"matchers": ResidentMatchers()}
-        execute_job(named_type_spec(algorithm, 0), state)
-        with job_matcher(named_type_spec(algorithm, 0), state) as matcher:
-            pass
-        assert matcher.property_matcher.resident_entries() > 0
-        monkeypatch.setattr(
-            runner, "MAX_RESIDENT_ENTRIES", 2 * matcher.resident_entries()
-        )
-        state = {"matchers": ResidentMatchers()}
-        held = []
-        for index in range(8):
-            spec = named_type_spec(algorithm, index)
-            execute_job(spec, state)
-            with job_matcher(spec, state) as matcher:
-                assert (matcher.resident_entries()
-                        <= runner.MAX_RESIDENT_ENTRIES)
-            held.append(matcher)
-        # Each job's new type names filled the matcher past the cap
-        # within a few jobs, and it was replaced by a fresh one.
-        assert held[0] is held[1]
-        assert len({id(matcher) for matcher in held}) > 1
+        drop_property_tables()
+        execute_job(named_type_spec(algorithm, 0))
+        one = table_entries(PropertyMatcher())
+        assert one > 0
+        monkeypatch.setattr(property_module, "MAX_PROPERTY_ENTRIES", 2 * one)
+        specs = [named_type_spec(algorithm, index) for index in range(8)]
+        cold = cold_envelopes(specs)
+        drop_property_tables()
+        tables = []
+        for spec, expected in zip(specs, cold):
+            matcher = PropertyMatcher()
+            assert table_entries(matcher) <= 2 * one
+            tables.append(matcher._cache)
+            assert comparable(execute_job(spec)) == expected
+        # Each job's new type names filled the table past the cap within
+        # a few jobs, and the next matcher built replaced it.
+        assert tables[0] is tables[1]
+        assert len({id(table) for table in tables}) > 1
 
-    def test_failed_job_does_not_return_its_matcher(self):
-        spec = self.spec()
-        state = {"matchers": ResidentMatchers()}
-        with pytest.raises(RuntimeError):
-            with job_matcher(spec, state):
-                raise RuntimeError("match failed")
-        assert len(state["matchers"]) == 0
+
+#: Jobs each of the concurrent-jobs test's 4 threads runs (a thread
+#: starts at its own offset, so different jobs run at once).
+JOBS_PER_THREAD = 12
+
+
+class TestConcurrentJobs:
+    def test_threads_on_one_cold_table_agree_with_serial(self):
+        specs = [
+            spec for spec in job_specs()[::7]
+            if spec.algorithm in ("qmatch", "properties", "cupid")
+        ]
+        expected = [comparable(execute_job(spec)) for spec in specs]
+        Thesaurus.default().drop_lexicons()
+        drop_property_tables()
+        threads_count = 4
+        results = [None] * threads_count
+        errors = []
+
+        def work(slot):
+            try:
+                results[slot] = [
+                    comparable(execute_job(
+                        specs[(slot * 3 + step) % len(specs)]
+                    ))
+                    for step in range(JOBS_PER_THREAD)
+                ]
+            except Exception as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(slot,))
+            for slot in range(threads_count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        for slot, got in enumerate(results):
+            want = [
+                expected[(slot * 3 + step) % len(specs)]
+                for step in range(JOBS_PER_THREAD)
+            ]
+            assert got == want, slot
 
 
 @pytest.fixture(scope="module")
@@ -374,43 +369,21 @@ class TestConcurrentSearch:
                 for step in range(SEARCHES_PER_THREAD)
             ]
             assert got == want, slot
-        assert len(shared._rerank_state["matchers"]) <= (
-            runner.MAX_RESIDENT_MATCHERS
-        )
 
 
 class TestPoolWorkerState:
-    def test_worker_with_a_corpus_holds_one_map_its_searchers(
-            self, small_corpus):
-        corpus, _ = small_corpus
-        state = PoolWarmup(corpus_dir=corpus.root)()
-        assert isinstance(state["matchers"], ResidentMatchers)
-        assert state["matchers"] is (
-            state["searcher"]._rerank_state["matchers"]
-        )
-
-    def test_worker_without_a_corpus_holds_a_fresh_map(self):
-        state = PoolWarmup()()
-        assert state["searcher"] is None
-        assert isinstance(state["matchers"], ResidentMatchers)
-        assert len(state["matchers"]) == 0
-        assert state["matchers"] is not PoolWarmup()()["matchers"]
-
     def test_job_stream_equals_fresh_jobs(self):
         """One worker state fed a stream that switches configurations
         and repeats schemas (tree LRU hits) answers every job with the
-        result, trace and stats of a fresh ``execute_job``."""
+        result, trace and stats of a cold ``execute_job``."""
         specs = job_specs()
         stream = specs[::5] + specs[1::11] + specs[::5]
-        fresh = cold_envelopes(stream)
+        cold = cold_envelopes(stream)
         state = PoolWarmup()()
         mismatched = []
-        for spec, expected in zip(stream, fresh):
-            resident = comparable(execute_job(spec, state))
-            assert len(state["matchers"]) <= runner.MAX_RESIDENT_MATCHERS
-            if resident != expected:
+        for spec, expected in zip(stream, cold):
+            if comparable(execute_job(spec, state)) != expected:
                 mismatched.append((spec.algorithm, spec.source_name,
                                    spec.target_name))
         assert not mismatched, mismatched[:5]
-        assert len(state["matchers"]) > 0
         assert state["trees"]
