@@ -3,9 +3,11 @@
 Stage 1 (**retrieve**) asks the
 :class:`~repro.corpus.segments.SegmentedCorpusIndex` for everything that
 shares evidence with the query -- lexical token scores from the
-postings, Jaccard estimates from the MinHash LSH buckets -- blends
-them, and keeps a candidate shortlist.  Cost is proportional to the
-matching posting lists, not the corpus.
+postings, Jaccard estimates from the MinHash LSH buckets -- as aligned
+arrays, blends them, and keeps a candidate shortlist: only the
+candidates within the budget (ties at its cut included) become
+:class:`SearchHit` objects, get a name and are sorted.  Cost is
+proportional to the matching posting lists, not the corpus.
 
 Stage 2 (**rerank**) runs the full hybrid QMatch engine on query ×
 shortlist only, through the job state machine the batch service uses
@@ -28,6 +30,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from repro.corpus.corpus import SchemaCorpus
 from repro.corpus.segments import SegmentedCorpusIndex
@@ -91,6 +95,23 @@ class SearchHit:
             "reranked": self.reranked,
             "error": self.error,
         }
+
+
+class Ranking(list):
+    """Stage-1 hits, best-first.  ``candidates`` counts every document
+    with index evidence; a budgeted retrieve lists only the kept ones."""
+
+    candidates: int = 0
+
+
+def _best(scores: np.ndarray, budget: Optional[int]) -> np.ndarray:
+    """Positions of the ``budget`` highest scores and of every score
+    tying the lowest of them (all positions without a budget or when
+    ``budget`` covers them)."""
+    if budget is None or len(scores) <= budget:
+        return np.arange(len(scores))
+    cut = len(scores) - budget
+    return np.flatnonzero(scores >= np.partition(scores, cut)[cut])
 
 
 @dataclass
@@ -215,51 +236,59 @@ class CorpusSearcher:
     # ------------------------------------------------------------------
 
     def retrieve(self, query_tree, stats: Optional[EngineStats] = None,
-                 ) -> list[SearchHit]:
+                 budget: Optional[int] = None) -> Ranking:
         """Every candidate with index evidence, best-first.
 
         Union scoring: a schema appears when the inverted index *or*
         the LSH buckets surface it; the blended score rewards agreement
-        between the two signals.  Traced, the stage emits the
-        ``corpus.retrieve`` span.
+        between the two signals.  With a ``budget``, only the best
+        ``budget`` candidates and every candidate tying the last of
+        them become hits -- the head of the full ranking, in its order
+        -- and ``candidates`` still counts them all.  Traced, the stage
+        emits the ``corpus.retrieve`` span.
         """
         stats = stats if stats is not None else EngineStats()
         tracer = current_tracer()
         with stats.stage("search:retrieve", span="corpus.retrieve"):
             tracer.annotate({"corpus_size": len(self.corpus)})
-            tokens = self.index.query_tokens(query_tree)
-            signature = self.index.query_signature(query_tree)
-            lexical, structural_candidates = self.index.retrieve_scores(
-                tokens, signature, scorer=self.scorer
+            tokens, signature = self.index.query_features(query_tree)
+            found = self.index.candidates(tokens, signature,
+                                          scorer=self.scorer)
+            scores = (
+                self.lexical_weight * found.lexical
+                + (1.0 - self.lexical_weight) * found.structural
             )
-            candidates = list(set(lexical) | structural_candidates)
-            estimates = self.index.estimates(signature, candidates)
-            hits = []
-            for doc_id, struct in zip(candidates, estimates):
-                lex = lexical.get(doc_id, 0.0)
-                try:
-                    name = self.corpus.entry(doc_id).name
-                except Exception:
-                    name = doc_id[:12]
-                hits.append(SearchHit(
+            kept = _best(scores, budget)
+            hits = Ranking(
+                SearchHit(
                     hash=doc_id,
-                    name=name,
-                    retrieval_score=(
-                        self.lexical_weight * lex
-                        + (1.0 - self.lexical_weight) * struct
-                    ),
+                    name=self._name(doc_id),
+                    retrieval_score=score,
                     lexical_score=lex,
                     structural_score=struct,
-                ))
+                )
+                for doc_id, score, lex, struct in zip(
+                    found.doc_ids[kept].tolist(), scores[kept].tolist(),
+                    found.lexical[kept].tolist(),
+                    found.structural[kept].tolist(),
+                )
+            )
+            hits.candidates = len(scores)
             hits.sort(key=lambda hit: (-hit.retrieval_score, hit.name,
                                        hit.hash))
             if tracer.enabled:
                 scan = self.index.last_scan
-                tracer.annotate({"candidates": len(hits), **{
+                tracer.annotate({"candidates": hits.candidates, **{
                     key: value for key, value in scan.items()
                     if value is not None
                 }})
         return hits
+
+    def _name(self, doc_id: str) -> str:
+        try:
+            return self.corpus.entry(doc_id).name
+        except Exception:
+            return doc_id[:12]
 
     # ------------------------------------------------------------------
     # Stage 2: QMatch rerank
@@ -362,9 +391,9 @@ class CorpusSearcher:
             candidates if candidates is not None
             else max(OVERSAMPLE * k, MIN_CANDIDATES)
         )
-        ranked = self.retrieve(query_tree, stats=stats)
+        ranked = self.retrieve(query_tree, stats=stats, budget=budget)
         shortlist = ranked[:budget]
-        pruned = len(ranked) - len(shortlist)
+        pruned = ranked.candidates - len(shortlist)
         if len(shortlist) < budget:
             # The index surfaced fewer candidates than we can afford to
             # rerank: spend the leftover budget on zero-evidence entries
@@ -384,13 +413,13 @@ class CorpusSearcher:
                     structural_score=0.0,
                 ))
         stats.count("search.corpus-size", len(self.corpus))
-        stats.count("search.candidates", len(ranked))
+        stats.count("search.candidates", ranked.candidates)
         stats.count("search.pruned", pruned)
         self.log.event(
             "search.retrieve",
             query=query_tree.name,
             corpus_size=len(self.corpus),
-            candidates=len(ranked),
+            candidates=ranked.candidates,
             shortlist=len(shortlist),
             pruned=pruned,
             seconds=round(stats.stage_seconds("search:retrieve"), 6),
@@ -399,7 +428,7 @@ class CorpusSearcher:
             query_name=query_tree.name,
             k=k,
             corpus_size=len(self.corpus),
-            candidates=len(ranked),
+            candidates=ranked.candidates,
             pruned=pruned,
             stats=stats,
         )

@@ -40,19 +40,20 @@ index format::
   goldens in ``tests/fixtures/corpus_golden/``).
 
 :class:`~repro.corpus.search.CorpusSearcher` reads the index through
-``query_tokens``, ``query_signature``, ``retrieve_scores`` and
-``estimates``.  ``retrieve_scores`` walks the live segments one after
-another on the calling thread; within a segment every reader is a
-handful of array operations over its columns (the query terms' posting
-runs, the admitted documents' rows, the sorted LSH band keys), so the
-per-query Python work is per segment and per query term, not per
-document.  Scores stay the floats of the per-posting formula: values
-are computed with its float operations and each document adds them
-term by term in query order (``tests/test_retrieval_equivalence.py``
-pins this against the frozen per-document scorers).  A
-candidate-admission budget (``max_candidates``) turns the full
-postings scan into work proportional to the rarest query tokens plus
-the budget.
+``query_features`` and ``candidates``.  ``candidates`` walks the live
+segments one after another on the calling thread and returns aligned
+arrays (doc ids, lexical scores, MinHash estimates); within a segment
+every reader is a handful of array operations over its columns (the
+query terms' posting runs, the admitted documents' rows, the sorted LSH
+band keys), so the per-query Python work is per segment and per query
+term, not per document.  ``retrieve_scores`` and ``estimates`` are
+by-id views of the same scan.  Scores stay the floats of the
+per-posting formula: values are computed with its float operations and
+each document adds them term by term in query order
+(``tests/test_retrieval_equivalence.py`` pins this against the frozen
+per-document scorers).  A candidate-admission budget
+(``max_candidates``) turns the full postings scan into work
+proportional to the rarest query tokens plus the budget.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ from repro.corpus.indexes import (
     LEXICAL_SCORERS,
     IndexConfig,
     MinHashIndex,
-    schema_shingles,
-    schema_tokens,
+    feature_memo,
+    schema_features,
 )
 from repro.linguistic.thesaurus import Thesaurus
 from repro.obs.log import NULL_LOGGER
@@ -434,8 +435,14 @@ class Segment:
 
 
 # ----------------------------------------------------------------------
-# BM25 pieces shared by the full scan and budget mode
+# Scoring pieces shared by the full scan and budget mode
 # ----------------------------------------------------------------------
+
+def _smoothed_idf(n: int, df: int) -> float:
+    """Smoothed inverse document frequency of a token in ``df`` of
+    ``n`` documents."""
+    return math.log((1 + n) / (1 + df)) + 1.0
+
 
 def _average_length(stats: dict) -> float:
     n = stats["n"]
@@ -464,6 +471,42 @@ class _LiveSegment:
         #: Cosine document norms, NaN until first needed.
         self.norms = np.full(segment.doc_count, np.nan)
         self.bm25_norms = bm25_norms
+
+
+class Candidates(NamedTuple):
+    """Stage-1 candidates as aligned arrays (see
+    :meth:`SegmentedCorpusIndex.candidates`)."""
+
+    doc_ids: np.ndarray
+    lexical: np.ndarray
+    structural: np.ndarray
+
+
+_NO_ORDINALS = np.empty(0, dtype=np.int64)
+_NO_SCORES = np.empty(0)
+_ORDINAL_BITS = np.int64((1 << 32) - 1)
+
+
+def _rows(ordinals: list) -> np.ndarray:
+    """One ascending array of rows ``position << 32 | ordinal`` from
+    ascending ordinals per live segment position."""
+    rows = [
+        (position << 32) | found
+        for position, found in enumerate(ordinals) if len(found)
+    ]
+    return np.concatenate(rows) if rows else _NO_ORDINALS
+
+
+def _by_part(rows: np.ndarray, n_parts: int):
+    """``(position, ordinals)`` of each live segment position that
+    ascending ``rows`` (see :func:`_rows`) reach."""
+    bounds = rows.searchsorted(
+        np.arange(n_parts + 1, dtype=np.int64) << 32
+    ).tolist()
+    for position in range(n_parts):
+        start, stop = bounds[position], bounds[position + 1]
+        if stop > start:
+            yield position, rows[start:stop] & _ORDINAL_BITS
 
 
 # ----------------------------------------------------------------------
@@ -676,24 +719,31 @@ class SegmentedCorpusIndex:
     # Query-side feature extraction
     # ------------------------------------------------------------------
 
+    def query_features(self, tree) -> tuple:
+        """``(token Counter, MinHash signature)`` of a schema: one
+        feature pass (:func:`~repro.corpus.indexes.schema_features`),
+        the same for queries and added documents."""
+        tokens, shingles = schema_features(tree, self.config, self.thesaurus)
+        hashes = feature_memo(self.config, self.thesaurus).shingle_hashes(
+            shingles
+        )
+        return tokens, self._hasher.hashed_signature(hashes)
+
     def query_tokens(self, tree):
-        return schema_tokens(tree, self.config, self.thesaurus)
+        return schema_features(tree, self.config, self.thesaurus)[0]
 
     def query_signature(self, tree) -> tuple:
-        return self._hasher.signature(schema_shingles(tree, self.config))
+        return self.query_features(tree)[1]
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
 
     def _doc_features(self, tree) -> tuple:
-        tokens = schema_tokens(tree, self.config, self.thesaurus)
+        tokens, signature = self.query_features(tree)
         # Keep the extraction order: document norms accumulate in it,
         # so every segment layout sums them the same way.
         items = [(token, int(tf)) for token, tf in tokens.items() if tf > 0]
-        signature = self._hasher.signature(
-            schema_shingles(tree, self.config)
-        )
         return items, signature
 
     def _is_live(self, doc_id: str) -> bool:
@@ -986,8 +1036,7 @@ class SegmentedCorpusIndex:
         # Smoothed idf, with math.log once per distinct df.
         distinct, which = np.unique(df, return_inverse=True)
         idf = np.array([
-            math.log((1 + n) / (1 + count)) + 1.0
-            for count in distinct.tolist()
+            _smoothed_idf(n, count) for count in distinct.tolist()
         ], dtype=float)[which]
         stats = {"n": n, "df": df, "idf": idf, "total_length": total_length}
         avgdl = _average_length(stats)
@@ -999,15 +1048,8 @@ class SegmentedCorpusIndex:
         self._stats = stats
         return stats
 
-    def _df(self, token: str, stats: dict) -> int:
-        """Merged document frequency of one token (0 when unseen)."""
-        gid = self._vocab.get(token)
-        df = stats["df"]
-        return int(df[gid]) if gid is not None and gid < len(df) else 0
-
     def _idf(self, token: str, stats: dict) -> float:
-        # Smoothed inverse document frequency over the merged df.
-        return math.log((1 + stats["n"]) / (1 + self._df(token, stats))) + 1.0
+        return _smoothed_idf(stats["n"], self._query_dfs([token], stats)[0])
 
     def _doc_rows(self) -> tuple:
         """``(live segments, {doc_id: row})`` over every live document,
@@ -1060,7 +1102,19 @@ class SegmentedCorpusIndex:
     # order starting from 0.0 -- so every score is the float the
     # per-posting loop over Python dicts gave, bit for bit.
 
-    def _query_terms(self, query_tokens, scorer: str, stats: dict) -> tuple:
+    def _query_dfs(self, query_tokens, stats: dict) -> list:
+        """The merged document frequency of each query token, in query
+        order (0 for one unseen)."""
+        df = stats["df"]
+        size = len(df)
+        vocab = self._vocab
+        # Ids past the merged arrays (vocabulary grown since) read 0.
+        gids = np.array([vocab.get(token, size) for token in query_tokens],
+                        dtype=np.int64)
+        return np.append(df, 0)[np.minimum(gids, size)].tolist()
+
+    def _query_terms(self, query_tokens, dfs: list, scorer: str,
+                     stats: dict) -> tuple:
         """``(tokens, scales, idfs, query_norm_sq)`` of the scoring terms
         in query order.  A cosine term's value in a document is ``scale
         * ((1 + log tf) * idf)`` and the query norm² comes along; a BM25
@@ -1068,10 +1122,9 @@ class SegmentedCorpusIndex:
         with ``scale = qtf * idf`` and no query norm."""
         terms = []
         query_norm_sq = None
+        n = stats["n"]
         if scorer == "bm25":
-            n = stats["n"]
-            for token, qtf in query_tokens.items():
-                df = self._df(token, stats)
+            for (token, qtf), df in zip(query_tokens.items(), dfs):
                 if qtf > 0 and df:
                     idf = max(
                         math.log(1.0 + (n - df + 0.5) / (df + 0.5)), 1e-6
@@ -1079,10 +1132,10 @@ class SegmentedCorpusIndex:
                     terms.append((token, qtf * idf, idf))
         else:
             query_norm_sq = 0.0
-            for token, qtf in query_tokens.items():
+            for (token, qtf), df in zip(query_tokens.items(), dfs):
                 if qtf <= 0:
                     continue
-                idf = self._idf(token, stats)
+                idf = _smoothed_idf(n, df)
                 q_weight = (1.0 + math.log(qtf)) * idf
                 query_norm_sq += q_weight ** 2
                 terms.append((token, q_weight, idf))
@@ -1142,7 +1195,8 @@ class SegmentedCorpusIndex:
             found.append((part, ordinals, totals[ordinals]))
         return found, walked
 
-    def _admit(self, query_tokens, stats: dict, extra=None) -> tuple:
+    def _admit(self, query_tokens, dfs: list, stats: dict,
+               extra=None) -> tuple:
         """Budget-mode admission: LSH candidates plus documents from
         the rarest query tokens' postings, until the budget fills.
 
@@ -1162,11 +1216,11 @@ class SegmentedCorpusIndex:
             unadmitted[ordinals] = False
             count += len(ordinals)
         walked = 0
-        by_rarity = []
-        for token, qtf in query_tokens.items():
-            df = self._df(token, stats)
-            if qtf > 0 and df:
-                by_rarity.append((df, token))
+        by_rarity = [
+            (df, token)
+            for (token, qtf), df in zip(query_tokens.items(), dfs)
+            if qtf > 0 and df
+        ]
         for _, token in sorted(by_rarity):
             if count >= budget:
                 break
@@ -1207,26 +1261,32 @@ class SegmentedCorpusIndex:
             gid = self._vocab.get(token)
             if gid is not None and gid < len(term_of):
                 term_of[gid] = position
-        # The admitted rows of every segment, one after another.
-        counts, gids, tfs, weights, length_norms = [], [], [], [], []
+        # The query-term entries of every segment's admitted rows, one
+        # segment after another, rows numbered across segments.
+        rows, terms, tfs, weights, length_norms = [], [], [], [], []
+        n_rows = 0
         for part, ordinals in parts:
             segment = part.segment
             starts = segment.indptr[ordinals]
-            counts.append(segment.indptr[ordinals + 1] - starts)
-            entries = _ranges(starts, counts[-1])
-            gids.append(part.global_ids[segment.tokens[entries]])
+            counts = segment.indptr[ordinals + 1] - starts
+            entries = _ranges(starts, counts)
+            term = term_of[part.global_ids[segment.tokens[entries]]]
+            # One integer selection serves every column.
+            kept = np.flatnonzero(term >= 0)
+            entries = entries[kept]
+            terms.append(term[kept])
+            rows.append(np.arange(n_rows, n_rows + len(ordinals)).repeat(
+                counts
+            )[kept])
+            n_rows += len(ordinals)
             tfs.append(segment.tfs[entries])
             weights.append(segment.weights[entries])
             length_norms.append(part.bm25_norms[ordinals])
-        counts = np.concatenate(counts)
-        row = np.arange(len(counts)).repeat(counts)
-        term = term_of[np.concatenate(gids)]
-        held = term >= 0
-        row, term = row[held], term[held]
-        grid = np.zeros((len(tokens), len(counts)))
+        row, term = np.concatenate(rows), np.concatenate(terms)
+        grid = np.zeros((len(tokens), n_rows))
         grid[term, row] = self._term_values(
-            scorer, scales, idfs, term, np.concatenate(tfs)[held],
-            np.concatenate(weights)[held],
+            scorer, scales, idfs, term, np.concatenate(tfs),
+            np.concatenate(weights),
             np.concatenate(length_norms)[row] if scorer == "bm25" else None,
         )
         # Term by term in query order; accumulate adds sequentially.
@@ -1241,63 +1301,70 @@ class SegmentedCorpusIndex:
         return found
 
     def _final_scores(self, scorer: str, found: list,
-                      query_norm_sq: Optional[float], stats: dict) -> dict:
-        """``{doc_id: score}`` from raw scores: cosine divides by the
-        query and document norms, BM25 by its maximum."""
-        scores: dict = {}
+                      query_norm_sq: Optional[float], stats: dict) -> list:
+        """``[(part, ordinals, scores)]`` from raw scores: cosine
+        divides by the query and document norms, BM25 by its maximum."""
         if scorer == "bm25":
             best = max(
                 (float(raw.max()) for _, _, raw in found if len(raw)),
                 default=0.0,
             )
             if best <= 0.0:
-                return {}
-            for part, ordinals, raw in found:
-                scores.update(zip(
-                    part.segment.doc_id_array[ordinals].tolist(),
-                    (raw / best).tolist(),
-                ))
-            return scores
+                return []
+            return [(part, ordinals, raw / best)
+                    for part, ordinals, raw in found]
         if query_norm_sq <= 0.0:
-            return {}
+            return []
         query_norm = math.sqrt(query_norm_sq)
-        for part, ordinals, dots in found:
-            # A document holding a query term has a norm of at least 1.
-            norms = self._doc_norms(part, ordinals, stats)
-            scores.update(zip(
-                part.segment.doc_id_array[ordinals].tolist(),
-                (dots / (query_norm * norms)).tolist(),
-            ))
-        return scores
+        # A document holding a query term has a norm of at least 1.
+        return [
+            (part, ordinals,
+             dots / (query_norm * self._doc_norms(part, ordinals, stats)))
+            for part, ordinals, dots in found
+        ]
 
-    def _lexical_scores(self, query_tokens, scorer: str = "cosine",
-                        admit_extra=None) -> dict:
-        """Lexical scores across segments with merged-IDF parity."""
+    def _lexical(self, query_tokens, scorer: str, stats: dict,
+                 admit_extra=None) -> list:
+        """Lexical scores across segments with merged-IDF parity:
+        ``[(part, ordinals, scores)]``, ordinals ascending, over the
+        live segments of ``stats``."""
         if scorer not in LEXICAL_SCORERS:
             raise SegmentError(
                 f"unknown scorer {scorer!r}: expected one of "
                 f"{', '.join(LEXICAL_SCORERS)}"
             )
-        stats = self._ensure_stats()
         scan = {
             "docs_scored": 0, "postings_walked": 0,
             "live_docs": stats["n"], "budget": self.max_candidates,
         }
         self.last_scan = scan
         if stats["n"] == 0:
-            return {}
-        query = self._query_terms(query_tokens, scorer, stats)
+            return []
+        dfs = self._query_dfs(query_tokens, stats)
+        query = self._query_terms(query_tokens, dfs, scorer, stats)
         if self.max_candidates is None:
             found, walked = self._scan(scorer, query, stats)
             scored = sum(len(ordinals) for _, ordinals, _ in found)
         else:
             admitted, scored, walked = self._admit(
-                query_tokens, stats, extra=admit_extra
+                query_tokens, dfs, stats, extra=admit_extra
             )
             found = self._score_admitted(scorer, query, admitted, stats)
         scan["docs_scored"] = scored
         scan["postings_walked"] = walked
         return self._final_scores(scorer, found, query[3], stats)
+
+    def _lexical_scores(self, query_tokens, scorer: str = "cosine",
+                        admit_extra=None) -> dict:
+        """``{doc_id: lexical score}`` (a view of :meth:`_lexical`)."""
+        scores: dict = {}
+        for part, ordinals, values in self._lexical(
+                query_tokens, scorer, self._ensure_stats(), admit_extra):
+            scores.update(zip(
+                part.segment.doc_id_array[ordinals].tolist(),
+                values.tolist(),
+            ))
+        return scores
 
     def _structural_ordinals(self, signature: tuple, stats: dict) -> list:
         """Per live segment, the live documents sharing at least one
@@ -1326,44 +1393,99 @@ class SegmentedCorpusIndex:
             found.append(ordinals[part.live[ordinals]])
         return found
 
+    def _agreement(self, parts: list, rows: np.ndarray,
+                   signature: tuple) -> np.ndarray:
+        """Estimated Jaccard similarity of ``signature`` against the
+        documents at ascending ``rows`` (see :func:`_rows`) of ``parts``:
+        the fraction of MinHash positions the two signatures agree
+        on."""
+        stored = np.concatenate([
+            parts[position].segment.signatures[ordinals]
+            for position, ordinals in _by_part(rows, len(parts))
+        ])
+        agree = np.count_nonzero(
+            stored == np.asarray(signature, dtype=np.uint64), axis=1
+        )
+        return agree / self.config.num_perm
+
     def estimates(self, signature: tuple, doc_ids) -> list:
         """Estimated Jaccard similarity against each stored document
-        (0.0 for one not live): the fraction of MinHash positions the
-        two signatures agree on."""
+        (0.0 for one not live)."""
         parts, known = self._doc_rows()
         rows = np.array([known.get(doc_id, -1) for doc_id in doc_ids],
                         dtype=np.int64)
         out = np.zeros(len(rows))
-        live = rows >= 0
-        positions = rows >> 32
-        query = np.asarray(signature, dtype=np.uint64)
-        for position in np.unique(positions[live]).tolist():
-            mine = live & (positions == position)
-            ordinals = rows[mine] & 0xFFFFFFFF
-            agree = np.count_nonzero(
-                parts[position].segment.signatures[ordinals] == query, axis=1
-            )
-            out[mine] = agree / self.config.num_perm
+        live = np.flatnonzero(rows >= 0)
+        if len(live):
+            order = live[np.argsort(rows[live], kind="stable")]
+            out[order] = self._agreement(parts, rows[order], signature)
         return out.tolist()
 
-    def retrieve_scores(self, query_tokens, signature: tuple,
-                        scorer: str = "cosine") -> tuple:
-        """One-call stage-1 retrieval: ``(lexical_scores, structural_
-        candidates)``, one serial scan over the live segments.
+    def _stage_one(self, query_tokens, signature: tuple,
+                   scorer: str) -> list:
+        """One serial scan over the live segments: per live segment,
+        ``(part, lexical ordinals, lexical scores, LSH ordinals)``.
 
         One call for both signals lets budget mode admit the LSH
-        candidates into the exactly-scored set.
+        candidates into the exactly-scored set.  Both read one snapshot
+        of the merged statistics: threads sharing an index may each
+        build one on their first search.
         """
         stats = self._ensure_stats()
         structural = self._structural_ordinals(signature, stats)
-        lexical = self._lexical_scores(
-            query_tokens, scorer=scorer,
-            admit_extra=structural if self.max_candidates is not None
-            else None,
+        lexical = {
+            part: (ordinals, scores)
+            for part, ordinals, scores in self._lexical(
+                query_tokens, scorer, stats,
+                admit_extra=structural if self.max_candidates is not None
+                else None,
+            )
+        }
+        return [
+            (part, *lexical.get(part, (_NO_ORDINALS, _NO_SCORES)), lsh)
+            for part, lsh in zip(stats["segments"], structural)
+        ]
+
+    def candidates(self, query_tokens, signature: tuple,
+                   scorer: str = "cosine") -> Candidates:
+        """Stage-1 retrieval as aligned arrays: every live document the
+        postings *or* the LSH buckets surface, with its lexical score
+        (0.0 when only LSH found it) and its MinHash estimate.
+
+        The two signals' documents are unioned as integer rows and
+        estimated from the rows; no doc id is read before the union.
+        Documents run segment by segment, ordinals ascending.
+        """
+        found = self._stage_one(query_tokens, signature, scorer)
+        parts = [part for part, _, _, _ in found]
+        lexical_rows = _rows([ordinals for _, ordinals, _, _ in found])
+        rows = np.union1d(lexical_rows,
+                          _rows([lsh for _, _, _, lsh in found]))
+        if not len(rows):
+            return Candidates(np.empty(0, dtype=object), _NO_SCORES,
+                              _NO_SCORES)
+        lexical = np.zeros(len(rows))
+        lexical[rows.searchsorted(lexical_rows)] = np.concatenate(
+            [scores for _, _, scores, _ in found]
         )
+        doc_ids = np.concatenate([
+            parts[position].segment.doc_id_array[ordinals]
+            for position, ordinals in _by_part(rows, len(parts))
+        ])
+        return Candidates(doc_ids, lexical,
+                          self._agreement(parts, rows, signature))
+
+    def retrieve_scores(self, query_tokens, signature: tuple,
+                        scorer: str = "cosine") -> tuple:
+        """``({doc_id: lexical score}, {LSH candidate doc ids})``: the
+        by-id view of one stage-1 scan."""
+        lexical: dict = {}
         candidates: set = set()
-        for part, ordinals in zip(stats["segments"], structural):
-            candidates.update(part.segment.doc_id_array[ordinals].tolist())
+        for part, ordinals, scores, lsh in self._stage_one(
+                query_tokens, signature, scorer):
+            doc_ids = part.segment.doc_id_array
+            lexical.update(zip(doc_ids[ordinals].tolist(), scores.tolist()))
+            candidates.update(doc_ids[lsh].tolist())
         return lexical, candidates
 
     def __repr__(self):

@@ -41,9 +41,10 @@ from repro.linguistic.tokenizer import normalize, stem, tokenize
 #: ~120 B and a label at ~140-270 B, so a full lexicon holds ~10 MB.
 MAX_LEXICON_ENTRIES = 100_000
 
-#: Lexicons (linguistic configs) one thesaurus keeps; the oldest goes
-#: when another config asks.  Every caller in this package uses the
-#: default config, so one is usual; the bound caps a config sweep.
+#: Tables (lexicons and the corpus index's feature memos, one per
+#: config) one thesaurus keeps; the oldest goes when another config
+#: asks.  Every caller in this package uses the default configs, so one
+#: lexicon and one feature memo are usual; the bound caps a config sweep.
 MAX_LEXICONS = 4
 
 #: The similarity of two different tokens when either is all digits.

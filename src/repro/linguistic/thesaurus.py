@@ -19,10 +19,11 @@ A default thesaurus covering the paper's four evaluation domains
 files in :mod:`repro.linguistic.data`; callers can load their own files
 or extend an instance programmatically.
 
-A thesaurus also owns the token lexicons derived from it
+A thesaurus also owns the tables derived from it: the token lexicons
 (:class:`~repro.linguistic.lexicon.Lexicon`, one per linguistic
 config), so every matcher built on one thesaurus shares one warm token
-table.  Every mutator drops them.
+table, and the corpus index's feature memos
+(:class:`~repro.corpus.indexes.FeatureMemo`).  Every mutator drops them.
 
 TSV line format (tab-separated, ``#`` comments)::
 
@@ -92,7 +93,8 @@ class Thesaurus:
         self._hypernyms: dict[str, set[str]] = {}
         self._abbreviations: dict[str, str] = {}
         self._acronyms: dict[str, tuple[str, ...]] = {}
-        # Linguistic config -> the lexicon of this thesaurus under it.
+        # (kind, config) -> the table of this thesaurus under it
+        # (lexicons and feature memos; see table()).
         self._lexicons: dict = {}
         self._lexicon_lock = threading.Lock()
 
@@ -103,28 +105,39 @@ class Thesaurus:
     def lexicon(self, config) -> Lexicon:
         """The token lexicon of this thesaurus under a linguistic config.
 
-        Matchers with equal configs share it.  A lexicon past its entry
-        cap is replaced by a fresh one here, so a caller that fetches
-        its lexicon once per match reads one table throughout; past
-        :data:`~repro.linguistic.lexicon.MAX_LEXICONS` configs, the one
-        least recently replaced or added goes.
+        Matchers with equal configs share it; see :meth:`table`.
         """
-        lexicon = self._lexicons.get(config)
-        if lexicon is None or lexicon.full():
+        return self.table(config, Lexicon)
+
+    def table(self, config, kind):
+        """The table of ``kind`` derived from this thesaurus under
+        ``config`` (built as ``kind(self, config)``): token lexicons,
+        and the corpus index's feature memos.
+
+        Callers with equal configs share one table.  A table past its
+        entry cap (``full()``) is replaced by a fresh one here, so a
+        caller that fetches its table once per match reads one table
+        throughout; past :data:`~repro.linguistic.lexicon.MAX_LEXICONS`
+        tables, the one least recently replaced or added goes.
+        """
+        key = (kind, config)
+        table = self._lexicons.get(key)
+        if table is None or table.full():
             with self._lexicon_lock:
-                lexicons = self._lexicons
-                lexicon = lexicons.pop(config, None)
-                if lexicon is None or lexicon.full():
-                    lexicon = Lexicon(self, config)
-                while len(lexicons) >= MAX_LEXICONS:
-                    del lexicons[next(iter(lexicons))]
-                lexicons[config] = lexicon
-        return lexicon
+                tables = self._lexicons
+                table = tables.pop(key, None)
+                if table is None or table.full():
+                    table = kind(self, config)
+                while len(tables) >= MAX_LEXICONS:
+                    del tables[next(iter(tables))]
+                tables[key] = table
+        return table
 
     def drop_lexicons(self):
-        """Forget every lexicon derived from this thesaurus, so the next
+        """Forget every table derived from this thesaurus, so the next
         match starts from a cold token table.  Every mutator calls it:
-        a lexicon caches synonym classes and token scores."""
+        a lexicon caches synonym classes and token scores, a feature
+        memo thesaurus expansions."""
         with self._lexicon_lock:
             self._lexicons = {}
 

@@ -1,6 +1,14 @@
 """Frozen, test-only reference of stage-1 corpus retrieval.
 
-This is the per-document read path the column scorers in
+Two parts.  The first is the per-node feature extraction that
+:func:`repro.corpus.indexes.schema_features` replaced: every node's
+label tokenized, stemmed and thesaurus-expanded on its own, normalized
+again for its shingles (and for its parent's), every shingle hashed
+with blake2b, and the MinHash signature taken as plain-integer
+``min((a*x + b) mod p)``.  ``tests/test_feature_equivalence.py``
+compares the two.
+
+The second is the per-document read path the column scorers in
 :mod:`repro.corpus.segments` replaced, kept verbatim in behaviour: each
 segment's packed payloads decode into per-document ``(token, tf)``
 lists, token dicts, ``(ordinal, tf)`` posting lists, signature tuples
@@ -16,15 +24,88 @@ corpora; do not change this file to follow the shipped code.
 from __future__ import annotations
 
 import math
+import random
 import struct
 import sys
 from array import array
+from collections import Counter
+from hashlib import blake2b
 
 from repro.corpus.indexes import BM25_B, BM25_K1
 from repro.corpus.segments import (
     SEGMENT_MINHASH_NAME,
     SEGMENT_POSTINGS_NAME,
 )
+from repro.linguistic.tokenizer import normalize, stem, tokenize
+
+
+# ----------------------------------------------------------------------
+# Feature extraction, one node at a time
+# ----------------------------------------------------------------------
+
+def label_tokens(label: str, config, thesaurus=None) -> list:
+    """Index tokens of one label: split, stem, thesaurus-expand."""
+    tokens = tokenize(label, keep_numbers=config.keep_numbers)
+    out = []
+    for token in tokens:
+        out.append(stem(token) if config.use_stemming else token)
+        if thesaurus is None or not config.use_thesaurus:
+            continue
+        expansion = thesaurus.expand_abbreviation(token)
+        if expansion:
+            out.append(stem(expansion) if config.use_stemming else expansion)
+        acronym_words = thesaurus.expand_acronym(token)
+        if acronym_words:
+            out.extend(
+                stem(word) if config.use_stemming else word
+                for word in acronym_words
+            )
+    return out
+
+
+def schema_tokens(tree, config, thesaurus=None) -> Counter:
+    """The token multiset of a whole schema, node by node."""
+    tokens: Counter = Counter()
+    for node in tree.root.iter_preorder():
+        tokens.update(label_tokens(node.name, config, thesaurus))
+    return tokens
+
+
+def schema_shingles(tree, config) -> frozenset:
+    """Normalized labels plus parent>child bigrams, node by node."""
+    shingles = set()
+    for node in tree.root.iter_preorder():
+        label = normalize(node.name)
+        shingles.add(label)
+        if config.structural_shingles and node.parent is not None:
+            shingles.add(f"{normalize(node.parent.name)}>{label}")
+    return frozenset(shingles)
+
+
+def shingle_hash(shingle: str) -> int:
+    """Stable 64-bit hash of one shingle."""
+    return int.from_bytes(
+        blake2b(shingle.encode("utf-8"), digest_size=8).digest(), "big"
+    )
+
+
+def signature(shingles, config) -> tuple:
+    """The MinHash signature of a shingle set under ``config``'s seeded
+    permutations, in plain integers."""
+    mersenne = (1 << 61) - 1
+    rng = random.Random(config.seed)
+    params = [(rng.randrange(1, mersenne), rng.randrange(0, mersenne))
+              for _ in range(config.num_perm)]
+    if not shingles:
+        return tuple([mersenne] * config.num_perm)
+    hashes = [shingle_hash(shingle) for shingle in shingles]
+    return tuple(min((a * x + b) % mersenne for x in hashes)
+                 for a, b in params)
+
+
+# ----------------------------------------------------------------------
+# Retrieval, one document at a time
+# ----------------------------------------------------------------------
 
 
 def _unpack_u32_array(blob: bytes) -> array:
