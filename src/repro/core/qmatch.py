@@ -26,12 +26,14 @@ total cost is the O(n*m) the paper claims.
 
 Only interior x interior pairs need the recursion: Eq. 2 fixes the
 children axis at 1.0 for leaf x leaf pairs and footnote 1 zeroes its
-weight for leaf x interior pairs.  An untraced run therefore scores
-every pair as numpy blocks gathered from the context's label and
-property grids and walks only the interior pairs in Python; traced runs,
-``explain`` and incremental re-matching take the scalar per-pair path,
-which stays the reference.  Both paths add the axes in one expression,
-:func:`_combine`, so their floats are identical.
+weight for leaf x interior pairs.  Every run therefore scores every pair
+as numpy blocks gathered from the context's label and property grids
+and walks only the interior pairs in Python.  Everything else reads the
+grids that run holds: a traced run records its spans from them after
+scoring, ``explain`` reads one pair's cell of them plus one children-axis
+call, and incremental re-matching rescores its changed rows through the
+same block fill.  The axes are added in one expression,
+:func:`_combine`, for a block of pairs and for one pair alike.
 
 Alongside the numeric matrix, the matcher classifies every pair with the
 Section 2 taxonomy (leaf-exact ... partial-relaxed), which is reported
@@ -40,8 +42,10 @@ per correspondence.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from itertools import product, repeat
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -53,10 +57,17 @@ from repro.core.taxonomy import (
     classify_leaf,
     classify_subtree,
 )
-from repro.linguistic.matcher import LabelComparison, LinguisticMatcher
+from repro.engine.context import MECHANISMS
+from repro.linguistic.matcher import LinguisticMatcher
 from repro.matching.base import Matcher
 from repro.matching.classes import MatchStrength
-from repro.matching.result import CATEGORY_CODES, SCORE_NOISE, ScoreMatrix, checked_score
+from repro.matching.result import (
+    CATEGORY_CODES,
+    CATEGORY_VALUES,
+    SCORE_NOISE,
+    ScoreMatrix,
+    checked_score,
+)
 from repro.properties.matcher import PropertyMatcher
 from repro.xsd.model import SchemaTree
 
@@ -146,12 +157,13 @@ class QMatchMatcher(Matcher):
         where the children axis reads them back), and the postorder
         :class:`ScoreMatrix` takes them over as its grids.
 
-        A traced run scores pair by pair (:meth:`_score_row`); an
-        untraced one by :meth:`_score_blocks`, with the same floats and
-        categories.
+        Every run scores through :meth:`_score_blocks`; a traced run
+        then records one span per pair from the same grids
+        (:meth:`_record_spans`).
         """
         source, target = ctx.source_table, ctx.target_table
         tracer = ctx.tracer
+        known = walk = None
         if tracer.enabled:
             tracer.begin_run(
                 algorithm=self.name,
@@ -161,12 +173,16 @@ class QMatchMatcher(Matcher):
                 threshold=self.config.threshold,
                 config=self.config_signature(),
             )
-            grid = [0.0] * (len(source) * len(target))
-            categories = [-1] * len(grid) if self.config.record_categories else None
-            for s_index in range(len(source)):
-                self._score_row(s_index, grid, categories, ctx)
-        else:
-            grid, categories = self._score_blocks(ctx)
+            # Taken before anything is filled: the spans' provenance.
+            known = ctx.memo_keys()
+            walk = {}
+        evidence = self._evidence(ctx)
+        grid = [0.0] * (len(source) * len(target))
+        categories = [-1] * len(grid) if self.config.record_categories else None
+        blocks = self._score_blocks(ctx, evidence, evidence.gate.ravel().tolist(),
+                                    grid, categories, walk)
+        if tracer.enabled:
+            self._record_spans(ctx, evidence, blocks, walk, known)
         matrix = ScoreMatrix(ctx.source, ctx.target, "postorder", grid,
                              categories)
         stats = ctx.stats
@@ -178,362 +194,281 @@ class QMatchMatcher(Matcher):
         stats.count("qmatch.pairs.recursive", recursive)
         return matrix
 
-    def _score_row(self, s_index, grid, categories, ctx):
-        """Score source node ``s_index`` against every target node,
-        writing clamped QoMs (and category codes) into its grid row."""
-        target = ctx.target_table
-        width = len(target)
-        row = s_index * width
-        s_path = ctx.source_table.paths[s_index]
-        tracer = ctx.tracer
-        for t_index in range(width):
-            # Zero-cost when disabled: this is the single per-pair
-            # trace branch the observability layer is allowed.
-            if tracer.enabled:
-                qom, category = self._traced_pair(
-                    s_index, t_index, grid, categories, ctx, tracer
-                )
-            else:
-                qom, category = self._pair_qom(
-                    s_index, t_index, grid, categories, ctx
-                )
-            grid[row + t_index] = checked_score(
-                qom, s_path, target.paths[t_index]
-            )
-            if categories is not None:
-                categories[row + t_index] = CATEGORY_CODES[category._value_]
+    def _evidence(self, ctx, rows=None):
+        """This configuration's per-pair inputs over ``rows`` (source
+        postorder indices; ``None`` for all) x every target node:
+        ``labels`` / ``label_codes`` (with :meth:`_document`'s evidence),
+        ``props`` / ``prop_codes``, the child ``gate`` and ``instance``
+        (``None`` at zero weight).  Full evidence stays in
+        ``ctx.derived`` for :meth:`explain`."""
+        config = self.config
+        source, target = ctx.source_table, ctx.target_table
+        names, name_codes = ctx.node_label_grids(rows)
+        props, prop_codes = ctx.node_property_grids(rows)
+        evidence = SimpleNamespace(
+            rows=rows, names=names, labels=names, label_codes=name_codes,
+            props=props, prop_codes=prop_codes, instance=None, doc_ids=None,
+            mechanisms=None,
+            gate=_child_gate(name_codes, props, config.structural_child_gate),
+        )
+        s_rows = range(len(source)) if rows is None else rows
+        if config.use_documentation:
+            self._document(ctx, evidence, s_rows)
+        if config.weights.uses_instance:
+            # The fifth axis only ever runs at nonzero weight: the
+            # zero-weight model touches no profile and fills no memo.
+            evidence.instance = np.array([
+                ctx.instance_score(source.nodes[s_index], t_node)
+                for s_index in s_rows for t_node in target.nodes
+            ]).reshape(names.shape)
+        if rows is None:
+            ctx.derived[("qmatch", config)] = evidence
+        return evidence
 
-    def _score_blocks(self, ctx):
-        """Score every pair of an untraced run; returns the
-        row-major QoM grid and category code grid (``None`` when
-        categories are not recorded) as lists.
+    def _document(self, ctx, evidence, s_rows):
+        """Fold documentation evidence into the label grids, in one loop
+        over the pairs whose nodes both carry ``xs:documentation``: the
+        discounted similarity of the texts lifts a label axis the names
+        score lower, never lowers one, and is at best relaxed."""
+        discount = self.config.documentation_discount
 
-        Leaf x leaf and leaf x interior pairs need no recursion, so
-        their QoMs come from one :func:`_combine` over n x m arrays
-        gathered from the context's label and property grids, and their
-        categories from :data:`_BLOCK_CATEGORY`.  The interior x interior
+        def doc_id(node):
+            text = node.properties.get("documentation")
+            return ctx.label_id(text) if text else None
+
+        s_docs = [doc_id(ctx.source_table.nodes[s_index]) for s_index in s_rows]
+        t_docs = [doc_id(node) for node in ctx.target_table.nodes]
+        documented = [(t_index, t_doc) for t_index, t_doc in enumerate(t_docs)
+                      if t_doc is not None]
+        labels = evidence.labels = evidence.labels.copy()
+        codes = evidence.label_codes = evidence.label_codes.copy()
+        for row, s_doc in enumerate(s_docs):
+            if s_doc is None:
+                continue
+            for t_index, t_doc in documented:
+                doc = ctx.label_pair(s_doc, t_doc)
+                doc_score = doc.score * discount
+                if doc_score > labels[row, t_index]:
+                    labels[row, t_index] = doc_score
+                    if codes[row, t_index] == _NONE and doc.strength.is_match:
+                        codes[row, t_index] = MatchStrength.RELAXED.value
+        evidence.doc_ids = (s_docs, t_docs)
+
+    def _score_blocks(self, ctx, evidence, gate, grid, categories, walk=None):
+        """Score ``evidence``'s rows into the row-major ``grid`` (clamped
+        QoMs) and ``categories`` (codes, or ``None``) of every pair.
+
+        Leaf x leaf and leaf x interior pairs take one :func:`_combine`
+        over the rows' arrays and :data:`_BLOCK_CATEGORY`; interior
         pairs are then walked in row-major order (children first, as in
-        postorder) through :meth:`_children_axis`, which reads the child
-        gate as a precomputed grid.
+        postorder) through :meth:`_children_axis`, reading the child
+        gate from ``gate`` by row-major index.  A traced run's ``walk``
+        receives each interior pair's (QoM, children score, coverage,
+        matched children, category code, matched child pairs), and gets
+        back the blocks' unclamped QoMs, category codes, effective
+        levels, children weights, children scores and coverages.
         """
         config = self.config
         weights = config.weights
         source, target = ctx.source_table, ctx.target_table
         width = len(target)
-        names, name_codes = ctx.node_label_grids()
-        props, prop_codes = ctx.node_property_grids()
-        labels, label_codes = names, name_codes
-        if config.use_documentation:
-            labels, label_codes = self._documented_grids(ctx, names,
-                                                         name_codes)
-        s_leaves = np.array(source.leaves)[:, None]
+        rows = (np.arange(len(source)) if evidence.rows is None
+                else np.array(evidence.rows, dtype=np.intp))
+        s_leaves = np.array(source.leaves)[rows][:, None]
         t_leaves = np.array(target.leaves)
         leaf_pairs = s_leaves & t_leaves
         mixed_pairs = s_leaves != t_leaves
-        same_level = (np.array(source.levels)[:, None]
+        same_level = (np.array(source.levels)[rows][:, None]
                       == np.array(target.levels))
         level = same_level.astype(np.float64)
-        effective_level = (
-            np.where(leaf_pairs, 1.0, level)
-            if config.leaf_level_mode == "constant" else level
+        effective_level, children_weight, children = _shape_axes(
+            config, leaf_pairs, level,
         )
-        instance = None
-        if weights.uses_instance:
-            score_instance = ctx.instance_score
-            instance = np.array([
-                score_instance(s_node, t_node)
-                for s_node in source.nodes for t_node in target.nodes
-            ]).reshape(names.shape)
-        # Eq. 2: leaf pairs take the children axis at 1.0; footnote 1:
-        # mixed pairs give it no weight.  Interior pairs are rescored
-        # below.
-        qom = _combine(
-            weights, labels, props, effective_level,
-            np.where(leaf_pairs, weights.children, 0.0),
-            leaf_pairs.astype(np.float64), instance,
-        ).ravel()
+        labels, props = evidence.labels, evidence.props
+        qom = _combine(weights, labels, props, effective_level,
+                       children_weight, children, evidence.instance).ravel()
         interior = ~(leaf_pairs | mixed_pairs).ravel()
         out_of_range = np.flatnonzero(
             ~((qom >= -SCORE_NOISE) & (qom <= 1 + SCORE_NOISE)) & ~interior
         )
-        # The scalar loop raises at the first bad pair in row-major
-        # order: interior pairs before it are still scored (and may
-        # raise first), those after it are not.
+        # checked_score raises at the first bad pair in row-major order:
+        # interior pairs before it are still scored (and may raise
+        # first), those after it are not.
         first_bad = out_of_range[0] if out_of_range.size else qom.size
         # checked_score's clamp: max(0.0, q), then min(1.0, q).
         clamped = np.where(qom > 0.0, qom, 0.0)
-        grid = np.where(clamped < 1.0, clamped, 1.0).tolist()
-        categories = None
-        if config.record_categories:
-            categories = _BLOCK_CATEGORY[
-                mixed_pairs.astype(np.intp), label_codes, prop_codes,
-                same_level.astype(np.intp),
-            ].ravel().tolist()
-        gate = ((name_codes != MatchStrength.NONE.value)
-                | (props >= config.structural_child_gate)).ravel().tolist()
+        clamped = np.where(clamped < 1.0, clamped, 1.0).reshape(len(rows), width)
+        codes = None
+        if categories is not None or walk is not None:
+            codes = _BLOCK_CATEGORY[
+                mixed_pairs.astype(np.intp), evidence.label_codes,
+                evidence.prop_codes, same_level.astype(np.intp),
+            ]
+        row_list = rows.tolist()
+        for s_index, values, row_codes in zip(
+                row_list, clamped.tolist(),
+                repeat(None) if categories is None else codes.tolist()):
+            start = s_index * width
+            grid[start:start + width] = values
+            if categories is not None:
+                categories[start:start + width] = row_codes
         pairs = np.flatnonzero(interior)
         pairs = pairs[pairs < first_bad]
         interior_pairs = zip(
             pairs.tolist(), labels.ravel()[pairs].tolist(),
             props.ravel()[pairs].tolist(), level.ravel()[pairs].tolist(),
-            label_codes.ravel()[pairs].tolist(),
-            prop_codes.ravel()[pairs].tolist(),
-            repeat(None) if instance is None
-            else instance.ravel()[pairs].tolist(),
+            evidence.label_codes.ravel()[pairs].tolist(),
+            evidence.prop_codes.ravel()[pairs].tolist(),
+            repeat(None) if evidence.instance is None
+            else evidence.instance.ravel()[pairs].tolist(),
         )
-        for (index, label, prop, level_score, label_code, prop_code,
+        for (pair, label, prop, level_score, label_code, prop_code,
              instance_score) in interior_pairs:
-            s_index, t_index = divmod(index, width)
-            children_score, coverage, _, children_strength = (
+            row, t_index = divmod(pair, width)
+            s_index = row_list[row]
+            index = s_index * width + t_index
+            matched_pairs = None if walk is None else []
+            children_score, children_coverage, matched, children_strength = (
                 self._children_axis(s_index, t_index, grid, categories,
-                                    gate, ctx)
+                                    gate, ctx, matched_pairs)
             )
-            grid[index] = checked_score(
-                _combine(weights, label, prop, level_score,
-                         weights.children, children_score, instance_score),
-                source.paths[s_index], target.paths[t_index],
-            )
-            if categories is not None:
-                categories[index] = CATEGORY_CODES[classify_subtree(
-                    _STRENGTHS[label_code], _STRENGTHS[prop_code],
-                    MatchStrength.EXACT if level_score
-                    else MatchStrength.NONE,
-                    coverage, children_strength,
-                )._value_]
-        if first_bad < qom.size:
-            s_index, t_index = divmod(int(first_bad), width)
-            checked_score(float(qom[first_bad]), source.paths[s_index],
-                          target.paths[t_index])
-        return grid, categories
-
-    def _documented_grids(self, ctx, names, name_codes):
-        """Copies of the name grids with documentation evidence folded
-        in, one :meth:`_label_evidence` per pair of documented nodes."""
-        labels, codes = names.copy(), name_codes.copy()
-        source, target = ctx.source_table, ctx.target_table
-        documented = [
-            t_index for t_index, node in enumerate(target.nodes)
-            if node.properties.get("documentation")
-        ]
-        for s_index, node in enumerate(source.nodes):
-            if not node.properties.get("documentation"):
+            pair_qom = _combine(weights, label, prop, level_score,
+                                weights.children, children_score,
+                                instance_score)
+            grid[index] = checked_score(pair_qom, source.paths[s_index],
+                                        target.paths[t_index])
+            if codes is None:
                 continue
-            for t_index in documented:
-                label = self._label_evidence(
-                    ctx.stored_label(s_index, t_index), s_index, t_index,
-                    ctx,
-                )
-                labels[s_index, t_index] = label.score
-                codes[s_index, t_index] = label.strength.value
-        return labels, codes
+            category = _interior_category(label_code, prop_code, level_score,
+                                          children_coverage, children_strength)
+            if categories is not None:
+                categories[index] = category
+            if walk is not None:
+                walk[index] = (pair_qom, children_score, children_coverage,
+                               matched, category, matched_pairs)
+        if first_bad < qom.size:
+            row, t_index = divmod(int(first_bad), width)
+            checked_score(float(qom[first_bad]), source.paths[row_list[row]],
+                          target.paths[t_index])
+        return (qom, codes.ravel(), effective_level.ravel(),
+                children_weight.ravel(), children.ravel(),
+                leaf_pairs.ravel()) if walk is not None else None
 
-    def _traced_pair(self, s_index, t_index, grid, categories, ctx, tracer):
-        """Score one pair with full span recording (the traced path).
+    def _record_spans(self, ctx, evidence, blocks, walk, known):
+        """Record one span per pair of a traced run, in row-major
+        postorder, from the run's grids.
 
-        Cache provenance is probed *before* the comparisons run (a
-        memoized lookup afterwards would always report a hit).
+        Cache provenance is derived: a label reads ``hit`` when its
+        unordered label-id pair is in ``known`` (the memos' keys before
+        the run) or was met at an earlier pair, by name or documentation
+        lookup; a property likewise over ordered signature-id pairs; an
+        instance only when known.  Child span ids are the recorder's
+        span count before the run plus the child pair's row-major index.
+        The collector is paused while the spans (which hold no cycles)
+        are built: its full passes over them and the memos cost about as
+        much as the spans on Protein.
         """
         weights = self.config.weights
-        uses_instance = weights.uses_instance
-        source, target = ctx.source_table, ctx.target_table
-        label_cache = (
-            "hit" if ctx.node_label_cached(s_index, t_index) else "miss"
-        )
-        property_cache = (
-            "hit" if ctx.node_properties_cached(s_index, t_index) else "miss"
-        )
-        if uses_instance:
-            instance_cache = (
-                "hit" if ctx.instance_cached(source.nodes[s_index],
-                                             target.nodes[t_index])
-                else "miss"
-            )
-        detail: dict = {}
-        qom, category = self._pair_qom(
-            s_index, t_index, grid, categories, ctx, trace_out=detail
-        )
-        label = detail["label"]
-        props = detail["properties"]
-        level_score = detail["level_score"]
-        children_score = detail["children_score"]
-        children_weight = detail["children_weight"]
-        axes = {
-            "label": {
-                "score": label.score,
-                "weight": weights.label,
-                "contribution": weights.label * label.score,
-                "strength": str(label.strength),
-                "mechanism": label.mechanism,
-                "cache": label_cache,
-            },
-            "properties": {
-                "score": props.score,
-                "weight": weights.properties,
-                "contribution": weights.properties * props.score,
-                "strength": str(props.strength),
-                "cache": property_cache,
-            },
-            "level": {
-                "score": level_score,
-                "weight": weights.level,
-                "contribution": weights.level * level_score,
-            },
-            "children": {
-                "score": children_score,
-                "weight": children_weight,
-                "contribution": children_weight * children_score,
-                "coverage": str(detail["coverage"]),
-                "matched": detail["matched_children"],
-                "total": detail["total_children"],
-            },
-        }
-        if uses_instance:
-            # Only present at nonzero instance weight, so four-axis
-            # traces stay byte-identical to the pre-instance format.
-            instance_score = detail["instance_score"]
-            axes["instance"] = {
-                "score": instance_score,
-                "weight": weights.instance,
-                "contribution": weights.instance * instance_score,
-                "cache": instance_cache,
-            }
-        children_spans = []
-        for s_child, t_child in detail["matched_pairs"]:
-            span_id = tracer.span_id(source.paths[s_child],
-                                     target.paths[t_child])
-            if span_id is not None:
-                children_spans.append(span_id)
+        w_label, w_props, w_level = (weights.label, weights.properties,
+                                     weights.level)
+        w_children, w_instance = weights.children, weights.instance
         threshold = self.config.threshold
-        tracer.record_pair(
-            source.paths[s_index], target.paths[t_index],
-            qom=qom,
-            category=str(category),
-            threshold=threshold,
-            accepted=qom >= threshold,
-            axes=axes,
-            children_spans=children_spans,
-        )
-        return qom, category
-
-    # ------------------------------------------------------------------
-    # The QoM model
-    # ------------------------------------------------------------------
-
-    def _pair_qom(self, s_index: int, t_index: int, grid, categories, ctx,
-                  trace_out: Optional[dict] = None):
-        """QoM and taxonomy category of one pair, by postorder index.
-
-        The one scoring implementation: the untraced and traced loops,
-        :meth:`explain` and incremental re-matching all call it.
-        ``grid`` (row-major, ``len(ctx.target_table)`` wide) must hold
-        the clamped QoM of every child pair already, which postorder
-        iteration guarantees; ``categories`` is the parallel grid of
-        :class:`MatchCategory` codes, or ``None`` when categories are
-        not recorded.  ``trace_out`` (only passed on the traced path)
-        receives the per-axis evidence the span recorder serializes;
-        the numeric result is identical with or without it.
-        """
+        tracer = ctx.tracer
         source, target = ctx.source_table, ctx.target_table
-        weights = self.config.weights
-        label = self._label_evidence(ctx.node_label(s_index, t_index),
-                                     s_index, t_index, ctx)
-        props = ctx.node_properties(s_index, t_index)
-        level_strength = (
-            MatchStrength.EXACT
-            if source.levels[s_index] == target.levels[t_index]
-            else MatchStrength.NONE
+        width = len(target)
+        qoms, codes, levels, children_weights, children_scores, leaves = (
+            array.tolist() for array in blocks
         )
-        level_score = 1.0 if level_strength is MatchStrength.EXACT else 0.0
-        matched_pairs = [] if trace_out is not None else None
-        s_leaf = source.leaves[s_index]
-
-        if s_leaf and target.leaves[t_index]:
-            if self.config.leaf_level_mode == "constant":
-                # Eq. 2: children and level exact by default for leaves.
-                effective_level = 1.0
-            else:
-                effective_level = level_score
-            children_score, children_weight = 1.0, weights.children
-            coverage, matched, total = CoverageLevel.TOTAL, 0, 0
-            category = classify_leaf(label.strength, props.strength)
-        elif s_leaf != target.leaves[t_index]:
-            # Leaf vs interior: no children-axis credit (footnote 1 of
-            # the paper -- comparable by altering the level axis).
-            effective_level = level_score
-            children_score, children_weight = 0.0, 0.0
-            coverage, matched = CoverageLevel.NONE, 0
-            total = len(source.children[s_index])
-            category = classify_subtree(
-                label.strength, props.strength, level_strength,
-                CoverageLevel.NONE, MatchStrength.NONE,
+        coverages = (str(CoverageLevel.NONE), str(CoverageLevel.TOTAL))
+        labels, label_codes, mechanisms, props, prop_codes = (
+            grid.ravel().tolist() for grid in (
+                evidence.labels, evidence.label_codes,
+                _mechanisms(ctx, evidence), evidence.props,
+                evidence.prop_codes,
             )
-        else:
-            effective_level = level_score
-            children_score, coverage, matched, children_strength = (
-                self._children_axis(
-                    s_index, t_index, grid, categories,
-                    _MemoGate(ctx, self.config.structural_child_gate), ctx,
-                    matched_pairs=matched_pairs,
-                )
-            )
-            children_weight = weights.children
-            total = len(source.children[s_index])
-            category = classify_subtree(
-                label.strength, props.strength, level_strength,
-                coverage, children_strength,
-            )
-        instance_score = None
-        if weights.uses_instance:
-            # The fifth axis only ever runs at nonzero weight: the
-            # zero-weight model touches no profile, fills no memo and
-            # adds not a single float to the sum.
-            instance_score = ctx.instance_score(source.nodes[s_index],
-                                                target.nodes[t_index])
-        qom = _combine(weights, label.score, props.score, effective_level,
-                       children_weight, children_score, instance_score)
-        if trace_out is not None:
-            trace_out.update(
-                label=label,
-                properties=props,
-                level_score=effective_level,
-                children_score=children_score,
-                children_weight=children_weight,
-                coverage=coverage,
-                matched_children=matched,
-                total_children=total,
-                matched_pairs=matched_pairs,
-                instance_score=instance_score,
-            )
-        return qom, category
-
-    def _label_evidence(self, label, s_index, t_index, ctx):
-        """Label-axis evidence: names, optionally backed by documentation.
-
-        ``label`` is the comparison of the two nodes' names.  With
-        ``use_documentation`` on and both nodes carrying
-        ``xs:documentation`` text, the documentation's linguistic
-        similarity (discounted) can lift a label axis the names alone
-        would fail -- it never lowers the name-based score, and
-        doc-mediated evidence is at best relaxed.
-        """
-        if not self.config.use_documentation:
-            return label
-        s_doc = ctx.source_table.nodes[s_index].properties.get(
-            "documentation"
         )
-        t_doc = ctx.target_table.nodes[t_index].properties.get(
-            "documentation"
-        )
-        if not s_doc or not t_doc:
-            return label
-        doc = ctx.label_comparison(s_doc, t_doc)
-        doc_score = doc.score * self.config.documentation_discount
-        if doc_score <= label.score:
-            return label
-        strength = label.strength
-        if strength is MatchStrength.NONE and doc.strength.is_match:
-            strength = MatchStrength.RELAXED
-        return LabelComparison(doc_score, strength, "documentation")
+        instance = (None if evidence.instance is None
+                    else evidence.instance.ravel().tolist())
+        labels_seen, props_seen, instances_known = known
+        s_docs, t_docs = evidence.doc_ids or (repeat(None), repeat(None))
+        t_sides = list(zip(target.paths, target.label_ids,
+                           target.signature_ids, t_docs, target.nodes))
+        strengths = [str(strength) for strength in _STRENGTHS]
+        caches = ("miss", "hit")
+        base = len(tracer.spans)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            index = 0
+            for s_path, children, s_label, s_sig, s_doc, s_node in zip(
+                    source.paths, source.children, source.label_ids,
+                    source.signature_ids, s_docs, source.nodes):
+                for t_path, t_label, t_sig, t_doc, t_node in t_sides:
+                    label_key = ((s_label, t_label) if s_label <= t_label
+                                 else (t_label, s_label))
+                    label_hit = label_key in labels_seen
+                    labels_seen.add(label_key)
+                    if s_doc is not None and t_doc is not None:
+                        labels_seen.add((s_doc, t_doc) if s_doc <= t_doc
+                                        else (t_doc, s_doc))
+                    property_hit = (s_sig, t_sig) in props_seen
+                    props_seen.add((s_sig, t_sig))
+                    detail = walk.get(index)
+                    if detail is None:
+                        qom, category = qoms[index], codes[index]
+                        children_score = children_scores[index]
+                        children_weight = children_weights[index]
+                        coverage = coverages[leaves[index]]
+                        matched, spans = 0, ()
+                    else:
+                        (qom, children_score, coverage, matched, category,
+                         matched_pairs) = detail
+                        coverage, children_weight = str(coverage), w_children
+                        spans = [base + s_child * width + t_child
+                                 for s_child, t_child in matched_pairs]
+                    label, prop, level = labels[index], props[index], levels[index]
+                    axes = {
+                        "label": {
+                            "score": label, "weight": w_label,
+                            "contribution": w_label * label,
+                            "strength": strengths[label_codes[index]],
+                            "mechanism": MECHANISMS[mechanisms[index]],
+                            "cache": caches[label_hit],
+                        },
+                        "properties": {
+                            "score": prop, "weight": w_props,
+                            "contribution": w_props * prop,
+                            "strength": strengths[prop_codes[index]],
+                            "cache": caches[property_hit],
+                        },
+                        "level": {"score": level, "weight": w_level,
+                                  "contribution": w_level * level},
+                        "children": {
+                            "score": children_score, "weight": children_weight,
+                            "contribution": children_weight * children_score,
+                            "coverage": coverage, "matched": matched,
+                            "total": len(children),
+                        },
+                    }
+                    if instance is not None:
+                        # Only present at nonzero instance weight, so
+                        # four-axis traces keep the pre-instance format.
+                        axes["instance"] = {
+                            "score": instance[index], "weight": w_instance,
+                            "contribution": w_instance * instance[index],
+                            "cache": caches[(id(s_node), id(t_node))
+                                            in instances_known],
+                        }
+                    tracer.record_pair(
+                        s_path, t_path, qom=qom,
+                        category=CATEGORY_VALUES[category],
+                        threshold=threshold, accepted=qom >= threshold,
+                        axes=axes, children_spans=spans,
+                    )
+                    index += 1
+        finally:
+            if collecting:
+                gc.enable()
 
     def _children_axis(self, s_index, t_index, grid, categories, gate, ctx,
                        matched_pairs=None):
@@ -648,13 +583,13 @@ class QMatchMatcher(Matcher):
         When ``matrix`` is omitted the matcher recomputes it (fine for
         paper-sized schemas; pass the matrix from a previous
         :meth:`match` for large ones).  Passing the ``context`` of that
-        run as well reuses its memoized per-pair comparisons instead of
-        rebuilding them -- the service layer does this when attaching
+        run as well reuses the evidence grids it left there instead of
+        filling them again -- the service layer does this when attaching
         axis evidence to every correspondence of a result.
 
-        The breakdown comes from the same :meth:`_pair_qom` the pair
-        loop runs, reading child QoMs and category codes straight from
-        ``matrix``'s grids (which are in the context's postorder).
+        The breakdown reads the pair's cell of those grids and, for an
+        interior pair, one :meth:`_children_axis` call over ``matrix``'s
+        grids (which are in the context's postorder).
         """
         s_node = source.find(source_path)
         t_node = target.find(target_path)
@@ -669,38 +604,58 @@ class QMatchMatcher(Matcher):
         if (matrix.source_paths, matrix.target_paths) != (
                 source_table.paths, target_table.paths):
             raise ValueError("explain needs a QMatch matrix of these schemas")
+        evidence = (ctx.derived.get(("qmatch", self.config))
+                    or self._evidence(ctx))
         s_index = source_table.index[id(s_node)]
         t_index = target_table.index[id(t_node)]
-        codes = matrix.category_codes
-        detail: dict = {}
-        _, computed_category = self._pair_qom(
-            s_index, t_index, matrix.scores.ravel(),
-            None if codes is None else codes.ravel(), ctx, trace_out=detail,
+        cell = (s_index, t_index)
+        label_code = int(evidence.label_codes[cell])
+        prop_code = int(evidence.prop_codes[cell])
+        s_leaf, t_leaf = source_table.leaves[s_index], target_table.leaves[t_index]
+        same_level = source_table.levels[s_index] == target_table.levels[t_index]
+        level_score, _, children_score = _shape_axes(
+            self.config, s_leaf and t_leaf, float(same_level),
         )
+        coverage = (CoverageLevel.TOTAL if s_leaf and t_leaf
+                    else CoverageLevel.NONE)
+        matched = 0
+        if s_leaf or t_leaf:
+            computed = _BLOCK_CATEGORY[int(s_leaf != t_leaf), label_code,
+                                       prop_code, int(same_level)]
+        else:
+            codes = matrix.category_codes
+            children_score, coverage, matched, children_strength = (
+                self._children_axis(
+                    s_index, t_index, matrix.scores.ravel(),
+                    None if codes is None else codes.ravel(),
+                    evidence.gate.ravel(), ctx,
+                )
+            )
+            computed = _interior_category(label_code, prop_code, level_score,
+                                          coverage, children_strength)
         categories = matrix.categories
         category_value = (None if categories is None
                           else categories.get((s_node.path, t_node.path)))
-        label = detail["label"]
-        props = detail["properties"]
         return AxisBreakdown(
             source_path=s_node.path,
             target_path=t_node.path,
             qom=matrix.get(s_node, t_node),
-            category=(
-                MatchCategory(category_value) if category_value is not None
-                else computed_category
+            category=MatchCategory(
+                CATEGORY_VALUES[int(computed)] if category_value is None
+                else category_value
             ),
-            label_score=label.score,
-            label_strength=label.strength,
-            label_mechanism=label.mechanism,
-            properties_score=props.score,
-            properties_strength=props.strength,
-            level_score=detail["level_score"],
-            children_score=float(detail["children_score"]),
-            coverage=detail["coverage"],
-            matched_children=detail["matched_children"],
-            total_children=detail["total_children"],
-            instance_score=detail["instance_score"],
+            label_score=float(evidence.labels[cell]),
+            label_strength=_STRENGTHS[label_code],
+            label_mechanism=MECHANISMS[_mechanisms(ctx, evidence)[cell]],
+            properties_score=float(evidence.props[cell]),
+            properties_strength=_STRENGTHS[prop_code],
+            level_score=level_score,
+            children_score=float(children_score),
+            coverage=coverage,
+            matched_children=matched,
+            total_children=len(source_table.children[s_index]),
+            instance_score=(None if evidence.instance is None
+                            else float(evidence.instance[cell])),
         )
 
 
@@ -715,9 +670,9 @@ def _combine(weights, label, properties, level, children_weight, children,
     instance axis runs), added left to right.
 
     The one formula for every pair shape -- the leaf case fixes the
-    children axis at 1.0, the mixed case zeroes its weight -- and for
-    both paths: the arguments are floats for one pair or numpy arrays
-    for a block, and numpy's elementwise float64 operations round
+    children axis at 1.0, the mixed case zeroes its weight: the
+    arguments are numpy arrays for a block of pairs or floats for one
+    interior pair, and numpy's elementwise float64 operations round
     exactly like Python's, so the two give the same bits.
     """
     qom = (
@@ -734,6 +689,16 @@ def _combine(weights, label, properties, level, children_weight, children,
 #: ``MatchStrength`` by code (its value), as the context's grids hold it.
 _STRENGTHS = tuple(MatchStrength(code) for code in range(len(MatchStrength)))
 
+def _interior_category(label_code, prop_code, level_score, coverage,
+                       children_strength):
+    """The category code of an interior x interior pair."""
+    return CATEGORY_CODES[classify_subtree(
+        _STRENGTHS[label_code], _STRENGTHS[prop_code],
+        MatchStrength.EXACT if level_score else MatchStrength.NONE,
+        coverage, children_strength,
+    )._value_]
+
+
 def _block_category_table():
     """The code of a block pair's category, by (leaf x interior?, label
     code, property code, same level?), from ``classify_leaf`` /
@@ -742,17 +707,12 @@ def _block_category_table():
     table = np.empty((2, len(codes), len(codes), 2), dtype=np.intp)
     for mixed, label, properties, level in product((0, 1), codes, codes,
                                                    (0, 1)):
-        label_strength = _STRENGTHS[label]
-        properties_strength = _STRENGTHS[properties]
-        category = (
-            classify_subtree(
-                label_strength, properties_strength,
-                MatchStrength.EXACT if level else MatchStrength.NONE,
-                CoverageLevel.NONE, MatchStrength.NONE,
-            ) if mixed
-            else classify_leaf(label_strength, properties_strength)
+        table[mixed, label, properties, level] = (
+            _interior_category(label, properties, level, CoverageLevel.NONE,
+                               MatchStrength.NONE) if mixed
+            else CATEGORY_CODES[classify_leaf(_STRENGTHS[label],
+                                              _STRENGTHS[properties])._value_]
         )
-        table[mixed, label, properties, level] = CATEGORY_CODES[category.value]
     return table
 
 
@@ -760,24 +720,38 @@ def _block_category_table():
 _BLOCK_CATEGORY = _block_category_table()
 
 
-class _MemoGate:
-    """The child gate as a row-major index view over the context's
-    counted memos: the scalar path's form of the gate grid
-    :meth:`QMatchMatcher._score_blocks` precomputes."""
+#: The strength code of "no match", which the child gate reads.
+_NONE = MatchStrength.NONE.value
 
-    __slots__ = ("ctx", "threshold", "width")
 
-    def __init__(self, ctx, threshold):
-        self.ctx = ctx
-        self.threshold = threshold
-        self.width = len(ctx.target_table)
+def _child_gate(label_codes, props, threshold):
+    """Whether a child pair may count toward its parent's children axis:
+    its names matched at least relaxed, or its properties score at least
+    ``threshold``.  Elementwise over grids, or for one pair."""
+    return (label_codes != _NONE) | (props >= threshold)
 
-    def __getitem__(self, index):
-        s_index, t_index = divmod(index, self.width)
-        ctx = self.ctx
-        if ctx.node_label(s_index, t_index).strength is not (
-            MatchStrength.NONE
-        ):
-            return True
-        return ctx.node_properties(s_index, t_index).score >= self.threshold
 
+def _shape_axes(config, leaf_pairs, level):
+    """(effective level, children weight, children score) of pairs by
+    shape, for a ``leaf_pairs`` mask and ``level`` scores -- arrays or
+    one pair's values.  Eq. 2: a leaf x leaf pair takes the children axis
+    at 1.0 with total coverage and, in the ``constant`` leaf-level mode,
+    the level axis at 1.0.  Other pairs get footnote 1's leaf x interior
+    values (no children weight, no coverage), which the recursion
+    replaces for interior pairs."""
+    if config.leaf_level_mode == "constant":
+        level = level + leaf_pairs * (1.0 - level)  # exact: level is 0 or 1
+    return level, leaf_pairs * config.weights.children, leaf_pairs * 1.0
+
+
+def _mechanisms(ctx, evidence):
+    """The label mechanism codes (:data:`MECHANISMS`) of every pair of
+    full ``evidence``, built on the first call (only traces and
+    ``explain`` read them): ``documentation`` where it lifted the label,
+    else the names'."""
+    if evidence.mechanisms is None:
+        evidence.mechanisms = np.where(
+            evidence.labels != evidence.names,
+            MECHANISMS.index("documentation"), ctx.node_label_mechanisms(),
+        )
+    return evidence.mechanisms

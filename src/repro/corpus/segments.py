@@ -563,6 +563,8 @@ class SegmentedCorpusIndex:
         #: entries walked) -- what the scale benchmark asserts on.
         self.last_scan: dict = {}
         self._stats = None
+        #: Held while the merged statistics are built (once per change).
+        self._stats_lock = threading.Lock()
         self._doc_rows_cache: Optional[tuple] = None
         #: Index-wide token ids, so merged df and idf are arrays.
         self._vocab: dict[str, int] = {}
@@ -973,8 +975,10 @@ class SegmentedCorpusIndex:
     # ------------------------------------------------------------------
 
     def _invalidate(self):
-        self._stats = None
-        self._doc_rows_cache = None
+        # Locked: a build begun before a write must not publish after it.
+        with self._stats_lock:
+            self._stats = None
+            self._doc_rows_cache = None
 
     def _global_ids(self, seg_id: str, segment: Segment) -> np.ndarray:
         """The segment's token ids in the index-wide vocabulary,
@@ -1002,15 +1006,24 @@ class SegmentedCorpusIndex:
         return live
 
     def _ensure_stats(self) -> dict:
-        """Load every segment (first search) and merge document
-        frequencies, lengths and counts across them.
+        """The merged statistics, built once between the threads whose
+        first searches overlap (inline-mode service threads)."""
+        stats = self._stats
+        if stats is None:
+            with self._stats_lock:
+                stats = self._stats
+                if stats is None:
+                    stats = self._stats = self._merge_stats()
+        return stats
+
+    def _merge_stats(self) -> dict:
+        """Load every segment and merge document frequencies, lengths
+        and counts across them.
 
         ``df``/``n`` merged this way are exactly what a single segment
         over the same live documents would hold, so the idf of every
         token is the same float for every segment layout.
         """
-        if self._stats is not None:
-            return self._stats
         n = 0
         total_length = 0
         loaded = []
@@ -1045,7 +1058,6 @@ class SegmentedCorpusIndex:
                          _bm25_length_norms(segment.lengths, avgdl))
             for _, segment, live, ids in loaded
         ]
-        self._stats = stats
         return stats
 
     def _idf(self, token: str, stats: dict) -> float:

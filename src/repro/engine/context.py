@@ -25,10 +25,12 @@ and handed to every matcher that scores the pair.  It owns:
   :class:`EngineStats` (each memo counts on its :class:`CacheStats`
   record, bound on the memo's first lookup);
 - the **node grids**: every node pair's name comparison and property
-  comparison as n x m numpy arrays (score and strength code), gathered
-  from dense tables over the distinct label ids and signature ids and
-  filled through the same memos, so a block scorer never looks a pair
-  up one at a time;
+  comparison as n x m numpy arrays (score and strength code, plus label
+  mechanism codes on demand), gathered from dense tables over the
+  distinct label ids and signature ids and filled through the same
+  memos, so a block scorer never looks a pair up one at a time; the
+  grids a matcher derives from them stay in :attr:`MatchContext.derived`
+  for later readers of the same context;
 - the **instrumentation**: an :class:`EngineStats` collecting per-stage
   wall time, pair counts and cache counters for the whole run.
 
@@ -114,6 +116,12 @@ def _unordered(left: int, right: int) -> tuple:
 #: ``MatchStrength`` members by value, the label memo's strength codes.
 _STRENGTHS = tuple(sorted(MatchStrength, key=lambda strength: strength.value))
 
+#: Label mechanisms by code, as :meth:`MatchContext.node_label_mechanisms`
+#: codes them.
+MECHANISMS = ("empty", "string", "synonym", "acronym", "tokens",
+              "documentation")
+_MECHANISM_CODES = {mechanism: code for code, mechanism in enumerate(MECHANISMS)}
+
 
 def _memo_value(comparison: LabelComparison) -> tuple:
     """What the label memo stores of a comparison: a tuple of atomic
@@ -163,8 +171,8 @@ class MatchContext:
         self.property_matcher = property_matcher or PropertyMatcher()
         self.stats = stats if stats is not None else EngineStats()
         #: Decision-trace recorder (see :mod:`repro.obs.trace`).  The
-        #: default :data:`NULL_TRACER` is falsy-``enabled``, so matchers
-        #: pay exactly one branch per pair when tracing is off.
+        #: default :data:`NULL_TRACER` is falsy-``enabled``, so a matcher
+        #: pays one branch per run when tracing is off.
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
         # Node-list precomputation is lazy: cheap matchers (tree-edit,
@@ -198,6 +206,12 @@ class MatchContext:
         # The node grids, built once per context.
         self._label_grids: Optional[tuple] = None
         self._property_grids: Optional[tuple] = None
+        # The distinct label ids behind the name grids, and their gather.
+        self._label_table_ids: Optional[tuple] = None
+        #: Grids a matcher derives from this context's tables, kept for
+        #: later readers of the same context (QMatch's ``explain``),
+        #: keyed by the matcher's configuration.
+        self.derived: dict = {}
         self._lexicon: Optional[Lexicon] = None
 
     # ------------------------------------------------------------------
@@ -338,36 +352,9 @@ class MatchContext:
             counts.hits += 1
         return cached
 
-    def node_label(self, source_index: int,
-                   target_index: int) -> LabelComparison:
-        """Label comparison of two nodes' names, by postorder index."""
-        return self.label_pair(
-            self._source_table.label_ids[source_index],
-            self._target_table.label_ids[target_index],
-        )
-
     def label_score(self, left: str, right: str) -> float:
         return self._label_value(self.label_id(left),
                                  self.label_id(right))[0]
-
-    def node_label_cached(self, source_index: int,
-                          target_index: int) -> bool:
-        """Whether the label memo already holds two nodes' names, by
-        postorder index (trace provenance: checked *before* the
-        comparison runs)."""
-        return _unordered(
-            self._source_table.label_ids[source_index],
-            self._target_table.label_ids[target_index],
-        ) in self._label_memo
-
-    def node_properties_cached(self, source_index: int,
-                               target_index: int) -> bool:
-        """Whether the property memo already holds two nodes' signature
-        pair, by postorder index."""
-        return (
-            self._source_table.signature_ids[source_index],
-            self._target_table.signature_ids[target_index],
-        ) in self._property_memo
 
     def property_comparison(
         self, source: SchemaNode, target: SchemaNode
@@ -379,28 +366,10 @@ class MatchContext:
         these heavily, so the memo collapses the O(n*m) property work to
         the number of distinct signature pairs.
         """
-        return self._property_pair(
-            self.signature_id(source), self.signature_id(target),
-            source, target,
-        )
-
-    def node_properties(self, source_index: int,
-                        target_index: int) -> PropertyComparison:
-        """:meth:`property_comparison` of two nodes, by postorder index."""
-        source_table, target_table = self._source_table, self._target_table
-        return self._property_pair(
-            source_table.signature_ids[source_index],
-            target_table.signature_ids[target_index],
-            source_table.nodes[source_index],
-            target_table.nodes[target_index],
-        )
-
-    def _property_pair(self, left: int, right: int, source: SchemaNode,
-                       target: SchemaNode) -> PropertyComparison:
         counts = self._property_stats
         if counts is None:
             counts = self._property_stats = self.stats.cache(PROPERTY_CACHE)
-        key = (left, right)
+        key = (self.signature_id(source), self.signature_id(target))
         cached = self._property_memo.get(key)
         if cached is None:
             counts.misses += 1
@@ -410,23 +379,14 @@ class MatchContext:
             counts.hits += 1
         return cached
 
-    def stored_label(self, source_index: int,
-                     target_index: int) -> LabelComparison:
-        """The memo's comparison of two nodes' names, read without
-        counting a lookup: for a caller whose pair was already counted
-        by :meth:`node_label_grids`."""
-        return _memo_comparison(self._label_memo[_unordered(
-            self._source_table.label_ids[source_index],
-            self._target_table.label_ids[target_index],
-        )])
-
     # ------------------------------------------------------------------
     # Node grids: every pair at once
     # ------------------------------------------------------------------
 
-    def node_label_grids(self):
-        """Every node pair's name comparison as two n x m arrays over the
-        postorder tables: float64 scores and ``MatchStrength`` codes.
+    def node_label_grids(self, rows=None):
+        """Every node pair's name comparison as two arrays over the
+        postorder tables: float64 scores and ``MatchStrength`` codes,
+        n x m, or ``len(rows)`` x m over a list of source indices.
 
         The grids gather a dense table over (distinct source label x
         distinct target label), filled one cell per label pair through
@@ -435,27 +395,45 @@ class MatchContext:
         :meth:`label_pair` and the table read the same entries.  A node
         pair counts as a hit when its cell was already filled and as a
         miss when it fills it, so a fresh context's hits and misses add
-        up to n * m.  The grids are kept for the context's lifetime; a
-        second call counts n * m hits.
+        up to the number of node pairs.  The full grids are kept for the
+        context's lifetime (a second call counts n * m hits); grids over
+        ``rows`` are gathered per call.
         """
-        if self._label_grids is not None:
-            self._label_stats.hits += self.pair_count
-            return self._label_grids
-        source, target = self.source_table, self.target_table
         counts = self._label_stats
         if counts is None:
             counts = self._label_stats = self.stats.cache(LABEL_CACHE)
-        s_firsts, s_slots = _distinct(source.label_ids)
+        if rows is None and self._label_grids is not None:
+            counts.hits += self.pair_count
+            return self._label_grids
+        source, target = self.source_table, self.target_table
+        s_ids = (source.label_ids if rows is None
+                 else [source.label_ids[i] for i in rows])
+        s_firsts, s_slots = _distinct(s_ids)
         t_firsts, t_slots = _distinct(target.label_ids)
-        scores, codes, misses = self._label_table(
-            [source.label_ids[i] for i in s_firsts],
-            [target.label_ids[j] for j in t_firsts],
-        )
+        left_ids = [s_ids[i] for i in s_firsts]
+        right_ids = [target.label_ids[j] for j in t_firsts]
+        scores, codes, misses = self._label_table(left_ids, right_ids)
         counts.misses += misses
-        counts.hits += self.pair_count - misses
-        self._label_grids = grids = (scores[s_slots[:, None], t_slots],
-                                     codes[s_slots[:, None], t_slots])
+        counts.hits += len(s_ids) * len(target) - misses
+        gather = (s_slots[:, None], t_slots)
+        grids = (scores[gather], codes[gather])
+        if rows is None:
+            self._label_grids = grids
+            self._label_table_ids = (left_ids, right_ids, gather)
         return grids
+
+    def node_label_mechanisms(self):
+        """The full name grids' label mechanism codes (indices into
+        :data:`MECHANISMS`) as an n x m array, read from the label memo
+        after :meth:`node_label_grids`: only traces and ``explain`` need
+        them, so the fill does not collect them."""
+        left_ids, right_ids, gather = self._label_table_ids
+        memo = self._label_memo
+        table = np.array([
+            _MECHANISM_CODES[memo[_unordered(left, right)][2]]
+            for left in left_ids for right in right_ids
+        ], dtype=np.int8).reshape(len(left_ids), len(right_ids))
+        return table[gather]
 
     def _label_table(self, left_ids, right_ids):
         """(scores, strength codes, memo misses) over ``left_ids`` x
@@ -483,29 +461,31 @@ class MatchContext:
         return (np.array(scores, dtype=np.float64).reshape(shape),
                 np.array(codes, dtype=np.int8).reshape(shape), misses)
 
-    def node_property_grids(self):
-        """Every node pair's property comparison as two n x m arrays:
-        float64 scores and ``MatchStrength`` codes.
+    def node_property_grids(self, rows=None):
+        """Every node pair's property comparison as two arrays: float64
+        scores and ``MatchStrength`` codes, n x m or ``len(rows)`` x m.
 
         Filled like :meth:`node_label_grids`, from a dense table over
         (distinct source signature x distinct target signature) that
         compares each signature pair once through the property memo;
         hits and misses are counted per node pair the same way.
         """
-        if self._property_grids is not None:
-            self._property_stats.hits += self.pair_count
-            return self._property_grids
         counts = self._property_stats
         if counts is None:
             counts = self._property_stats = self.stats.cache(PROPERTY_CACHE)
+        if rows is None and self._property_grids is not None:
+            counts.hits += self.pair_count
+            return self._property_grids
         source, target = self.source_table, self.target_table
+        s_rows = range(len(source)) if rows is None else rows
         # Equal signatures compare equal, so a signature's first node
         # (the one a row-major walk compares first) stands for it.
-        s_firsts, s_slots = _distinct(source.signature_ids)
+        s_ids = [source.signature_ids[i] for i in s_rows]
+        s_firsts, s_slots = _distinct(s_ids)
         t_firsts, t_slots = _distinct(target.signature_ids)
-        s_keys = [source.signature_ids[i] for i in s_firsts]
+        s_keys = [s_ids[i] for i in s_firsts]
         t_keys = [target.signature_ids[j] for j in t_firsts]
-        s_nodes = [source.nodes[i] for i in s_firsts]
+        s_nodes = [source.nodes[s_rows[i]] for i in s_firsts]
         t_nodes = [target.nodes[j] for j in t_firsts]
         compare = self.property_matcher.compare
         memo = self._property_memo
@@ -521,18 +501,21 @@ class MatchContext:
                 scores.append(cached.score)
                 codes.append(cached.strength._value_)
         counts.misses += misses
-        counts.hits += self.pair_count - misses
+        counts.hits += len(s_ids) * len(target) - misses
         shape = (len(s_keys), len(t_keys))
         scores = np.array(scores, dtype=np.float64).reshape(shape)
         codes = np.array(codes, dtype=np.int8).reshape(shape)
-        self._property_grids = grids = (scores[s_slots[:, None], t_slots],
-                                        codes[s_slots[:, None], t_slots])
+        grids = (scores[s_slots[:, None], t_slots],
+                 codes[s_slots[:, None], t_slots])
+        if rows is None:
+            self._property_grids = grids
         return grids
 
-    def instance_cached(self, source: SchemaNode,
-                        target: SchemaNode) -> bool:
-        """Whether the instance memo already holds this node pair."""
-        return (id(source), id(target)) in self._instance_memo
+    def memo_keys(self):
+        """Sets of the keys the label, property and instance memos hold
+        now: a traced run's cache provenance starts from them."""
+        return (set(self._label_memo), set(self._property_memo),
+                set(self._instance_memo))
 
     def instance_score(self, source: SchemaNode,
                        target: SchemaNode) -> float:

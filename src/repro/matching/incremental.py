@@ -13,9 +13,10 @@ structure makes incremental recomputation sound:
 :func:`incremental_qmatch` diffs the old and new source trees by
 structural fingerprint, reuses the old matrix rows for unchanged nodes,
 and recomputes only the changed nodes and their ancestors (whose
-children axis may have shifted) -- in postorder, so recomputed parents
-see up-to-date child scores.  The result is *identical* to a
-from-scratch run (asserted by tests), just cheaper.
+children axis may have shifted) through QMatch's block fill over grids
+of those rows alone, in postorder, so recomputed parents see up-to-date
+child scores.  The result is *identical* to a from-scratch run
+(asserted by tests), just cheaper.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.qmatch import QMatchMatcher
+from repro.core.qmatch import QMatchMatcher, _child_gate
 from repro.matching.result import ScoreMatrix
 from repro.xsd.model import SchemaNode, SchemaTree
 
@@ -101,18 +102,44 @@ def incremental_qmatch(matcher: QMatchMatcher, old_matrix: ScoreMatrix,
     codes = np.full(shape, -1, dtype=np.int8) if record else None
     # The old matrix's column for each of this context's target nodes.
     columns = [old_matrix.column_index[path] for path in target_table.paths]
-    reused = recomputed = 0
+    rescored = []
     for s_index, s_path in enumerate(source_table.paths):
-        if s_path not in changed:
-            old_row = old_matrix.row_index[s_path]
-            scores[s_index] = old_matrix.scores[old_row, columns]
-            if codes is not None:
-                codes[s_index] = old_codes[old_row, columns]
-            reused += 1
+        if s_path in changed:
+            rescored.append(s_index)
             continue
-        matcher._score_row(s_index, scores.ravel(),
-                           None if codes is None else codes.ravel(), ctx)
-        recomputed += 1
+        old_row = old_matrix.row_index[s_path]
+        scores[s_index] = old_matrix.scores[old_row, columns]
+        if codes is not None:
+            codes[s_index] = old_codes[old_row, columns]
+    matcher._score_blocks(
+        ctx, matcher._evidence(ctx, rescored),
+        _GateCells(ctx, matcher.config.structural_child_gate),
+        scores.ravel(), None if codes is None else codes.ravel(),
+    )
     matrix = ScoreMatrix(ctx.source, ctx.target, "postorder", scores, codes)
-    matrix.incremental_stats = {"reused": reused, "recomputed": recomputed}
+    matrix.incremental_stats = {"reused": shape[0] - len(rescored),
+                                "recomputed": len(rescored)}
     return matrix
+
+
+class _GateCells(dict):
+    """The child gate by row-major index, decided per cell on first read
+    from the context's memos: a rescored row's children may be reused
+    rows, and filling those whole would compare label pairs no read
+    needs."""
+
+    def __init__(self, ctx, threshold):
+        super().__init__()
+        self.ctx, self.threshold = ctx, threshold
+
+    def __missing__(self, index):
+        ctx = self.ctx
+        source, target = ctx.source_table, ctx.target_table
+        s_index, t_index = divmod(index, len(target))
+        label = ctx.label_pair(source.label_ids[s_index],
+                               target.label_ids[t_index])
+        props = ctx.property_comparison(source.nodes[s_index],
+                                        target.nodes[t_index])
+        gate = self[index] = _child_gate(label.strength.value, props.score,
+                                         self.threshold)
+        return gate

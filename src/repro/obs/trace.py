@@ -24,8 +24,10 @@ forked worker processes and the tests assert a worker-side trace equals
 an inline run bit for bit.
 
 Tracing is **zero-cost when disabled**: :data:`NULL_TRACER` is a
-falsy-``enabled`` singleton and the QMatch hot loop guards all trace
-work behind one ``tracer.enabled`` branch per pair.
+falsy-``enabled`` singleton and a QMatch run checks ``tracer.enabled``
+once.  A traced run scores exactly like an untraced one and then records
+its spans from the grids it scored, so tracing adds no per-pair work to
+scoring.
 """
 
 from __future__ import annotations
@@ -87,10 +89,9 @@ class TraceRecorder:
         self.run_id = run_id
         self.meta: dict = {}
         self.spans: list[dict] = []
-        self._index: dict[tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------
-    # Recording (called from the QMatch hot loop)
+    # Recording (called once per pair after a QMatch run scored)
     # ------------------------------------------------------------------
 
     def begin_run(self, **meta):
@@ -102,8 +103,10 @@ class TraceRecorder:
         self.meta = meta
 
     def span_id(self, source_path: str, target_path: str) -> Optional[int]:
-        """The recorded span id of a pair, or ``None`` if not recorded."""
-        return self._index.get((source_path, target_path))
+        """The id of the latest span recorded for a pair, or ``None``."""
+        return next((span["id"] for span in reversed(self.spans)
+                     if (span["source"], span["target"])
+                     == (source_path, target_path)), None)
 
     def record_pair(self, source_path: str, target_path: str, *,
                     qom: float, category: str, threshold: float,
@@ -127,7 +130,6 @@ class TraceRecorder:
             "axes": axes,
             "children": list(children_spans),
         })
-        self._index[(source_path, target_path)] = span_id
         return span_id
 
     # ------------------------------------------------------------------
@@ -154,9 +156,7 @@ class TraceRecorder:
             )
         recorder = cls(run_id=payload.get("run_id", ""))
         recorder.meta = dict(payload.get("meta") or {})
-        for span in payload.get("spans") or ():
-            recorder.spans.append(span)
-            recorder._index[(span["source"], span["target"])] = span["id"]
+        recorder.spans.extend(payload.get("spans") or ())
         return recorder
 
     def to_jsonl(self) -> str:

@@ -1,14 +1,13 @@
-"""The block path scores exactly like the scalar reference loop.
+"""The block path scores exactly like the frozen scalar reference loop.
 
-An untraced QMatch run scores leaf x leaf and leaf x interior pairs as
-numpy blocks and walks only the interior x interior pairs in Python
-(``QMatchMatcher._score_blocks``).  The scalar per-pair loop
-(``_score_row``) stays the reference: it runs traced runs, ``explain``
-and incremental re-matching.  These tests pin that the two produce the
-same matrix (in order, compared by ``repr``), the same categories and
-the same ``tree_qom`` on generated, mutated schema pairs under every
-golden configuration, and that a QoM outside [0, 1] fails on the block
-path with the scalar path's message.
+Every QMatch run scores leaf x leaf and leaf x interior pairs as numpy
+blocks and walks only the interior x interior pairs in Python
+(``QMatchMatcher._score_blocks``).  The scalar per-pair loop it replaced
+is frozen in :mod:`tests.qmatch_reference`.  These tests pin that the
+two produce the same matrix (in order, compared by ``repr``), the same
+categories and the same ``tree_qom`` on generated, mutated schema pairs
+under every golden configuration, and that a QoM outside [0, 1] fails on
+the block path with the scalar path's message.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from hypothesis import strategies as st
 from repro.core.config import QMatchConfig
 from repro.core.qmatch import QMatchMatcher
 from repro.matching.classes import MatchStrength
-from repro.matching.result import ScoreMatrix
 from repro.properties.matcher import PropertyComparison, PropertyMatcher
 from repro.xsd.generator import GeneratorConfig, SchemaGenerator
 from repro.xsd.mutations import MutationConfig, SchemaMutator
+from tests import qmatch_reference
 from tests.qmatch_golden import (
     CONFIGS,
     _attach_documentation,
@@ -53,16 +52,10 @@ def schema_pairs(draw):
 
 
 def scalar_matrix(matcher, source, target):
-    """The reference: ``_score_row`` over every row of a fresh context."""
-    ctx = matcher.make_context(source, target)
-    width = len(ctx.target_table)
-    grid = [0.0] * (len(ctx.source_table) * width)
-    categories = (
-        [None] * len(grid) if matcher.config.record_categories else None
-    )
-    for s_index in range(len(ctx.source_table)):
-        matcher._score_row(s_index, grid, categories, ctx)
-    return ScoreMatrix(ctx.source, ctx.target, "postorder", grid, categories)
+    """The reference: its ``score_row`` over every row of a fresh
+    context."""
+    return qmatch_reference.match_context(
+        matcher, matcher.make_context(source, target))
 
 
 def outputs(matrix):
@@ -74,17 +67,9 @@ def outputs(matrix):
     )
 
 
-def _row_by_row(*args):
-    raise AssertionError("the block path scored a row pair by pair")
-
-
 def assert_block_equals_scalar(matcher, source, target):
     scalar = scalar_matrix(matcher, source, target)
-    matcher._score_row = _row_by_row
-    try:
-        block = matcher.match_context(matcher.make_context(source, target))
-    finally:
-        del matcher._score_row
+    block = matcher.match_context(matcher.make_context(source, target))
     assert outputs(block) == outputs(scalar)
 
 

@@ -395,6 +395,65 @@ class TestConcurrentFirstSearch:
         assert results == expected
 
 
+    def test_cold_index_builds_statistics_once(self, full_corpus,
+                                               tmp_path, monkeypatch):
+        # Eight threads whose first searches on one cold 3-segment index
+        # overlap: the merged statistics are built once, so every
+        # segment is decoded once, and each result is the serial one.
+        index = SegmentedCorpusIndex(tmp_path / "segments",
+                                     auto_compact=False)
+        entries = full_corpus.entries()
+        size = -(-len(entries) // 3)
+        for start in range(0, len(entries), size):
+            index.add_batch(
+                (entry.hash, full_corpus.load(entry.hash))
+                for entry in entries[start:start + size]
+            )
+        assert len(index.segments()) == 3
+        trees = [full_corpus.load(entry.hash) for entry in entries[:8]]
+
+        def retrieve(index, tree):
+            return index.retrieve_scores(index.query_tokens(tree),
+                                         index.query_signature(tree))
+
+        serial = SegmentedCorpusIndex.open(index.root)
+        expected = [retrieve(serial, tree) for tree in trees]
+        decoded = []
+        load = Segment.load
+
+        def counting_load(segment, hasher):
+            if not segment.loaded:
+                decoded.append(segment.seg_id)
+            return load(segment, hasher)
+
+        monkeypatch.setattr(Segment, "load", counting_load)
+        cold = SegmentedCorpusIndex.open(index.root)
+        results, errors = [None] * len(trees), []
+
+        def worker(position):
+            try:
+                results[position] = retrieve(cold, trees[position])
+            except Exception as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(position,))
+                   for position in range(len(trees))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sorted(decoded) == sorted(
+            segment.seg_id for segment in cold.segments())
+        assert results == expected
+
+
 class TestLazyLoading:
     def test_open_reads_only_meta(self, full_corpus, seg_index):
         reopened = SegmentedCorpusIndex.open(

@@ -260,8 +260,6 @@ class TestDecisiveEvidence:
         s_node = source.find("Contacts/value_1")
         t_node = target.find("Contacts/value_3")
         first = context.instance_score(s_node, t_node)
-        assert not context.instance_cached(s_node, s_node)
-        assert context.instance_cached(s_node, t_node)
         second = context.instance_score(s_node, t_node)
         assert second == first
         cache = context.stats.cache(INSTANCE_CACHE)
